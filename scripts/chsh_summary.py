@@ -13,6 +13,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
+from bellcomm.cli import _seed_type
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=200_000,
                         help="trials per setting pair")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=int, default=8)
     args = parser.parse_args(argv)
 

@@ -291,6 +291,26 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _workers_type(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("workers must be at least 1")
+    return value
+
+
+def _angle_type(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellcomm",
@@ -312,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--delta",
-                type=float,
+                type=_angle_type,
                 default=None,
                 help="shift angle for fixed-shift; drawn shift for a"
                 " random-shift trial",
@@ -324,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="bits per trial for the adaptive protocol (default 3)",
             )
         p.add_argument("--seed", type=_seed_type, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_workers_type, default=1)
         p.add_argument(
             "--degrees",
             action="store_true",
@@ -342,17 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(chsh_p)
     chsh_p.add_argument("--n", type=int, default=1_000_000)
     for flag in ("--a", "--a-prime", "--b", "--b-prime"):
-        chsh_p.add_argument(flag, type=float, default=None)
+        chsh_p.add_argument(flag, type=_angle_type, default=None)
 
     verify_p = sub.add_parser("verify", help="run the self-check suite")
     add_common(verify_p, with_protocol=False)
 
     trial = sub.add_parser("trial", help="run and print a single trial")
     add_common(trial)
-    trial.add_argument("--a", type=float, required=True)
-    trial.add_argument("--b", type=float, required=True)
-    trial.add_argument("--lambda", dest="lam", type=float, default=None)
-    trial.add_argument("--lambda2", dest="lam2", type=float, default=None)
+    trial.add_argument("--a", type=_angle_type, required=True)
+    trial.add_argument("--b", type=_angle_type, required=True)
+    trial.add_argument("--lambda", dest="lam", type=_angle_type, default=None)
+    trial.add_argument("--lambda2", dest="lam2", type=_angle_type, default=None)
     trial.add_argument("--u", type=float, default=None)
     trial.add_argument("--v", type=float, default=None)
     return parser

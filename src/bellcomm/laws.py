@@ -4,6 +4,10 @@ Every law maps a separation theta in [0, pi] to a correlation in [-1, 1]
 under the anticorrelation convention E(0) = -1, E(pi) = +1.  Internally
 the laws work in the rescaled variable t = theta / pi, which keeps the
 arithmetic exact at dyadic separations such as pi/4 and 3*pi/4.
+
+The closed forms need only the standard library.  The three quadrature
+oracles need scipy.integrate, which they import on first call, so
+importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from scipy.integrate import quad
 
 from .angles import heaviside, sgn
 from .errors import (
@@ -134,6 +136,8 @@ def shift_average_quadrature(theta: float, quad_tol: float = 1e-9) -> float:
     boundary sweeps past theta, so those locations are handed to the
     quadrature routine explicitly.  Must reproduce shift_averaged_law.
     """
+    from scipy.integrate import quad
+
     if quad_tol <= 0.0:
         raise DomainError("quad_tol must be positive")
     _rescaled(theta)
@@ -179,6 +183,8 @@ def mean_sign_vs_reference_quad(t: float, quad_tol: float = 1e-9) -> float:
     Integrates sgn(cos(x) - cos(t)) / (2*pi) over the full circle, with
     the two sign changes at x = +-t handed to the routine.
     """
+    from scipy.integrate import quad
+
     if not 0.0 <= t <= math.pi:
         raise DomainError(f"reference angle must lie in [0, pi], got {t!r}")
     if quad_tol <= 0.0:
@@ -208,6 +214,8 @@ def two_share_integral(r: float, quad_tol: float = 1e-9) -> float:
     splitting at the sign change tau = pi/2 and the kink tau = r.  Must
     reproduce shift_averaged_law(r).
     """
+    from scipy.integrate import quad
+
     if not 0.0 <= r <= math.pi:
         raise DomainError(f"r must lie in [0, pi], got {r!r}")
     if quad_tol <= 0.0:

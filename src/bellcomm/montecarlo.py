@@ -237,6 +237,19 @@ def sample_products(
     return np.concatenate(parts)
 
 
+def _fan_out(func, items: range, workers: int) -> list:
+    """func over items, in order, on at most min(workers, len(items)) threads.
+
+    A pool of one would only add thread start-up to the same serial work,
+    so that case, and workers < 1, runs inline.
+    """
+    size = min(workers, len(items))
+    if size <= 1:
+        return [func(item) for item in items]
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(func, items))
+
+
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Sample mean of the outcome product for one setting pair."""
@@ -266,18 +279,13 @@ def estimate_correlation(
     if n < 1:
         raise ConfigurationError(f"n must be at least 1, got {n!r}")
     _check_seed(seed)
-    starts = range(0, n, CHUNK)
 
     def chunk_sum(start: int) -> int:
         return int(
             _chunk_products(spec, a, b, seed, start, min(CHUNK, n - start)).sum()
         )
 
-    if workers <= 1:
-        total = sum(chunk_sum(s) for s in starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(chunk_sum, starts))
+    total = sum(_fan_out(chunk_sum, range(0, n, CHUNK), workers))
     mean = total / n
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
     return CorrelationEstimate(
@@ -336,11 +344,7 @@ def sweep_curve(
             spec, 0.0, grid[j], n_per_point, child_seed(seed, j)
         )
 
-    if workers <= 1:
-        estimates = tuple(point(j) for j in range(grid_points))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = tuple(pool.map(point, range(grid_points)))
+    estimates = tuple(_fan_out(point, range(grid_points), workers))
     return CurveSweep(
         protocol=spec,
         grid=grid,

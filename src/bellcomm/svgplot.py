@@ -7,9 +7,9 @@ a plotting library.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 WIDTH = 800
 HEIGHT = 500
@@ -40,6 +40,11 @@ def _y_pix(value: float) -> float:
     return MARGIN_TOP + span * (Y_MAX - value) / (Y_MAX - Y_MIN)
 
 
+def _escape(text: str) -> str:
+    # text nodes need only &, < and > escaped; quotes stay as they are
+    return html.escape(text, quote=False)
+
+
 def _polyline(series: Series) -> str:
     points = " ".join(
         f"{_x_pix(t):.2f},{_y_pix(v):.2f}"
@@ -60,9 +65,9 @@ def render_plot(series: list[Series], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
         # frame and zero line
         f'<line x1="{x0:.2f}" y1="{y_lo:.2f}" x2="{x1:.2f}" y2="{y_lo:.2f}" '
         f'stroke="#333" stroke-width="1"/>',
@@ -100,7 +105,7 @@ def render_plot(series: list[Series], title: str) -> str:
         )
         parts.append(
             f'<text x="{x1 - 125:.2f}" y="{y:.2f}" font-family="sans-serif" '
-            f'font-size="12">{escape(s.label)}</text>'
+            f'font-size="12">{_escape(s.label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

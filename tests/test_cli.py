@@ -161,11 +161,38 @@ class TestUsageErrors:
          "--u", "0.5"],
         [],
     ]
+    # angles must be finite wherever the CLI parses them
+    CASES += [
+        ["chsh", "--protocol", "plain", "--a", "nan"],
+        ["chsh", "--protocol", "plain", "--a-prime", "inf"],
+        ["chsh", "--protocol", "plain", "--b", "-inf"],
+        ["chsh", "--protocol", "plain", "--b-prime", "nan"],
+        ["curve", "--protocol", "fixed-shift", "--delta", "nan"],
+        ["trial", "--protocol", "plain", "--a", "nan", "--b", "0",
+         "--lambda", "0"],
+        ["trial", "--protocol", "plain", "--a", "0", "--b", "inf",
+         "--lambda", "0"],
+        ["trial", "--protocol", "plain", "--a", "0", "--b", "0",
+         "--lambda", "inf"],
+        ["trial", "--protocol", "two-share", "--a", "0", "--b", "0",
+         "--lambda", "0", "--lambda2", "nan"],
+        ["trial", "--protocol", "random-shift", "--a", "0", "--b", "0",
+         "--lambda", "0", "--delta", "inf", "--degrees"],
+        ["chsh", "--protocol", "plain", "--a", "x"],
+    ]
+    # at least one worker
+    CASES += [
+        ["curve", "--protocol", "plain", "--workers", "0"],
+        ["chsh", "--protocol", "plain", "--workers", "-3"],
+        ["verify", "--workers", "-1"],
+        ["curve", "--protocol", "plain", "--workers", "two"],
+    ]
 
     @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c) or "empty" for c in CASES])
     def test_exit_code_two(self, capsys, argv):
-        code, _, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv)
         assert code == 2
+        assert out == ""
 
 
 def test_io_failure_exits_three(tmp_path, capsys):

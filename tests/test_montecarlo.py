@@ -300,3 +300,54 @@ def test_mc_matches_law_at_moderate_n():
         assert est.mean == pytest.approx(
             law.evaluate(theta), abs=5.5 * max(est.stderr, 1e-3)
         )
+
+
+class TestPoolSize:
+    """The fan-out asks for at most one thread per chunk or grid point."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            # runs the work inline; only the requested size matters here
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        return requested
+
+    def test_estimate_capped_at_chunk_count(self, pools):
+        n = 2 * CHUNK + 5
+        capped = estimate_correlation(PLAIN, 0.2, 1.7, n, 9, workers=64)
+        assert pools == [3]
+        assert capped == estimate_correlation(PLAIN, 0.2, 1.7, n, 9)
+
+    def test_estimate_below_worker_count_keeps_workers(self, pools):
+        estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9, workers=2)
+        assert pools == [2]
+
+    def test_single_chunk_runs_inline(self, pools):
+        est = estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2, workers=8)
+        assert pools == []
+        assert est == estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2)
+
+    def test_sweep_capped_at_point_count(self, pools):
+        capped = sweep_curve(TWOSHARE, 3, 512, 3, workers=64)
+        assert pools == [3]
+        assert capped == sweep_curve(TWOSHARE, 3, 512, 3)
+
+    @pytest.mark.parametrize("workers", [1, 0, -3])
+    def test_one_or_fewer_workers_runs_inline(self, pools, workers):
+        sweep_curve(PLAIN, 4, 64, 1, workers=workers)
+        estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers=workers)
+        assert pools == []
