@@ -13,7 +13,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import _seed_type
+from bellcomm.cli import _seed_type, _workers_type
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 
@@ -30,10 +30,10 @@ def specs():
 
 
 def label(spec):
-    if spec.kind is ProtocolKind.FIXED_SHIFT:
-        return f"fixed-shift d={spec.delta:.3f}"
-    if spec.kind is ProtocolKind.ADAPTIVE:
-        return f"adaptive k={spec.k_bits}"
+    if spec.delta is not None:
+        return f"{spec.kind.value} d={spec.delta:.3f}"
+    if spec.k_bits is not None:
+        return f"{spec.kind.value} k={spec.k_bits}"
     return spec.kind.value
 
 
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=200_000,
                         help="trials per setting pair")
     parser.add_argument("--seed", type=_seed_type, default=0)
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", type=_workers_type, default=8)
     args = parser.parse_args(argv)
 
     print(f"bounds: local {LOCAL_BOUND:g}  quantum {TSIRELSON_BOUND:.6f}"

@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from bellcomm.cli import _seed_type, curve_series, write_curve_csv
+from bellcomm.cli import _seed_type, _workers_type, curve_series, write_curve_csv
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.svgplot import render_plot
@@ -27,7 +27,7 @@ def parse_args(argv=None):
                         help="trials per grid point")
     parser.add_argument("--grid", type=int, default=61)
     parser.add_argument("--seed", type=_seed_type, default=0)
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", type=_workers_type, default=8)
     return parser.parse_args(argv)
 
 

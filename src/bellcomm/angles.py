@@ -58,7 +58,7 @@ def resultant_sign(b: float, u: float, c: int, v: float) -> int:
     """Sign of the projection of the resultant u-hat + c * v-hat onto b-hat.
 
     Raises DegenerateResultantError when the resultant norm is at most
-    RESULTANT_EPS; the caller decides whether to resample or abort.
+    RESULTANT_EPS; the vector sampler raises it for the same shares.
     """
     wx = math.cos(u) + c * math.cos(v)
     wy = math.sin(u) + c * math.sin(v)

@@ -25,17 +25,7 @@ from .chsh import (
 from .errors import BellcommError, ConfigurationError
 from .laws import LawKind, quantum_cosine_law
 from .montecarlo import CurveSweep, sweep_curve
-from .protocols import (
-    ProtocolKind,
-    ProtocolSpec,
-    TrialRecord,
-    run_trial_adaptive,
-    run_trial_fixed,
-    run_trial_plain,
-    run_trial_quantum,
-    run_trial_random_shift,
-    run_trial_twoshare,
-)
+from .protocols import PROTOCOLS, ProtocolKind, ProtocolSpec, TrialRecord
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
 
@@ -45,6 +35,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 CSV_HEADER = ("theta", "E_analytic", "E_mc", "stderr", "n", "protocol", "delta", "seed")
+
+# flags a protocol row may take; each is stored under its own name
+_VALUE_FLAGS = ("--delta", "--k", "--lambda", "--lambda2", "--u", "--v")
+# the flag that sets each ProtocolSpec parameter
+_PARAM_FLAGS = {"delta": "--delta", "k_bits": "--k"}
+# trial shares that are uniform draws, not angles
+_UNIFORM_FLAGS = ("--u", "--v")
 
 
 @dataclass(frozen=True)
@@ -62,11 +59,7 @@ class RunConfig:
     settings: ChshSettings = CANONICAL_SETTINGS
     a: float | None = None
     b: float | None = None
-    lam: float | None = None
-    lam2: float | None = None
-    delta_draw: float | None = None
-    u: float | None = None
-    v: float | None = None
+    shares: tuple[float, ...] = ()
 
 
 def _g17(x: float) -> str:
@@ -77,7 +70,7 @@ def write_curve_csv(sweep: CurveSweep, fh) -> None:
     """Serialize a sweep; floats carry 17 significant digits so the file
     round-trips bit for bit."""
     law = sweep.analytic_reference
-    is_fixed = sweep.protocol.kind is ProtocolKind.FIXED_SHIFT
+    delta = sweep.protocol.delta
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for theta, est in zip(sweep.grid, sweep.estimates):
@@ -89,7 +82,7 @@ def write_curve_csv(sweep: CurveSweep, fh) -> None:
                 _g17(est.stderr),
                 est.n,
                 sweep.protocol.kind.value,
-                _g17(sweep.protocol.delta) if is_fixed else "",
+                _g17(delta) if delta is not None else "",
                 sweep.seed,
             )
         )
@@ -153,7 +146,7 @@ def curve_series(sweep: CurveSweep) -> list[Series]:
 
 def _sweep_title(sweep: CurveSweep) -> str:
     name = sweep.protocol.kind.value
-    if sweep.protocol.kind is ProtocolKind.FIXED_SHIFT:
+    if sweep.protocol.delta is not None:
         name += f" (delta={sweep.protocol.delta:.4f})"
     return f"correlation curve: {name}"
 
@@ -231,44 +224,10 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ConfigurationError(f"this protocol requires {flag}")
-    return value
-
-
 def run_configured_trial(config: RunConfig) -> TrialRecord:
     """Run one trial from explicit CLI-supplied shares."""
-    kind = config.protocol.kind
-    a = config.a
-    b = config.b
-    if kind is ProtocolKind.PLAIN:
-        return run_trial_plain(a, b, _require(config.lam, "--lambda"))
-    if kind is ProtocolKind.FIXED_SHIFT:
-        return run_trial_fixed(
-            a, b, _require(config.lam, "--lambda"), config.protocol.delta
-        )
-    if kind is ProtocolKind.RANDOM_SHIFT:
-        return run_trial_random_shift(
-            a,
-            b,
-            _require(config.lam, "--lambda"),
-            _require(config.delta_draw, "--delta"),
-        )
-    if kind is ProtocolKind.TWO_SHARE:
-        return run_trial_twoshare(
-            a,
-            b,
-            _require(config.lam, "--lambda"),
-            _require(config.lam2, "--lambda2"),
-        )
-    if kind is ProtocolKind.ADAPTIVE:
-        return run_trial_adaptive(
-            a, b, config.protocol.k_bits, _require(config.lam, "--lambda")
-        )
-    return run_trial_quantum(
-        a, b, _require(config.u, "--u"), _require(config.v, "--v")
-    )
+    spec = config.protocol
+    return PROTOCOLS[spec.kind].trial(spec, config.a, config.b, *config.shares)
 
 
 def cmd_trial(config: RunConfig) -> int:
@@ -311,6 +270,18 @@ def _angle_type(text: str) -> float:
     return value
 
 
+def _uniform_type(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"a uniform draw must lie in [0, 1), got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellcomm",
@@ -328,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--protocol",
                 required=True,
-                choices=[k.value for k in ProtocolKind],
+                choices=[k.value for k in PROTOCOLS],
             )
             p.add_argument(
                 "--delta",
@@ -341,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--k",
                 type=int,
                 default=None,
-                help="bits per trial for the adaptive protocol (default 3)",
+                help="bits per trial for the adaptive protocol (default 3,"
+                " at most 52)",
             )
         p.add_argument("--seed", type=_seed_type, default=0)
         p.add_argument("--workers", type=_workers_type, default=1)
@@ -371,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(trial)
     trial.add_argument("--a", type=_angle_type, required=True)
     trial.add_argument("--b", type=_angle_type, required=True)
-    trial.add_argument("--lambda", dest="lam", type=_angle_type, default=None)
-    trial.add_argument("--lambda2", dest="lam2", type=_angle_type, default=None)
-    trial.add_argument("--u", type=float, default=None)
-    trial.add_argument("--v", type=float, default=None)
+    trial.add_argument("--lambda", type=_angle_type, default=None)
+    trial.add_argument("--lambda2", type=_angle_type, default=None)
+    trial.add_argument("--u", type=_uniform_type, default=None)
+    trial.add_argument("--v", type=_uniform_type, default=None)
     return parser
 
 
@@ -385,27 +357,39 @@ def _angle(value: float | None, degrees: bool) -> float | None:
 
 
 def _protocol_from_args(args) -> ProtocolSpec:
+    """The chosen protocol; a value flag it does not take is a usage error.
+
+    It takes the flag of its parameter and, for the trial command, the
+    flags of its shares; random-shift's --delta is a share, drawn per
+    trial, not a parameter.
+    """
     kind = ProtocolKind(args.protocol)
-    delta = _angle(args.delta, args.degrees)
-    if kind is ProtocolKind.FIXED_SHIFT:
-        if delta is None:
-            raise ConfigurationError("fixed-shift requires --delta")
-        return ProtocolSpec(kind, delta=delta)
-    if kind is ProtocolKind.ADAPTIVE:
-        return ProtocolSpec(kind, k_bits=args.k if args.k is not None else 3)
-    if kind is ProtocolKind.RANDOM_SHIFT:
-        # --delta is a per-trial draw for the trial command, not a
-        # protocol parameter; other commands must not receive it
-        if args.command != "trial" and delta is not None:
-            raise ConfigurationError(
-                "random-shift takes no --delta; the shift is drawn per trial"
-            )
-        return ProtocolSpec(kind)
-    if delta is not None:
-        raise ConfigurationError(f"{kind.value} takes no --delta")
-    if args.k is not None:
-        raise ConfigurationError(f"{kind.value} takes no --k")
+    row = PROTOCOLS[kind]
+    taken = set(row.trial_flags) if args.command == "trial" else set()
+    if row.param is not None:
+        taken.add(_PARAM_FLAGS[row.param])
+    for flag in _VALUE_FLAGS:
+        if getattr(args, flag[2:], None) is not None and flag not in taken:
+            raise ConfigurationError(f"{kind.value} takes no {flag}")
+    if row.param == "delta":
+        if args.delta is None:
+            raise ConfigurationError(f"{kind.value} requires --delta")
+        return ProtocolSpec(kind, delta=_angle(args.delta, args.degrees))
+    if row.param == "k_bits":
+        return ProtocolSpec(kind, k_bits=3 if args.k is None else args.k)
     return ProtocolSpec(kind)
+
+
+def _trial_shares(args, spec: ProtocolSpec) -> tuple[float, ...]:
+    shares = []
+    for flag in PROTOCOLS[spec.kind].trial_flags:
+        value = getattr(args, flag[2:])
+        if value is None:
+            raise ConfigurationError(f"{spec.kind.value} requires {flag}")
+        if flag not in _UNIFORM_FLAGS:
+            value = _angle(value, args.degrees)
+        shares.append(value)
+    return tuple(shares)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -459,11 +443,7 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed,
         a=_angle(args.a, args.degrees),
         b=_angle(args.b, args.degrees),
-        lam=_angle(args.lam, args.degrees),
-        lam2=_angle(args.lam2, args.degrees),
-        delta_draw=_angle(args.delta, args.degrees),
-        u=args.u,
-        v=args.v,
+        shares=_trial_shares(args, protocol),
     )
 
 

@@ -8,11 +8,18 @@ Randomness layout (counter-based, order-independent):
 
 Plane 0 carries each trial's primary uniform (the angular share, or the
 coin for the reference sampler), plane 1 the secondary one (second share,
-per-trial shift, or the anticorrelation draw).  Planes 8 and up supply
-replacement shares for trials whose resultant degenerated: resample round
-r reads planes 8 + 2r and 9 + 2r.  The draw for trial i on a plane is
-word i of that plane's stream, so it depends only on (seed, plane, i),
-never on chunk size, thread count, or execution order.
+per-trial shift, or the anticorrelation draw); each protocol's row in
+protocols.PROTOCOLS says how many planes it draws and how each is scaled.
+The draw for trial i on a plane is word i of that plane's stream, so it
+depends only on (seed, plane, i), never on chunk size, thread count, or
+execution order.
+
+A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
+the run raises DegenerateResultantError, as the scalar trial does for
+the same shares.  The norm is 2 for plain and at least 2 sin(delta/2)
+for fixed-shift, so neither can trip it unless delta <= 1e-12, where the
+chance is below 3.2e-13 per trial; for random-shift and two-share it is
+about 1e-24 per trial.
 
 Trial products are +-1 and are accumulated as exact integer sums per
 chunk, which makes every estimate bit-identical for any worker count.
@@ -27,19 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .angles import RESULTANT_EPS, TWO_PI, separation
-from .errors import ConfigurationError, DomainError, NumericError
-from .laws import CorrelationLaw, LawKind
-from .protocols import ProtocolKind, ProtocolSpec, quantized_direction, sector_index
-
-HALF_PI = 0.5 * math.pi
+from .angles import separation
+from .errors import ConfigurationError, DomainError
+from .laws import CorrelationLaw
+from .protocols import PROTOCOLS, ProtocolSpec
 
 # One Philox counter block is four doubles, so chunk starts stay
 # multiples of four and every chunk begins exactly on a block boundary.
 CHUNK = 1 << 16
-
-_REJECT_PLANE_BASE = 8
-_MAX_RESAMPLE_ROUNDS = 100
 
 
 def _check_seed(seed: int) -> int:
@@ -71,156 +73,13 @@ def child_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sgn_arr(x: np.ndarray) -> np.ndarray:
-    # sgn(0) = +1, matching the scalar convention
-    return np.where(x >= 0.0, 1, -1)
-
-
-def _fixed_products(a, b, lam, delta):
-    """Products and degeneracy mask for fixed-shift trials.
-
-    Mirrors run_trial_fixed operation for operation so the vector path is
-    bit-compatible with the scalar one; delta may be a scalar or an array.
-    """
-    s1 = _sgn_arr(np.cos(a - lam))
-    s2 = _sgn_arr(np.cos((a - lam) - delta))
-    c = s1 * s2
-    shifted = lam + delta
-    wx = np.cos(lam) + c * np.cos(shifted)
-    wy = np.sin(lam) + c * np.sin(shifted)
-    degenerate = np.hypot(wx, wy) <= RESULTANT_EPS
-    beta = -_sgn_arr(math.cos(b) * wx + math.sin(b) * wy)
-    return s1 * beta, degenerate
-
-
-def _two_share_products(a, b, lam1, lam2):
-    """Products and degeneracy mask for two-share trials."""
-    s1 = _sgn_arr(np.cos(a - lam1))
-    s2 = _sgn_arr(np.cos(a - lam2))
-    c = s1 * s2
-    wx = np.cos(lam1) + c * np.cos(lam2)
-    wy = np.sin(lam1) + c * np.sin(lam2)
-    degenerate = np.hypot(wx, wy) <= RESULTANT_EPS
-    beta = -_sgn_arr(math.cos(b) * wx + math.sin(b) * wy)
-    return s1 * beta, degenerate
-
-
-def _resample_loop(draw, compute, redraws):
-    """Run compute() until no trial is degenerate, replacing the shares of
-    offending trials from dedicated rejection planes.
-
-    redraws maps a plane offset to a share-array updater; replacements for
-    round r come from plane _REJECT_PLANE_BASE + 2r + offset, so they
-    depend only on (seed, trial index, round).
-    """
-    products, bad = compute()
-    rounds = 0
-    while bad.any():
-        if rounds >= _MAX_RESAMPLE_ROUNDS:
-            raise NumericError("degenerate resultants persisted through resampling")
-        for offset, update in redraws.items():
-            fresh = draw(_REJECT_PLANE_BASE + 2 * rounds + offset)
-            update(bad, fresh)
-        products, bad = compute()
-        rounds += 1
-    return products
-
-
-def _kernel_fixed(spec, a, b, count, draw):
-    lam = TWO_PI * draw(0)
-
-    def update_lam(mask, fresh):
-        lam[mask] = TWO_PI * fresh[mask]
-
-    return _resample_loop(
-        draw,
-        lambda: _fixed_products(a, b, lam, spec.delta),
-        {0: update_lam},
-    )
-
-
-def _kernel_plain(spec, a, b, count, draw):
-    lam = TWO_PI * draw(0)
-
-    def update_lam(mask, fresh):
-        lam[mask] = TWO_PI * fresh[mask]
-
-    # delta = 0 makes the resultant norm exactly 2, so the mask never fires
-    return _resample_loop(
-        draw,
-        lambda: _fixed_products(a, b, lam, 0.0),
-        {0: update_lam},
-    )
-
-
-def _kernel_random_shift(spec, a, b, count, draw):
-    lam = TWO_PI * draw(0)
-    dd = HALF_PI * draw(1)
-
-    def update_lam(mask, fresh):
-        lam[mask] = TWO_PI * fresh[mask]
-
-    def update_dd(mask, fresh):
-        dd[mask] = HALF_PI * fresh[mask]
-
-    return _resample_loop(
-        draw,
-        lambda: _fixed_products(a, b, lam, dd),
-        {0: update_lam, 1: update_dd},
-    )
-
-
-def _kernel_two_share(spec, a, b, count, draw):
-    lam1 = TWO_PI * draw(0)
-    lam2 = TWO_PI * draw(1)
-
-    def update_lam1(mask, fresh):
-        lam1[mask] = TWO_PI * fresh[mask]
-
-    def update_lam2(mask, fresh):
-        lam2[mask] = TWO_PI * fresh[mask]
-
-    return _resample_loop(
-        draw,
-        lambda: _two_share_products(a, b, lam1, lam2),
-        {0: update_lam1, 1: update_lam2},
-    )
-
-
-def _kernel_adaptive(spec, a, b, count, draw):
-    # the product is the deterministic step of the rebuilt separation;
-    # the share cancels out of it, so no draws are consumed
-    a_q = quantized_direction(sector_index(a, spec.k_bits), spec.k_bits)
-    step = -1 if separation(a_q, b) < HALF_PI else 1
-    return np.full(count, step, dtype=np.int64)
-
-
-def _kernel_quantum(spec, a, b, count, draw):
-    threshold = math.cos(0.5 * separation(a, b)) ** 2
-    u = draw(0)
-    v = draw(1)
-    alpha = np.where(u < 0.5, 1, -1)
-    beta = np.where(v < threshold, -alpha, alpha)
-    return alpha * beta
-
-
-PRODUCT_KERNELS = {
-    ProtocolKind.PLAIN: _kernel_plain,
-    ProtocolKind.FIXED_SHIFT: _kernel_fixed,
-    ProtocolKind.RANDOM_SHIFT: _kernel_random_shift,
-    ProtocolKind.TWO_SHARE: _kernel_two_share,
-    ProtocolKind.ADAPTIVE: _kernel_adaptive,
-    ProtocolKind.QUANTUM: _kernel_quantum,
-}
-
-
 def _chunk_products(spec, a, b, seed, start, count):
-    kernel = PRODUCT_KERNELS[spec.kind]
-
-    def draw(plane):
-        return uniforms(seed, plane, start, count)
-
-    return kernel(spec, a, b, count, draw)
+    row = PROTOCOLS[spec.kind]
+    shares = []
+    for plane, scale in enumerate(row.planes):
+        u = uniforms(seed, plane, start, count)
+        shares.append(u if scale is None else scale * u)
+    return row.products(spec, a, b, count, *shares)
 
 
 def sample_products(
@@ -306,15 +165,8 @@ class CurveSweep:
 
 def law_for_protocol(spec: ProtocolSpec) -> CorrelationLaw | None:
     """The closed-form law a protocol's estimates converge to, if any."""
-    if spec.kind is ProtocolKind.PLAIN:
-        return CorrelationLaw(LawKind.LINEAR)
-    if spec.kind is ProtocolKind.FIXED_SHIFT:
-        return CorrelationLaw(LawKind.FIXED_SHIFT, delta=spec.delta)
-    if spec.kind in (ProtocolKind.RANDOM_SHIFT, ProtocolKind.TWO_SHARE):
-        return CorrelationLaw(LawKind.SHIFT_AVERAGED)
-    if spec.kind is ProtocolKind.QUANTUM:
-        return CorrelationLaw(LawKind.QUANTUM_COSINE)
-    return None
+    kind = PROTOCOLS[spec.kind].law
+    return None if kind is None else CorrelationLaw(kind, delta=spec.delta)
 
 
 def sweep_curve(

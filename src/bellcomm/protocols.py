@@ -1,10 +1,20 @@
-"""Trial-level protocol state machines.
+"""The protocols: trial-level state machines, their vector twins, and
+one table that says what each protocol is.
 
 Each trial function is a pure map from measurement settings and explicit
 shares to a TrialRecord; all randomness is injected by the caller.
 Alice's outcome reads (a, shares) only and Bob's outcome reads
 (b, shares, received bits) only.  The bob_output_* helpers take no
 setting a at all, so the locality split is visible in the signatures.
+
+Next to each scalar trial sits the *_products function the sampler runs
+over share arrays.  The scalar code is the reference: the vector twin
+must give the same product, bit for bit, for the same shares.
+
+PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
+protocol carries, the scale of each share plane the sampler draws, its
+products function, its single trial with the CLI flags that supply the
+shares, and its correlation law.
 """
 
 from __future__ import annotations
@@ -12,11 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .angles import TWO_PI, normalize_angle, resultant_sign, separation, sgn
-from .errors import ConfigurationError
+import numpy as np
+
+from .angles import RESULTANT_EPS, TWO_PI, normalize_angle, resultant_sign, separation, sgn
+from .errors import ConfigurationError, DegenerateResultantError
+from .laws import LawKind
 
 HALF_PI = 0.5 * math.pi
+
+# The largest k for which every sector centre index + 0.5 is an exact
+# double; beyond it the last centre can round out of its own sector.
+MAX_K_BITS = 52
 
 
 class ProtocolKind(Enum):
@@ -32,8 +50,9 @@ class ProtocolKind(Enum):
 class ProtocolSpec:
     """Tagged protocol choice with its parameters.
 
-    delta is meaningful only for the fixed-shift protocol and k_bits only
-    for the adaptive protocol; carrying either elsewhere is rejected.
+    A protocol carries the one parameter its PROTOCOLS row names (delta
+    for fixed-shift, k_bits for adaptive) and no other; the row's check
+    validates the value.
     """
 
     kind: ProtocolKind
@@ -41,24 +60,27 @@ class ProtocolSpec:
     k_bits: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is ProtocolKind.FIXED_SHIFT:
-            if self.delta is None:
-                raise ConfigurationError("fixed-shift requires delta")
-            if not 0.0 <= self.delta <= HALF_PI:
+        row = PROTOCOLS[self.kind]
+        for name in ("delta", "k_bits"):
+            value = getattr(self, name)
+            if name == row.param:
+                if value is None:
+                    raise ConfigurationError(f"{self.kind.value} requires {name}")
+                row.check(value)
+            elif value is not None:
                 raise ConfigurationError(
-                    f"delta must lie in [0, pi/2], got {self.delta!r}"
+                    f"{self.kind.value} carries no {name} parameter"
                 )
-        elif self.delta is not None:
-            raise ConfigurationError(
-                f"{self.kind.value} carries no delta parameter"
-            )
-        if self.kind is ProtocolKind.ADAPTIVE:
-            if self.k_bits is None or self.k_bits < 1:
-                raise ConfigurationError("adaptive requires k_bits >= 1")
-        elif self.k_bits is not None:
-            raise ConfigurationError(
-                f"{self.kind.value} carries no k_bits parameter"
-            )
+
+
+def check_delta(delta: float) -> None:
+    if not 0.0 <= delta <= HALF_PI:
+        raise ConfigurationError(f"delta must lie in [0, pi/2], got {delta!r}")
+
+
+def check_k_bits(k: int) -> None:
+    if not 1 <= k <= MAX_K_BITS:
+        raise ConfigurationError(f"k must lie in [1, {MAX_K_BITS}], got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +104,29 @@ def alice_output(a: float, lam: float) -> int:
     return sgn(math.cos(a - lam))
 
 
+def _sgn_arr(x: np.ndarray) -> np.ndarray:
+    # sgn(0) = +1, matching the scalar convention
+    return np.where(x >= 0.0, 1, -1)
+
+
+def _resultant_products(alpha, c, b: float, u, v) -> np.ndarray:
+    """alpha times Bob's outcome -sgn(b-hat . (u-hat + c v-hat)), over arrays.
+
+    Raises DegenerateResultantError if any trial's resultant norm is at
+    most RESULTANT_EPS, as resultant_sign does for the same shares.
+    """
+    wx = np.cos(u) + c * np.cos(v)
+    wy = np.sin(u) + c * np.sin(v)
+    if (np.hypot(wx, wy) <= RESULTANT_EPS).any():
+        raise DegenerateResultantError("a trial's resultant has near-zero norm")
+    beta = -_sgn_arr(math.cos(b) * wx + math.sin(b) * wy)
+    return alpha * beta
+
+
 def comm_bit_fixed(a: float, lam: float, delta: float) -> int:
     """The bit Alice sends: her sign along the share times her sign along
     the shifted share."""
-    if not 0.0 <= delta <= HALF_PI:
-        raise ConfigurationError(f"delta must lie in [0, pi/2], got {delta!r}")
+    check_delta(delta)
     return sgn(math.cos(a - lam)) * sgn(math.cos((a - lam) - delta))
 
 
@@ -103,8 +143,7 @@ def bob_output_fixed(b: float, lam: float, c: int, delta: float) -> int:
 def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord:
     """One trial of the fixed-shift protocol.
 
-    Degenerate resultants propagate as DegenerateResultantError; samplers
-    resample the share, direct callers see the error.
+    Degenerate resultants propagate as DegenerateResultantError.
     """
     alpha = alice_output(a, lam)
     c = comm_bit_fixed(a, lam, delta)
@@ -112,6 +151,14 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
     return TrialRecord(
         a=a, b=b, shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta
     )
+
+
+def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
+    """Products of fixed-shift trials over share arrays; delta may be a
+    scalar or an array.  Mirrors run_trial_fixed operation for operation."""
+    s1 = _sgn_arr(np.cos(a - lam))
+    c = s1 * _sgn_arr(np.cos((a - lam) - delta))
+    return _resultant_products(s1, c, b, lam, lam + delta)
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
@@ -178,6 +225,13 @@ def run_trial_twoshare(
     )
 
 
+def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
+    """Products of two-share trials over share arrays."""
+    s1 = _sgn_arr(np.cos(a - lam1))
+    c = s1 * _sgn_arr(np.cos(a - lam2))
+    return _resultant_products(s1, c, b, lam1, lam2)
+
+
 def quantized_direction(index: int, k: int) -> float:
     """Center of sector `index` out of 2**k equal sectors of the circle."""
     return (index + 0.5) * TWO_PI / (1 << k)
@@ -216,8 +270,7 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
     is the deterministic step of the rebuilt separation and the share
     value drops out of it.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be at least 1, got {k!r}")
+    check_k_bits(k)
     bits = comm_bits_adaptive(a, k)
     a_q = quantized_direction(sector_index(a, k), k)
     alpha = sgn(math.cos(a_q - lam))
@@ -225,6 +278,14 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
     return TrialRecord(
         a=a, b=b, shares=(lam,), comm_bits=bits, alpha=alpha, beta=beta
     )
+
+
+def adaptive_products(a: float, b: float, k: int, count: int) -> np.ndarray:
+    """Products of count adaptive trials: the deterministic step of the
+    rebuilt separation; the share cancels out, so none is needed."""
+    a_q = quantized_direction(sector_index(a, k), k)
+    step = -1 if separation(a_q, b) < HALF_PI else 1
+    return np.full(count, step, dtype=np.int64)
 
 
 def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
@@ -242,3 +303,87 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
     return TrialRecord(
         a=a, b=b, shares=(), comm_bits=(), alpha=alpha, beta=beta
     )
+
+
+def quantum_products(a: float, b: float, u, v) -> np.ndarray:
+    """Products of reference-sampler trials over arrays of uniform draws."""
+    threshold = math.cos(0.5 * separation(a, b)) ** 2
+    alpha = np.where(u < 0.5, 1, -1)
+    beta = np.where(v < threshold, -alpha, alpha)
+    return alpha * beta
+
+
+@dataclass(frozen=True)
+class ProtocolRow:
+    """What one protocol is.
+
+    planes holds one scale per share plane the sampler draws: the share
+    is scale * u for the plane's uniform u, or u itself when the scale
+    is None.  products(spec, a, b, n, *shares) gives the n trial products
+    over those share arrays.  trial(spec, a, b, *shares) runs
+    one scalar trial on the shares that trial_flags name on the command
+    line, in order.  law is the kind of closed-form law the estimates
+    converge to, parameterized by the spec's delta, or None.  param names
+    the ProtocolSpec field the protocol carries, if any, and check
+    validates its value.
+    """
+
+    planes: tuple[float | None, ...]
+    products: Callable[..., np.ndarray]
+    trial: Callable[..., TrialRecord]
+    trial_flags: tuple[str, ...]
+    law: LawKind | None
+    param: str | None = None
+    check: Callable[..., None] | None = None
+
+
+PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
+    ProtocolKind.PLAIN: ProtocolRow(
+        planes=(TWO_PI,),
+        # delta = 0 makes the resultant norm exactly 2
+        products=lambda spec, a, b, n, lam: fixed_products(a, b, lam, 0.0),
+        trial=lambda spec, a, b, lam: run_trial_plain(a, b, lam),
+        trial_flags=("--lambda",),
+        law=LawKind.LINEAR,
+    ),
+    ProtocolKind.FIXED_SHIFT: ProtocolRow(
+        planes=(TWO_PI,),
+        products=lambda spec, a, b, n, lam: fixed_products(a, b, lam, spec.delta),
+        trial=lambda spec, a, b, lam: run_trial_fixed(a, b, lam, spec.delta),
+        trial_flags=("--lambda",),
+        law=LawKind.FIXED_SHIFT,
+        param="delta",
+        check=check_delta,
+    ),
+    ProtocolKind.RANDOM_SHIFT: ProtocolRow(
+        planes=(TWO_PI, HALF_PI),
+        products=lambda spec, a, b, n, lam, dd: fixed_products(a, b, lam, dd),
+        trial=lambda spec, a, b, lam, dd: run_trial_random_shift(a, b, lam, dd),
+        trial_flags=("--lambda", "--delta"),
+        law=LawKind.SHIFT_AVERAGED,
+    ),
+    ProtocolKind.TWO_SHARE: ProtocolRow(
+        planes=(TWO_PI, TWO_PI),
+        products=lambda spec, a, b, n, l1, l2: two_share_products(a, b, l1, l2),
+        trial=lambda spec, a, b, l1, l2: run_trial_twoshare(a, b, l1, l2),
+        trial_flags=("--lambda", "--lambda2"),
+        law=LawKind.SHIFT_AVERAGED,
+    ),
+    ProtocolKind.ADAPTIVE: ProtocolRow(
+        planes=(),
+        products=lambda spec, a, b, n: adaptive_products(a, b, spec.k_bits, n),
+        trial=lambda spec, a, b, lam: run_trial_adaptive(a, b, spec.k_bits, lam),
+        trial_flags=("--lambda",),
+        law=None,
+        param="k_bits",
+        check=check_k_bits,
+    ),
+    ProtocolKind.QUANTUM: ProtocolRow(
+        # raw uniforms: a scale of 1.0 would cost a multiply per draw
+        planes=(None, None),
+        products=lambda spec, a, b, n, u, v: quantum_products(a, b, u, v),
+        trial=lambda spec, a, b, u, v: run_trial_quantum(a, b, u, v),
+        trial_flags=("--u", "--v"),
+        law=LawKind.QUANTUM_COSINE,
+    ),
+}

@@ -1,13 +1,13 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from bellcomm import montecarlo
-from bellcomm.cli import main, read_curve_csv
+from bellcomm.cli import build_parser, main, read_curve_csv
 from bellcomm.laws import CorrelationLaw, LawKind
 from bellcomm.montecarlo import sweep_curve
-from bellcomm.protocols import ProtocolKind, ProtocolSpec
+from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 
 GOLDEN_PLAIN_CSV = (
     "theta,E_analytic,E_mc,stderr,n,protocol,delta,seed\n"
@@ -187,12 +187,82 @@ class TestUsageErrors:
         ["verify", "--workers", "-1"],
         ["curve", "--protocol", "plain", "--workers", "two"],
     ]
+    # a value flag the chosen protocol does not take
+    CASES += [
+        ["chsh", "--protocol", "random-shift", "--k", "3"],
+        ["chsh", "--protocol", "fixed-shift", "--delta", "0.5", "--k", "4"],
+        ["chsh", "--protocol", "adaptive", "--delta", "0.3"],
+        ["trial", "--protocol", "plain", "--a", "0", "--b", "1",
+         "--lambda", "0.5", "--lambda2", "5"],
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "0.3", "--v", "0.9", "--lambda", "0.5"],
+        ["trial", "--protocol", "two-share", "--a", "0", "--b", "1",
+         "--lambda", "0.5", "--lambda2", "1.0", "--delta", "0.2"],
+    ]
+    # adaptive sector centres are exact only up to 52 bits
+    CASES += [
+        ["chsh", "--protocol", "adaptive", "--k", "53", "--n", "10"],
+        ["chsh", "--protocol", "adaptive", "--k", "2000", "--n", "10"],
+        ["trial", "--protocol", "adaptive", "--k", "1023", "--a", "0",
+         "--b", "1", "--lambda", "0.5"],
+    ]
+    # trial draws are uniforms on [0, 1)
+    CASES += [
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "nan", "--v", "0.5"],
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "7", "--v", "-3"],
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "0.5", "--v", "1"],
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "0.5", "--v", "-0.1"],
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "x", "--v", "0.5"],
+    ]
 
     @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c) or "empty" for c in CASES])
     def test_exit_code_two(self, capsys, argv):
         code, out, _ = run(capsys, argv)
         assert code == 2
         assert out == ""
+
+
+def test_protocol_choices_come_from_the_table():
+    sub = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    )
+    for command in ("curve", "chsh", "trial"):
+        action = next(
+            a for a in sub.choices[command]._actions if a.dest == "protocol"
+        )
+        assert action.choices == [kind.value for kind in PROTOCOLS]
+
+
+def test_adaptive_accepts_fifty_two_bits(capsys):
+    code, out, _ = run(
+        capsys,
+        ["chsh", "--protocol", "adaptive", "--k", "52", "--n", "10"],
+    )
+    assert code == 0
+    assert out.startswith("adaptive,")
+    code, out, _ = run(
+        capsys,
+        ["trial", "--protocol", "adaptive", "--k", "52", "--a", "6.283",
+         "--b", "1", "--lambda", "0.5"],
+    )
+    assert code == 0
+    bits = next(line for line in out.splitlines() if line.startswith("comm bits"))
+    assert bits.count(",") == 51
+
+
+def test_trial_draw_at_zero_is_accepted(capsys):
+    code, out, _ = run(
+        capsys,
+        ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
+         "--u", "0", "--v", "0.0"],
+    )
+    assert code == 0
+    assert "shares: ()" in out
 
 
 def test_io_failure_exits_three(tmp_path, capsys):
@@ -301,13 +371,13 @@ def test_verify_command_passes(capsys):
 
 
 def test_verify_command_fails_on_sabotage(capsys, monkeypatch):
-    true_kernel = montecarlo.PRODUCT_KERNELS[ProtocolKind.QUANTUM]
+    row = PROTOCOLS[ProtocolKind.QUANTUM]
 
-    def flipped(spec, a, b, count, draw):
-        return -true_kernel(spec, a, b, count, draw)
+    def flipped(*args):
+        return -row.products(*args)
 
     monkeypatch.setitem(
-        montecarlo.PRODUCT_KERNELS, ProtocolKind.QUANTUM, flipped
+        PROTOCOLS, ProtocolKind.QUANTUM, replace(row, products=flipped)
     )
     code, out, _ = run(capsys, ["verify", "--workers", "4"])
     assert code == 1

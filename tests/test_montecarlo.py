@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from bellcomm import montecarlo
-from bellcomm.errors import ConfigurationError, DomainError, NumericError
+from bellcomm.errors import (
+    ConfigurationError,
+    DegenerateResultantError,
+    DomainError,
+)
 from bellcomm.laws import LawKind
 from bellcomm.montecarlo import (
     CHUNK,
@@ -238,57 +242,23 @@ class TestSweep:
         assert max_abs_deviation(sweep) < 0.1
 
 
-class TestResampleLoop:
-    def test_replaces_flagged_trials(self):
-        # fake kernel state: value 0 marks a degenerate trial
-        state = np.zeros(6)
-        calls = []
+def test_degenerate_two_share_draw_raises(monkeypatch):
+    # a = pi/2, lambda1 = 0, lambda2 = pi: both of Alice's signs are +1
+    # and the resultant cancels, so the scalar trial and the sampler both
+    # refuse it
+    a = HALF_PI
+    with pytest.raises(DegenerateResultantError):
+        run_trial_twoshare(a, 1.0, 0.0, math.pi)
 
-        def draw(plane):
-            calls.append(plane)
-            return np.full(6, float(plane))
+    def draws(seed, plane, start, count):
+        # plane 0 scales to lambda1 = 0, plane 1 to lambda2 = pi exactly
+        return np.full(count, 0.5 * plane)
 
-        def compute():
-            return state.copy(), state == 0.0
-
-        def update(mask, fresh):
-            state[mask] = fresh[mask]
-
-        out = montecarlo._resample_loop(draw, compute, {0: update})
-        assert calls == [montecarlo._REJECT_PLANE_BASE]
-        assert np.all(out == montecarlo._REJECT_PLANE_BASE)
-
-    def test_gives_up_after_max_rounds(self):
-        def draw(plane):
-            return np.zeros(4)
-
-        def compute():
-            return np.zeros(4), np.ones(4, dtype=bool)
-
-        with pytest.raises(NumericError):
-            montecarlo._resample_loop(draw, compute, {0: lambda m, f: None})
-
-    def test_round_planes_advance_in_pairs(self):
-        # two shares redraw from consecutive planes, next round two later
-        state = np.zeros(3)
-        seen = []
-
-        def draw(plane):
-            seen.append(plane)
-            return np.full(3, -1.0)
-
-        rounds = {"left": 2}
-
-        def compute():
-            rounds["left"] -= 1
-            bad = np.full(3, rounds["left"] >= 0)
-            return state, bad
-
-        montecarlo._resample_loop(
-            draw, compute, {0: lambda m, f: None, 1: lambda m, f: None}
-        )
-        base = montecarlo._REJECT_PLANE_BASE
-        assert seen == [base, base + 1, base + 2, base + 3]
+    monkeypatch.setattr(montecarlo, "uniforms", draws)
+    with pytest.raises(DegenerateResultantError):
+        sample_products(TWOSHARE, a, 1.0, 8, 0)
+    with pytest.raises(DegenerateResultantError):
+        estimate_correlation(TWOSHARE, a, 1.0, 8, 0)
 
 
 def test_mc_matches_law_at_moderate_n():

@@ -9,6 +9,8 @@ from bellcomm.angles import sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.protocols import (
+    MAX_K_BITS,
+    PROTOCOLS,
     ProtocolKind,
     ProtocolSpec,
     alice_output,
@@ -50,6 +52,14 @@ class TestProtocolSpec:
         with pytest.raises(ConfigurationError):
             ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=0)
 
+    def test_adaptive_k_bits_capped_where_centres_stay_exact(self):
+        ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=MAX_K_BITS)
+        for k in (MAX_K_BITS + 1, 1023, 2000):
+            with pytest.raises(ConfigurationError):
+                ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=k)
+            with pytest.raises(ConfigurationError):
+                run_trial_adaptive(0.0, 1.0, k, 0.5)
+
     def test_stray_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             ProtocolSpec(ProtocolKind.PLAIN, delta=0.1)
@@ -57,6 +67,19 @@ class TestProtocolSpec:
             ProtocolSpec(ProtocolKind.QUANTUM, k_bits=2)
         with pytest.raises(ConfigurationError):
             ProtocolSpec(ProtocolKind.TWO_SHARE, delta=0.1)
+
+
+def test_every_kind_has_exactly_one_row():
+    assert list(PROTOCOLS) == list(ProtocolKind)
+    for kind, row in PROTOCOLS.items():
+        assert row.param in (None, "delta", "k_bits")
+        assert (row.check is None) == (row.param is None)
+        # one CLI flag per share of the scalar trial
+        shares = list(inspect.signature(row.trial).parameters)[3:]
+        assert len(shares) == len(row.trial_flags), kind
+        # one share array per drawn plane for the vector products
+        drawn = list(inspect.signature(row.products).parameters)[4:]
+        assert len(drawn) == len(row.planes), kind
 
 
 def test_bob_helpers_never_see_alice_setting():
@@ -178,6 +201,12 @@ class TestAdaptive:
         # right edge folds back into the last sector
         assert sector_index(2 * math.pi - 1e-12, 3) == 7
         assert sector_index(math.nextafter(2 * math.pi, 0.0), 4) == 15
+        # the last centre stays inside its sector up to MAX_K_BITS only
+        last = (1 << MAX_K_BITS) - 1
+        centre = quantized_direction(last, MAX_K_BITS)
+        assert centre < 2 * math.pi
+        assert sector_index(centre, MAX_K_BITS) == last
+        assert quantized_direction(2 * last + 1, MAX_K_BITS + 1) == 2 * math.pi
 
     def test_bit_encoding_msb_first(self):
         assert comm_bits_adaptive(0.0, 3) == (-1, -1, -1)

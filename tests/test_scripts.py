@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from bellcomm.protocols import ProtocolKind
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -22,3 +24,35 @@ def test_bad_seed_is_a_usage_error(name, seed, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seed" in captured.err
+
+
+@pytest.mark.parametrize("name", ["chsh_summary", "reproduce_figures"])
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+def test_bad_workers_is_a_usage_error(name, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(["--workers", workers])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
+
+
+def test_chsh_summary_has_one_labelled_row_per_protocol(capsys):
+    assert load("chsh_summary").main(["--n", "2000", "--workers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bounds: local 2 ")
+    labels = [line[:22].rstrip() for line in lines[2:]]
+    assert labels == [
+        "plain",
+        "fixed-shift d=0.314",
+        "fixed-shift d=0.628",
+        "fixed-shift d=0.942",
+        "fixed-shift d=1.257",
+        "fixed-shift d=1.571",
+        "random-shift",
+        "two-share",
+        "adaptive k=3",
+        "quantum",
+    ]
+    kinds = {label.split()[0] for label in labels}
+    assert kinds == {kind.value for kind in ProtocolKind}

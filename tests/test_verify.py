@@ -1,8 +1,7 @@
-import numpy as np
+from dataclasses import replace
 
 import bellcomm.laws
-from bellcomm import montecarlo
-from bellcomm.protocols import ProtocolKind, ProtocolSpec
+from bellcomm.protocols import PROTOCOLS, ProtocolKind
 from bellcomm.verify import CheckResult, run_all_checks
 
 EXPECTED_ORDER = [
@@ -54,13 +53,13 @@ def test_line_rendering():
 def test_sign_flip_in_sampler_is_caught(monkeypatch):
     # a deliberately broken kernel must trip the curve comparison; this
     # pins that the checks exercise the samplers, not just the laws
-    true_kernel = montecarlo.PRODUCT_KERNELS[ProtocolKind.FIXED_SHIFT]
+    row = PROTOCOLS[ProtocolKind.FIXED_SHIFT]
 
-    def flipped(spec, a, b, count, draw):
-        return -true_kernel(spec, a, b, count, draw)
+    def flipped(*args):
+        return -row.products(*args)
 
     monkeypatch.setitem(
-        montecarlo.PRODUCT_KERNELS, ProtocolKind.FIXED_SHIFT, flipped
+        PROTOCOLS, ProtocolKind.FIXED_SHIFT, replace(row, products=flipped)
     )
     results = {r.name: r for r in small_run()}
     broken = results["mc-fixed-shift-curves"]
@@ -81,24 +80,3 @@ def test_step_convention_does_not_leak_into_interior(monkeypatch):
     name = "step-law-matches-five-branch"
     results = {r.name: r for r in small_run()}
     assert results[name].passed
-
-
-def test_degenerate_draws_are_resampled_not_dropped(monkeypatch):
-    # force the first computation of a two-share chunk to flag everything
-    # degenerate once, then confirm the estimate still uses a full count
-    true_products = montecarlo._two_share_products
-    fired = {"done": False}
-
-    def flaky(a, b, lam1, lam2):
-        products, bad = true_products(a, b, lam1, lam2)
-        if not fired["done"]:
-            fired["done"] = True
-            return products, np.ones_like(bad)
-        return products, bad
-
-    monkeypatch.setattr(montecarlo, "_two_share_products", flaky)
-    spec = ProtocolSpec(ProtocolKind.TWO_SHARE)
-    est = montecarlo.estimate_correlation(spec, 0.0, 1.0, 512, 3)
-    assert fired["done"]
-    assert est.n == 512
-    assert -1.0 <= est.mean <= 1.0
