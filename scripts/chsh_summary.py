@@ -13,7 +13,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import _seed_type, _workers_type
+from bellcomm.cli import _seed_type, _trials_type, _workers_type
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 
@@ -39,7 +39,7 @@ def label(spec):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=200_000,
+    parser.add_argument("--n", type=_trials_type, default=200_000,
                         help="trials per setting pair")
     parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=_workers_type, default=8)

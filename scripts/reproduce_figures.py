@@ -11,7 +11,14 @@ import math
 import sys
 from pathlib import Path
 
-from bellcomm.cli import _seed_type, _workers_type, curve_series, write_curve_csv
+from bellcomm.cli import (
+    _grid_type,
+    _seed_type,
+    _trials_type,
+    _workers_type,
+    curve_series,
+    write_curve_csv,
+)
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.svgplot import render_plot
@@ -23,9 +30,9 @@ SHIFTS = (0.0, math.pi / 10, math.pi / 5, 3 * math.pi / 10, 2 * math.pi / 5,
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
-    parser.add_argument("--n", type=int, default=100_000,
+    parser.add_argument("--n", type=_trials_type, default=100_000,
                         help="trials per grid point")
-    parser.add_argument("--grid", type=int, default=61)
+    parser.add_argument("--grid", type=_grid_type, default=61)
     parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=_workers_type, default=8)
     return parser.parse_args(argv)

@@ -59,6 +59,11 @@ def resultant_sign(b: float, u: float, c: int, v: float) -> int:
 
     Raises DegenerateResultantError when the resultant norm is at most
     RESULTANT_EPS; the vector sampler raises it for the same shares.
+
+    This is the independent reference for the vector sampler: it builds
+    the resultant from four trig calls and takes its norm, while the
+    sampler projects with the identity cos(b - u) + c cos(b - v), and
+    the scalar-vs-vector tests check the two agree bit for bit.
     """
     wx = math.cos(u) + c * math.cos(v)
     wy = math.sin(u) + c * math.sin(v)

@@ -7,9 +7,12 @@ Angles are radians unless --degrees is given.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,33 +154,67 @@ def _sweep_title(sweep: CurveSweep) -> str:
     return f"correlation curve: {name}"
 
 
-def cmd_curve(config: RunConfig) -> int:
-    sweep = sweep_curve(
-        config.protocol,
-        config.grid_points,
-        config.n,
-        config.seed,
-        workers=config.workers,
-    )
-    if config.format in ("csv", "both"):
+def _curve_text(sweep: CurveSweep, suffix: str) -> str:
+    if suffix == "csv":
         buf = io.StringIO()
         write_curve_csv(sweep, buf)
-        _emit(config, buf.getvalue(), "csv")
-    if config.format in ("svg", "both"):
-        text = render_plot(curve_series(sweep), _sweep_title(sweep))
-        _emit(config, text, "svg")
-    return EXIT_OK
+        return buf.getvalue()
+    return render_plot(curve_series(sweep), _sweep_title(sweep))
 
 
-def _emit(config: RunConfig, text: str, suffix: str) -> None:
+@contextlib.contextmanager
+def _replacing(paths: list[Path]):
+    """Yield a temp file opened beside each path; when the block ends
+    cleanly, move each onto its path, and on any error remove them all.
+
+    Opening the temp files first makes an unwritable destination fail
+    before any work, and no destination is ever left half-written.  A
+    destination that is a directory would only fail at its rename, after
+    an earlier file was moved into place, so it is refused up front.
+    """
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    files = []
+    try:
+        for tmp, path in zip(temps, paths):
+            try:
+                files.append(open(tmp, "w", newline=""))
+            except OSError as exc:
+                # name the destination the user gave, not the temp file
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for fh, tmp in zip(files, temps):
+            fh.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+def cmd_curve(config: RunConfig) -> int:
+    formats = ("csv", "svg") if config.format == "both" else (config.format,)
     if config.out_path is None:
-        sys.stdout.write(text)
-        return
-    path = config.out_path
-    if config.format == "both":
-        path = path.with_suffix("." + suffix)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+        paths = []
+    elif config.format == "both":
+        paths = [config.out_path.with_suffix("." + suffix) for suffix in formats]
+    else:
+        paths = [config.out_path]
+    with _replacing(paths) as files:
+        sweep = sweep_curve(
+            config.protocol,
+            config.grid_points,
+            config.n,
+            config.seed,
+            workers=config.workers,
+        )
+        for suffix, fh in zip(formats, files or [sys.stdout] * len(formats)):
+            fh.write(_curve_text(sweep, suffix))
+    return EXIT_OK
 
 
 def cmd_chsh(config: RunConfig) -> int:
@@ -250,14 +287,24 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _workers_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be at least 1")
-    return value
+def _count_type(minimum: int, what: str):
+    """An argparse type: an integer count of at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
+        return value
+
+    return parse
+
+
+_workers_type = _count_type(1, "worker count")
+_trials_type = _count_type(1, "trial count")
+_grid_type = _count_type(2, "grid point count")
 
 
 def _angle_type(text: str) -> float:
@@ -325,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="sweep a correlation curve")
     add_common(curve)
-    curve.add_argument("--grid", type=int, default=61)
-    curve.add_argument("--n", type=int, default=100_000)
+    curve.add_argument("--grid", type=_grid_type, default=61)
+    curve.add_argument("--n", type=_trials_type, default=100_000)
     curve.add_argument("--out", type=Path, default=None)
     curve.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
     chsh_p = sub.add_parser("chsh", help="run a CHSH experiment")
     add_common(chsh_p)
-    chsh_p.add_argument("--n", type=int, default=1_000_000)
+    chsh_p.add_argument("--n", type=_trials_type, default=1_000_000)
     for flag in ("--a", "--a-prime", "--b", "--b-prime"):
         chsh_p.add_argument(flag, type=_angle_type, default=None)
 
@@ -399,8 +446,6 @@ def _config_from_args(args) -> RunConfig:
         )
     protocol = _protocol_from_args(args)
     if args.command == "curve":
-        if args.grid < 2:
-            raise ConfigurationError("--grid must be at least 2")
         if args.format == "both" and args.out is None:
             raise ConfigurationError("--format both requires --out")
         return RunConfig(

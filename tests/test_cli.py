@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from bellcomm import cli
 from bellcomm.cli import build_parser, main, read_curve_csv
+from bellcomm.errors import DegenerateResultantError
 from bellcomm.laws import CorrelationLaw, LawKind
 from bellcomm.montecarlo import sweep_curve
 from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
@@ -206,6 +208,14 @@ class TestUsageErrors:
         ["trial", "--protocol", "adaptive", "--k", "1023", "--a", "0",
          "--b", "1", "--lambda", "0.5"],
     ]
+    # trial counts are at least 1 and curve grids at least 2 points
+    CASES += [
+        ["curve", "--protocol", "plain", "--n", "0"],
+        ["chsh", "--protocol", "plain", "--n", "-4"],
+        ["chsh", "--protocol", "plain", "--n", "1e6"],
+        ["curve", "--protocol", "plain", "--grid", "0"],
+        ["curve", "--protocol", "plain", "--grid", "x"],
+    ]
     # trial draws are uniforms on [0, 1)
     CASES += [
         ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
@@ -274,6 +284,106 @@ def test_io_failure_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "i/o error" in err
+
+
+class TestCurveOutput:
+    """curve --out opens its destinations before sweeping and writes
+    each through a temp file beside it."""
+
+    ARGV = ["curve", "--protocol", "plain", "--grid", "3", "--n", "64"]
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the output path")
+
+        monkeypatch.setattr(cli, "sweep_curve", sweep)
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    def test_missing_directory_exits_three_before_sweeping(
+        self, tmp_path, capsys, no_sweep, fmt
+    ):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, self.ARGV + ["--out", str(target), "--format", fmt]
+        )
+        assert code == 3
+        assert out == ""
+        assert "i/o error" in err
+        assert "missing" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parent_that_is_a_file_exits_three_before_sweeping(
+        self, tmp_path, capsys, no_sweep
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        code, _, _ = run(
+            capsys,
+            self.ARGV + ["--out", str(blocker / "x.csv"), "--format", "both"],
+        )
+        assert code == 3
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "keep"
+
+    def test_directory_in_place_of_the_svg_exits_three_before_sweeping(
+        self, tmp_path, capsys, no_sweep
+    ):
+        # the CSV must not be replaced when the SVG cannot follow it
+        csv_path, svg_dir = tmp_path / "out.csv", tmp_path / "out.svg"
+        csv_path.write_text("old csv")
+        svg_dir.mkdir()
+        code, _, err = run(
+            capsys, self.ARGV + ["--out", str(csv_path), "--format", "both"]
+        )
+        assert code == 3
+        assert "out.svg" in err
+        assert sorted(tmp_path.iterdir()) == [csv_path, svg_dir]
+        assert csv_path.read_text() == "old csv"
+
+    @pytest.mark.parametrize(
+        "target, error, code",
+        [
+            ("sweep_curve", DegenerateResultantError("boom"), 1),
+            ("render_plot", OSError(28, "No space left on device"), 3),
+            ("render_plot", KeyboardInterrupt(), None),
+        ],
+    )
+    def test_failed_run_leaves_old_files_and_no_temp(
+        self, tmp_path, capsys, monkeypatch, target, error, code
+    ):
+        # the SVG is rendered after the CSV text, so a failure there
+        # must not leave a new CSV without its SVG
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        csv_path.write_text("old csv")
+        svg_path.write_text("old svg")
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+        argv = self.ARGV + ["--out", str(csv_path), "--format", "both"]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert run(capsys, argv)[0] == code
+        assert sorted(tmp_path.iterdir()) == [csv_path, svg_path]
+        assert csv_path.read_text() == "old csv"
+        assert svg_path.read_text() == "old svg"
+
+    def test_files_hold_the_stdout_bytes(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        (tmp_path / "out.svg").write_text("stale")
+        code, out, _ = run(
+            capsys, self.ARGV + ["--out", str(target), "--format", "both"]
+        )
+        assert (code, out) == (0, "")
+        for fmt in ("csv", "svg"):
+            code, out, _ = run(capsys, self.ARGV + ["--format", fmt])
+            assert code == 0
+            assert (tmp_path / f"out.{fmt}").read_text() == out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.svg"]
 
 
 def test_chsh_machine_line(capsys):

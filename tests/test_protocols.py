@@ -1,14 +1,16 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bellcomm.angles import sgn
+from bellcomm.angles import TWO_PI, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.protocols import (
+    HALF_PI,
     MAX_K_BITS,
     PROTOCOLS,
     ProtocolKind,
@@ -27,7 +29,9 @@ from bellcomm.protocols import (
     run_trial_quantum,
     run_trial_random_shift,
     run_trial_twoshare,
+    fixed_products,
     sector_index,
+    two_share_products,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -280,3 +284,95 @@ def test_fixed_trial_mean_is_not_checked_here():
     for j in range(32):
         lam = (j / 32) * (2 * math.pi)
         assert run_trial_fixed(0.0, theta, lam, delta).product == -1
+
+
+class TestTwoCosineKernel:
+    """The vector products take Bob's sign from cos(b - u) + c cos(b - v);
+    the scalar trials build the resultant with four trig calls and check
+    its norm.  Every product and every degenerate trial must agree."""
+
+    N = 1 << 12
+
+    def _draws(self, b, plane):
+        u = np.random.default_rng(plane).random(self.N)
+        if plane == 0:
+            # shares perpendicular to b-hat, where the projection of the
+            # plain resultant is a few ulp and the exact recheck decides
+            perp = b + math.pi * np.array([0.5, -0.5, 1.5, -1.5])
+            u[:4] = (perp % TWO_PI) / TWO_PI
+        return u
+
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    @pytest.mark.parametrize("b", [0.0, HALF_PI, math.pi, 2.1])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProtocolSpec(ProtocolKind.PLAIN),
+            ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=0.0),
+            ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=math.pi / 5),
+            ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI),
+            ProtocolSpec(ProtocolKind.RANDOM_SHIFT),
+            ProtocolSpec(ProtocolKind.TWO_SHARE),
+        ],
+        ids=lambda spec: f"{spec.kind.value}-{spec.delta}",
+    )
+    def test_vector_products_equal_scalar_trials(self, spec, a, b):
+        row = PROTOCOLS[spec.kind]
+        shares = [
+            scale * self._draws(b, plane)
+            for plane, scale in enumerate(row.planes)
+        ]
+        got = row.products(spec, a, b, self.N, *shares)
+        want = [
+            row.trial(spec, a, b, *trial).product for trial in zip(*shares)
+        ]
+        assert got.tolist() == want
+
+    def test_sign_where_the_two_roundings_disagree(self):
+        # b-hat is within ulps of perpendicular to the share; the identity
+        # rounds the projection of the plain resultant to -3.7e-16 while
+        # resultant_sign's formula gives +4.4e-16, so sgn differs and
+        # only the exact recheck of near-zero projections keeps the
+        # products equal
+        a, b, lam = 0.3, 1.75 * math.pi, 0.7853981633974478
+        identity = 2.0 * math.cos(b - lam)
+        components = 2.0 * (math.cos(b) * math.cos(lam) + math.sin(b) * math.sin(lam))
+        assert identity < 0.0 <= components
+        shares = np.array([lam, 1.0, lam])
+        want = [run_trial_plain(a, b, x).product for x in shares]
+        spec = ProtocolSpec(ProtocolKind.PLAIN)
+        got = PROTOCOLS[spec.kind].products(spec, a, b, 3, shares)
+        assert got.tolist() == want
+        assert two_share_products(a, b, shares, shares).tolist() == want
+
+    def test_one_degenerate_two_share_trial_in_a_full_chunk_raises(self):
+        # a = pi/2, lambda1 = 0, lambda2 = pi: c = +1 and the resultant
+        # cancels; every other trial is an ordinary draw
+        a, b, n, k = HALF_PI, 1.0, 1 << 16, 12345
+        rng = np.random.default_rng(7)
+        lam1 = TWO_PI * rng.random(n)
+        lam2 = TWO_PI * rng.random(n)
+        two_share_products(a, b, lam1, lam2)
+        lam1[k], lam2[k] = 0.0, math.pi
+        with pytest.raises(DegenerateResultantError):
+            run_trial_twoshare(a, b, lam1[k], lam2[k])
+        with pytest.raises(DegenerateResultantError):
+            two_share_products(a, b, lam1, lam2)
+
+    @pytest.mark.parametrize("delta, degenerate", [(1e-13, True), (1e-11, False)])
+    def test_fixed_shift_flipped_bit_at_tiny_delta(self, delta, degenerate):
+        # a - lambda just inside -pi/2 and a - lambda - delta just outside
+        # it: Alice's two signs differ, so c = -1 and the resultant norm is
+        # 2 sin(delta / 2), about delta, against RESULTANT_EPS = 1e-12
+        a, b, k = 0.0, 0.4, 100
+        lam = TWO_PI * np.random.default_rng(3).random(1 << 12)
+        lam[k] = HALF_PI - 0.5 * delta
+        assert comm_bit_fixed(a, lam[k], delta) == -1
+        if degenerate:
+            with pytest.raises(DegenerateResultantError):
+                run_trial_fixed(a, b, lam[k], delta)
+            with pytest.raises(DegenerateResultantError):
+                fixed_products(a, b, lam, delta)
+        else:
+            got = fixed_products(a, b, lam, delta)
+            assert got[k] == run_trial_fixed(a, b, lam[k], delta).product

@@ -37,6 +37,27 @@ def test_bad_workers_is_a_usage_error(name, workers, capsys):
     assert "--workers" in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("chsh_summary", ["--n", "0"]),
+        ("chsh_summary", ["--n", "x"]),
+        ("reproduce_figures", ["--n", "0"]),
+        ("reproduce_figures", ["--grid", "1"]),
+        ("reproduce_figures", ["--grid", "-2"]),
+    ],
+)
+def test_bad_count_is_a_usage_error(name, argv, capsys, tmp_path):
+    outdir = ["--outdir", str(tmp_path / "figs")] if name == "reproduce_figures" else []
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv + outdir)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[0] in captured.err
+    assert not (tmp_path / "figs").exists()
+
+
 def test_chsh_summary_has_one_labelled_row_per_protocol(capsys):
     assert load("chsh_summary").main(["--n", "2000", "--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
