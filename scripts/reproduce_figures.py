@@ -4,6 +4,8 @@
 Writes one CSV and one SVG per curve: the fixed-shift family over six
 shift values, the two averaged protocols, the no-communication baseline,
 and the quantum reference.  Every file is a pure function of --seed.
+Each pair of files is written to temp files and renamed into place, so
+no figure is left half-written; an I/O error exits 3.
 """
 
 import argparse
@@ -12,7 +14,9 @@ import sys
 from pathlib import Path
 
 from bellcomm.cli import (
+    EXIT_IO,
     _grid_type,
+    _replacing,
     _seed_type,
     _trials_type,
     _workers_type,
@@ -38,12 +42,19 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def emit(sweep, stem, outdir, title):
-    csv_path = outdir / f"{stem}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        write_curve_csv(sweep, fh)
-    svg_path = outdir / f"{stem}.svg"
-    svg_path.write_text(render_plot(curve_series(sweep), title))
+def emit(spec, stem, title, seed, args):
+    """Sweep one curve and write its CSV and SVG under args.outdir.
+
+    The temp files are opened before the sweep, so an unwritable outdir
+    fails before any work, and renamed into place only once both are
+    written.
+    """
+    csv_path = args.outdir / f"{stem}.csv"
+    svg_path = args.outdir / f"{stem}.svg"
+    with _replacing([csv_path, svg_path]) as (csv_fh, svg_fh):
+        sweep = sweep_curve(spec, args.grid, args.n, seed, workers=args.workers)
+        write_curve_csv(sweep, csv_fh)
+        svg_fh.write(render_plot(curve_series(sweep), title))
     if sweep.analytic_reference is not None:
         gap = f"max |MC - law| = {max_abs_deviation(sweep):.4f}"
     else:
@@ -53,8 +64,6 @@ def emit(sweep, stem, outdir, title):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-
     jobs = []
     for i, delta in enumerate(SHIFTS):
         spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
@@ -71,9 +80,13 @@ def main(argv=None) -> int:
              child_seed(args.seed, 100 + j))
         )
 
-    for spec, stem, title, seed in jobs:
-        sweep = sweep_curve(spec, args.grid, args.n, seed, workers=args.workers)
-        emit(sweep, stem, args.outdir, title)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        for job in jobs:
+            emit(*job, args)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return 0
 
 

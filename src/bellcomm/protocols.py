@@ -9,7 +9,12 @@ setting a at all, so the locality split is visible in the signatures.
 
 Next to each scalar trial sits the *_products function the sampler runs
 over share arrays.  The scalar code is the reference: the vector twin
-must give the same product, bit for bit, for the same shares.
+must give the same product, bit for bit, for the same shares.  The
+shared-direction twins run no trig on the full arrays where they can:
+every sign of fixed_products, and Alice's two of two_share_products, is
+a compare of the shares against the ends of an arc, and the few trials
+within a slack of an end are redone with the scalar trial's own
+formulas, which also decide every degenerate raise.
 
 PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
 protocol carries, the scale of each share plane the sampler draws, its
@@ -27,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .angles import RESULTANT_EPS, TWO_PI, normalize_angle, resultant_sign, separation, sgn
-from .errors import ConfigurationError, DegenerateResultantError
+from .errors import ConfigurationError, DegenerateResultantError, DomainError
 from .laws import LawKind
 
 HALF_PI = 0.5 * math.pi
@@ -104,38 +109,135 @@ def alice_output(a: float, lam: float) -> int:
     return sgn(math.cos(a - lam))
 
 
-def _sgn_arr(x: np.ndarray) -> np.ndarray:
-    # sgn(0) = +1, matching the scalar convention
-    return np.where(x >= 0.0, 1, -1)
+# A sign compare within this distance of its arc end, or a projection
+# within it of zero, plus the rounding of angles of the size at hand, is
+# redone with the reference formulas.  It is at least 2 * RESULTANT_EPS,
+# so every trial whose resultant norm could be at most RESULTANT_EPS has
+# its projection redone.  An unflipped-bit trial further than this from
+# Bob's arc ends has a projection of at least 0.9 * ARC_SLACK.
+ARC_SLACK = 1e-10
+# Rounding of an angle of size x is at most a few EPS * x; the factor
+# leaves room for the arc ends centre + pi/2 + k pi built from it.
+_ROUNDING = 64.0 * np.finfo(float).eps
+# On the flipped-bit branch the resultant norm is 2 sin(delta/2) and the
+# projection 2 sin(delta/2) sin(m - b): at a shift this small either may
+# be near zero for every share, so those trials are always redone.
+# Above it, a trial further than ARC_SLACK from every arc end has a
+# projection of at least (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about
+# 4e-14, ten times what the four-trig reference can round away.
+SMALL_SHIFT = 1e-3
 
 
-def _resultant_products(alpha, c, b: float, u, v) -> np.ndarray:
-    """alpha times Bob's outcome -sgn(b-hat . (u-hat + c v-hat)), over arrays.
+def _window(x) -> tuple[float, float]:
+    """The least and the greatest share; shares must be finite."""
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("shares must be finite")
+    return lo, hi
 
-    The projection of the resultant w = u-hat + c v-hat onto b-hat is
-    computed as cos(b - u) + c cos(b - v), which equals resultant_sign's
-    cos b * wx + sin b * wy: two cosines per trial in place of four trig
-    calls and a hypot.  The two roundings differ by a few ulp of O(1),
-    under 1e-14.  Since |b-hat . w| <= |w|, a trial whose computed norm
-    is at most RESULTANT_EPS has a projection of at most 2 * RESULTANT_EPS,
-    and so does any trial whose sign the two roundings could disagree on.
-    Those few candidates are redone with resultant_sign's formulas: the
-    norm check raises DegenerateResultantError for exactly the trials
-    resultant_sign raises for, and their signs come from its projection,
-    so every product is the one resultant_sign gives for the same shares.
+
+def _slack(a: float, b: float, bounds: tuple[float, ...]) -> float:
+    """Distance from an arc end within which a compare may disagree with
+    the reference formulas, for settings a, b and shares within bounds."""
+    size = abs(a) + abs(b) + max(map(abs, bounds))
+    return ARC_SLACK + _ROUNDING * size
+
+
+def _on_arc(x, window, centre: float, tol: float):
+    """Where cos(x - centre) >= 0, and where that may be misjudged.
+
+    The sign of cos(x - centre) flips at each arc end
+    centre + pi/2 + k pi, so it is the parity of the ends below x: one
+    pair of compares per end inside window, which bounds x, and none
+    per end outside it.  The first array is the sign; the second marks
+    the x within tol of an end, whose sign the caller redoes.
     """
-    proj = np.cos(b - u)
-    proj += c * np.cos(b - v)
-    near = np.flatnonzero(np.abs(proj) <= 2.0 * RESULTANT_EPS)
+    lo, hi = window
+    # start an end at least pi below lo; cos(x - centre) >= 0 just above
+    # an end with odd k
+    k = math.floor((lo - centre) / math.pi - 0.5) - 1
+    positive = k % 2 == 1
+    below = above = None
+    while True:
+        k += 1
+        end = centre + HALF_PI + k * math.pi
+        if end + tol < lo:
+            positive = not positive
+        elif end - tol > hi:
+            break
+        elif below is None:
+            below, above = x >= end - tol, x > end + tol
+        else:
+            below ^= x >= end - tol
+            above ^= x > end + tol
+    if below is None:
+        return np.full(x.shape, positive), np.zeros(x.shape, dtype=bool)
+    near = below ^ above
+    if positive:
+        np.logical_not(above, out=above)
+    return above, near
+
+
+def _pick(c_pos, plus, minus) -> np.ndarray:
+    """plus where c_pos, minus elsewhere, for boolean arrays; np.where
+    costs ten times as much on booleans."""
+    picked = plus ^ minus
+    picked &= c_pos
+    picked ^= minus
+    return picked
+
+
+def _products(s1, positive) -> np.ndarray:
+    """alpha * beta as int64 +-1.  s1 marks alpha = +1 and positive a
+    projection >= 0, that is beta = -1, so the product is -1 where the
+    two agree."""
+    out = (s1 != positive).astype(np.int64)
+    out *= 2
+    out -= 1
+    return out
+
+
+def _resultant_positive(b: float, u, c_pos, v) -> np.ndarray:
+    """Where resultant_sign(b, u, c, v) is +1, over arrays, by its own
+    operations; c is +1 where c_pos.  Raises DegenerateResultantError
+    if any trial's resultant norm is at most RESULTANT_EPS."""
+    c = np.where(c_pos, 1.0, -1.0)
+    wx = np.cos(u) + c * np.cos(v)
+    wy = np.sin(u) + c * np.sin(v)
+    if (np.hypot(wx, wy) <= RESULTANT_EPS).any():
+        raise DegenerateResultantError("a trial's resultant has near-zero norm")
+    return math.cos(b) * wx + math.sin(b) * wy >= 0.0
+
+
+def _resultant_products(s1, c_pos, b: float, u, v, tol: float) -> np.ndarray:
+    """Products from Alice's sign s1 and Bob's outcome
+    -sgn(b-hat . (u-hat + c v-hat)), over arrays; c is +1 where c_pos.
+
+    The projection onto b-hat is computed as cos(b - u) + c cos(b - v),
+    which equals resultant_sign's cos b * wx + sin b * wy: two cosines
+    per trial in place of four trig calls and a hypot.  The two
+    roundings differ by a few ulp of the angles b - u and b - v, which
+    tol bounds.  Since |b-hat . w| <= |w|, every trial whose resultant
+    norm is at most RESULTANT_EPS also has a projection within tol of
+    zero, as does every trial whose sign the two roundings could
+    disagree on.  Those few are redone by _resultant_positive, so the
+    degenerate raise and every product are the ones resultant_sign gives
+    for the same shares.
+    """
+    proj = np.subtract(b, u)
+    np.cos(proj, out=proj)
+    cv = np.subtract(b, v)
+    np.cos(cv, out=cv)
+    c = c_pos.astype(float)
+    c *= 2.0
+    c -= 1.0
+    cv *= c
+    proj += cv
+    positive = proj >= 0.0
+    near = np.flatnonzero((proj >= -tol) & (proj <= tol))
     if near.size:
-        un, cn, vn = u[near], c[near], v[near]
-        wx = np.cos(un) + cn * np.cos(vn)
-        wy = np.sin(un) + cn * np.sin(vn)
-        if (np.hypot(wx, wy) <= RESULTANT_EPS).any():
-            raise DegenerateResultantError("a trial's resultant has near-zero norm")
-        proj[near] = math.cos(b) * wx + math.sin(b) * wy
-    beta = -_sgn_arr(proj)
-    return alpha * beta
+        positive[near] = _resultant_positive(b, u[near], c_pos[near], v[near])
+    return _products(s1, positive)
 
 
 def comm_bit_fixed(a: float, lam: float, delta: float) -> int:
@@ -170,12 +272,51 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
 
 def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     """Products of fixed-shift trials over share arrays; delta may be a
-    scalar or an array.  Gives run_trial_fixed's product for each share;
-    Bob's sign goes through the two-cosine identity of _resultant_products,
-    not through resultant_sign's operations."""
-    s1 = _sgn_arr(np.cos(a - lam))
-    c = s1 * _sgn_arr(np.cos((a - lam) - delta))
-    return _resultant_products(s1, c, b, lam, lam + delta)
+    scalar or an array.  Gives run_trial_fixed's product for each share.
+
+    No trig runs on the full arrays.  Alice's signs are arc compares:
+    cos(a - lam) >= 0 where lam lies within pi/2 of a, and her second
+    sign is the same compare for lam + delta.  With m = lam + delta/2,
+    Bob's projection cos(b - lam) + c cos(b - lam - delta) is
+    2 cos(delta/2) cos(b - m) when c = +1 and -2 sin(delta/2) sin(b - m)
+    when c = -1, so its sign is the arc compare of m about b, or about
+    b + pi/2.  Trials within a slack of an arc end, and flipped-bit
+    trials at a shift of at most SMALL_SHIFT, are redone with
+    run_trial_fixed's own formulas, which also raise
+    DegenerateResultantError for exactly the trials it raises for.
+    """
+    window = _window(lam)
+    tol = _slack(a, b, window)
+    s1, near = _on_arc(lam, window, a, tol)
+    if np.ndim(delta) == 0:
+        check_delta(delta)
+        # one shift for every trial moves the arc ends, not the shares
+        s2, near_v = _on_arc(lam, window, a - delta, tol)
+        mid, mid_window, b_mid = lam, window, b - 0.5 * delta
+    else:
+        check_delta(float(delta.min()))
+        check_delta(float(delta.max()))
+        v = lam + delta
+        # lam + delta and the midpoint lie at most pi/2 above the shares
+        mid_window = (window[0], window[1] + HALF_PI)
+        s2, near_v = _on_arc(v, mid_window, a, tol)
+        mid = np.add(lam, v, out=v)
+        mid *= 0.5
+        b_mid = b
+    plus, near_plus = _on_arc(mid, mid_window, b_mid, tol)
+    minus, near_minus = _on_arc(mid, mid_window, b_mid + HALF_PI, tol)
+    c_pos = s1 == s2
+    near |= near_v
+    near |= _pick(c_pos, near_plus, near_minus | (delta <= SMALL_SHIFT))
+    products = _products(s1, _pick(c_pos, plus, minus))
+    redo = np.flatnonzero(near)
+    if redo.size:
+        x = lam[redo]
+        d = np.broadcast_to(delta, lam.shape)[redo]
+        r1 = np.cos(a - x) >= 0.0
+        r2 = np.cos((a - x) - d) >= 0.0
+        products[redo] = _products(r1, _resultant_positive(b, x, r1 == r2, x + d))
+    return products
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
@@ -243,10 +384,23 @@ def run_trial_twoshare(
 
 
 def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
-    """Products of two-share trials over share arrays."""
-    s1 = _sgn_arr(np.cos(a - lam1))
-    c = s1 * _sgn_arr(np.cos(a - lam2))
-    return _resultant_products(s1, c, b, lam1, lam2)
+    """Products of two-share trials over share arrays.
+
+    Alice's two signs are arc compares of each share about a, as in
+    fixed_products, with the trials near an arc end redone by np.cos;
+    Bob's sign goes through the two-cosine projection of
+    _resultant_products.
+    """
+    w1, w2 = _window(lam1), _window(lam2)
+    tol = _slack(a, b, w1 + w2)
+    s1, near = _on_arc(lam1, w1, a, tol)
+    s2, near2 = _on_arc(lam2, w2, a, tol)
+    near |= near2
+    redo = np.flatnonzero(near)
+    if redo.size:
+        s1[redo] = np.cos(a - lam1[redo]) >= 0.0
+        s2[redo] = np.cos(a - lam2[redo]) >= 0.0
+    return _resultant_products(s1, s1 == s2, b, lam1, lam2, tol)
 
 
 def quantized_direction(index: int, k: int) -> float:

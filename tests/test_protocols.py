@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bellcomm.angles import TWO_PI, sgn
-from bellcomm.errors import ConfigurationError, DegenerateResultantError
+from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.protocols import (
     HALF_PI,
@@ -287,9 +287,11 @@ def test_fixed_trial_mean_is_not_checked_here():
 
 
 class TestTwoCosineKernel:
-    """The vector products take Bob's sign from cos(b - u) + c cos(b - v);
-    the scalar trials build the resultant with four trig calls and check
-    its norm.  Every product and every degenerate trial must agree."""
+    """The vector products take Bob's sign from arc compares (plain,
+    fixed-shift, random-shift) or from cos(b - u) + c cos(b - v)
+    (two-share); the scalar trials build the resultant with four trig
+    calls and check its norm.  Every product and every degenerate trial
+    must agree."""
 
     N = 1 << 12
 
@@ -376,3 +378,171 @@ class TestTwoCosineKernel:
         else:
             got = fixed_products(a, b, lam, delta)
             assert got[k] == run_trial_fixed(a, b, lam[k], delta).product
+
+
+def _products_or_raise(products, trial, *shares):
+    """The vector products and the scalar trial products as lists, or
+    the string "raises" where DegenerateResultantError came instead."""
+    try:
+        got = products(*shares).tolist()
+    except DegenerateResultantError:
+        got = "raises"
+    try:
+        want = [trial(*t).product for t in zip(*shares)]
+    except DegenerateResultantError:
+        want = "raises"
+    return got, want
+
+
+def _around(points, scale):
+    """Shares within 50 ulp of each point folded into [0, 2 pi), and 201
+    more across the rounding of an angle of size scale about it."""
+    p = np.asarray(points, dtype=float) % TWO_PI
+    ulps = p[:, None] + np.arange(-50, 51) * np.spacing(p)[:, None]
+    band = p[:, None] + np.linspace(-1.0, 1.0, 201) * (8 * np.finfo(float).eps * scale)
+    return np.concatenate([ulps.ravel(), band.ravel()])
+
+
+class TestArcCompareKernel:
+    """fixed_products takes every sign, and two_share_products Alice's
+    two, from compares of the shares against arc ends, and redoes the
+    trials near an end with the scalar formulas.  Shares at the ends, at
+    settings far from zero, must still give the scalar trials' products,
+    and raise where they raise."""
+
+    SETTINGS = [0.0, 1.75 * math.pi, -4.0, 1e6]
+    SHIFTS = [0.0, 1e-13, 1e-11, 1e-9, 1e-3]
+
+    @staticmethod
+    def _fixed(a, b, lam, delta):
+        return _products_or_raise(
+            lambda x: fixed_products(a, b, x, delta),
+            lambda x: run_trial_fixed(a, b, x, delta),
+            lam,
+        )
+
+    @pytest.mark.parametrize("delta", SHIFTS)
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_alice_signs_at_arc_ends(self, a, b, delta):
+        # cos(a - lam) and cos((a - lam) - delta) change sign here
+        ends = [a + HALF_PI, a - HALF_PI, a + HALF_PI - delta, a - HALF_PI - delta]
+        lam = _around(ends, abs(a) + abs(b) + TWO_PI)
+        got, want = self._fixed(a, b, lam, delta)
+        assert got == want
+        if delta == 1e-13 and abs(a) < 10:
+            # the flipped-bit trials between the two ends are degenerate;
+            # at a = 1e6, a - lam rounds in steps of 1e-10, the shift is
+            # lost and the bit never flips
+            assert want == "raises"
+
+    @pytest.mark.parametrize("delta", SHIFTS)
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_bob_midpoints_at_arc_ends_unflipped_bit(self, a, b, delta):
+        # with c = +1 Bob's projection is 2 cos(delta/2) cos(b - m),
+        # m = lam + delta/2, which changes sign at b -+ pi/2
+        mids = np.array([b + HALF_PI, b - HALF_PI])
+        lam = _around(mids - 0.5 * delta, abs(a) + abs(b) + TWO_PI)
+        got, want = self._fixed(a, b, lam, delta)
+        assert got == want
+
+    @pytest.mark.parametrize("delta", SHIFTS[1:] + [1e-7, math.pi / 5])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("b", SETTINGS)
+    def test_bob_midpoints_at_arc_ends_flipped_bit(self, b, side, delta):
+        # a = b -+ pi/2 puts Alice's flipped-bit window [b - delta, b] (or
+        # its antipode) where m = lam + delta/2 crosses b (or b + pi); with
+        # c = -1 the projection -2 sin(delta/2) sin(b - m) changes sign
+        # there.  Shares both within ulps of the crossing and spread over
+        # the whole window: at a tiny shift the projection is near zero
+        # even far from the crossing.
+        a = b + side * HALF_PI
+        edges = np.array([a + HALF_PI, a - HALF_PI])
+        window = (edges[:, None] - delta * np.linspace(-0.2, 1.2, 141)).ravel()
+        lam = np.concatenate([
+            _around(np.array([b, b + math.pi, b - math.pi]) - 0.5 * delta,
+                    abs(a) + abs(b) + TWO_PI),
+            window % TWO_PI,
+        ])
+        # a - lam rounds in steps of spacing(a); a smaller shift is lost
+        flips = delta > 2 * np.spacing(a)
+        if flips:
+            assert -1 in [comm_bit_fixed(a, x, delta) for x in lam]
+        got, want = self._fixed(a, b, lam, delta)
+        assert got == want
+        assert (want == "raises") == (flips and delta == 1e-13)
+
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_random_shift_arrays(self, a, b):
+        # per-trial shifts, both tiny and ordinary, with each share just
+        # inside one of its own arc ends or flipped-bit windows
+        rng = np.random.default_rng(11)
+        n = 2000
+        dd = HALF_PI * rng.random(n)
+        dd[::2] = rng.choice([0.0, 1e-11, 1e-9, 1e-3], n // 2)
+        ends = rng.choice(
+            [a + HALF_PI, a - HALF_PI, b + HALF_PI, b - HALF_PI, b, b + math.pi], n
+        )
+        lam = (ends - dd * rng.choice([0.0, 0.5, 1.0, rng.random()], n)) % TWO_PI
+        lam += rng.integers(-50, 51, n) * np.spacing(lam)
+        got, want = _products_or_raise(
+            lambda x, d: fixed_products(a, b, x, d),
+            lambda x, d: run_trial_random_shift(a, b, x, d),
+            lam, dd,
+        )
+        assert got == want
+
+    def test_random_shift_raises_at_a_degenerate_draw(self):
+        a, b, n, k = 0.0, 0.4, 1 << 12, 77
+        rng = np.random.default_rng(5)
+        lam, dd = TWO_PI * rng.random(n), HALF_PI * rng.random(n)
+        fixed_products(a, b, lam, dd)
+        dd[k] = 1e-13
+        lam[k] = HALF_PI - 0.5e-13
+        with pytest.raises(DegenerateResultantError):
+            run_trial_random_shift(a, b, lam[k], dd[k])
+        with pytest.raises(DegenerateResultantError):
+            fixed_products(a, b, lam, dd)
+
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_two_share_at_arc_ends(self, a, b):
+        # each share at one of Alice's arc ends, or the pair placed so its
+        # midpoint sits at a zero of Bob's projection; at b = 1e6 the
+        # two-cosine projection rounds by about 1e-10, which the redo
+        # window must cover
+        rng = np.random.default_rng(13)
+        scale = abs(a) + abs(b) + TWO_PI
+        at_a = _around([a + HALF_PI, a - HALF_PI], scale)
+        n = at_a.size
+        half = rng.choice([1e-9, 0.3, 1.0, HALF_PI, 3.0], n)
+        mids = _around([b + HALF_PI, b - HALF_PI, b, b + math.pi], scale)
+        mids = rng.choice(mids, n)
+        lam1 = np.where(rng.random(n) < 0.5, at_a, mids - half)
+        lam2 = np.where(rng.random(n) < 0.5, rng.permutation(at_a), mids + half)
+        got, want = _products_or_raise(
+            lambda x, y: two_share_products(a, b, x, y),
+            lambda x, y: run_trial_twoshare(a, b, x, y),
+            lam1, lam2,
+        )
+        assert got == want
+
+    def test_out_of_range_shift_or_share_is_refused(self):
+        # the arc compares hold for shifts in [0, pi/2] and finite shares;
+        # the scalar trials refuse the same inputs
+        lam = np.array([0.1, 2.0])
+        with pytest.raises(ConfigurationError):
+            fixed_products(0.0, 1.0, lam, -0.1)
+        with pytest.raises(ConfigurationError):
+            fixed_products(0.0, 1.0, lam, np.array([0.2, 1.6]))
+        with pytest.raises(ConfigurationError):
+            fixed_products(0.0, 1.0, lam, np.array([0.2, math.nan]))
+        bad = np.array([0.1, math.nan])
+        with pytest.raises(DomainError):
+            fixed_products(0.0, 1.0, bad, 0.3)
+        with pytest.raises(DomainError):
+            two_share_products(0.0, 1.0, lam, bad)
+        with pytest.raises(DomainError):
+            run_trial_fixed(0.0, 1.0, math.nan, 0.3)

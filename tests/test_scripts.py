@@ -77,3 +77,44 @@ def test_chsh_summary_has_one_labelled_row_per_protocol(capsys):
     ]
     kinds = {label.split()[0] for label in labels}
     assert kinds == {kind.value for kind in ProtocolKind}
+
+
+def test_reproduce_figures_outdir_below_a_file_is_an_io_error(
+    tmp_path, capsys, monkeypatch
+):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    module = load("reproduce_figures")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before finding the outdir unwritable")
+
+    monkeypatch.setattr(module, "sweep_curve", no_sweep)
+    code = module.main(["--outdir", str(blocker / "figs"), "--n", "100", "--grid", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_reproduce_figures_replaces_each_pair_whole(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "figs"
+    argv = ["--outdir", str(outdir), "--n", "200", "--grid", "3", "--workers", "1"]
+    assert load("reproduce_figures").main(argv) == 0
+    first = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert len(first) == 20
+    assert all(name.endswith((".csv", ".svg")) for name in first)
+
+    # a failure while the first SVG is rendered leaves every old file as
+    # it was and no temp file behind
+    module = load("reproduce_figures")
+
+    def broken_render(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(module, "render_plot", broken_render)
+    assert module.main(argv + ["--seed", "9"]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == first
