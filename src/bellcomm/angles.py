@@ -62,10 +62,9 @@ def resultant_sign(b: float, u: float, c: int, v: float) -> int:
 
     This is the independent reference for the vector sampler: it builds
     the resultant from four trig calls and takes its norm, while the
-    sampler takes the sign from arc compares (fixed and random shift) or
-    from the identity cos(b - u) + c cos(b - v) (two-share), redoing the
-    trials near zero with these formulas, and the scalar-vs-vector tests
-    check the two agree bit for bit.
+    sampler takes the sign from arc compares of the shares' midpoint and
+    half-difference, redoing the trials near zero with these formulas,
+    and the scalar-vs-vector tests check the two agree bit for bit.
     """
     wx = math.cos(u) + c * math.cos(v)
     wy = math.sin(u) + c * math.sin(v)

@@ -9,7 +9,9 @@ Randomness layout (counter-based, order-independent):
 Plane 0 carries each trial's primary uniform (the angular share, or the
 coin for the reference sampler), plane 1 the secondary one (second share,
 per-trial shift, or the anticorrelation draw); each protocol's row in
-protocols.PROTOCOLS says how many planes it draws and how each is scaled.
+protocols.PROTOCOLS says how many planes it draws and how each is
+scaled, in place.  The reference sampler's product reads plane 1 alone,
+since Alice's coin cancels from it, but plane 0 is still drawn.
 The draw for trial i on a plane is word i of that plane's stream, so it
 depends only on (seed, plane, i), never on chunk size, thread count, or
 execution order.
@@ -78,7 +80,9 @@ def _chunk_products(spec, a, b, seed, start, count):
     shares = []
     for plane, scale in enumerate(row.planes):
         u = uniforms(seed, plane, start, count)
-        shares.append(u if scale is None else scale * u)
+        if scale is not None:
+            u *= scale
+        shares.append(u)
     return row.products(spec, a, b, count, *shares)
 
 

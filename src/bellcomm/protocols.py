@@ -10,11 +10,12 @@ setting a at all, so the locality split is visible in the signatures.
 Next to each scalar trial sits the *_products function the sampler runs
 over share arrays.  The scalar code is the reference: the vector twin
 must give the same product, bit for bit, for the same shares.  The
-shared-direction twins run no trig on the full arrays where they can:
-every sign of fixed_products, and Alice's two of two_share_products, is
-a compare of the shares against the ends of an arc, and the few trials
-within a slack of an end are redone with the scalar trial's own
-formulas, which also decide every degenerate raise.
+shared-direction twins run no trig on the full arrays: every sign of
+fixed_products and two_share_products is a compare of the shares, or of
+their midpoint and half-difference, against the ends of an arc, and the
+few trials near an end are redone with the scalar trial's own formulas,
+which also decide every degenerate raise.  quantum_products is one
+compare of Bob's draw against the scalar trial's threshold.
 
 PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
 protocol carries, the scale of each share plane the sampler draws, its
@@ -109,12 +110,10 @@ def alice_output(a: float, lam: float) -> int:
     return sgn(math.cos(a - lam))
 
 
-# A sign compare within this distance of its arc end, or a projection
-# within it of zero, plus the rounding of angles of the size at hand, is
-# redone with the reference formulas.  It is at least 2 * RESULTANT_EPS,
-# so every trial whose resultant norm could be at most RESULTANT_EPS has
-# its projection redone.  An unflipped-bit trial further than this from
-# Bob's arc ends has a projection of at least 0.9 * ARC_SLACK.
+# A sign compare within this distance of its arc end, plus the rounding
+# of angles of the size at hand, is redone with the reference formulas.
+# A trial further than this from Bob's arc ends has a factor cos(m - b)
+# or sin(m - b) of at least 0.9 * ARC_SLACK in size.
 ARC_SLACK = 1e-10
 # Rounding of an angle of size x is at most a few EPS * x; the factor
 # leaves room for the arc ends centre + pi/2 + k pi built from it.
@@ -124,7 +123,10 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 # be near zero for every share, so those trials are always redone.
 # Above it, a trial further than ARC_SLACK from every arc end has a
 # projection of at least (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about
-# 4e-14, ten times what the four-trig reference can round away.
+# 4e-14, ten times what the four-trig reference can round away.  In
+# two_share_products the half-difference h plays the part of delta/2 on
+# both branches: trials with h within SMALL_SHIFT of a zero of cos h or
+# sin h are redone, and the same bound holds for the rest.
 SMALL_SHIFT = 1e-3
 
 
@@ -187,14 +189,19 @@ def _pick(c_pos, plus, minus) -> np.ndarray:
     return picked
 
 
+def _plus_minus(mask) -> np.ndarray:
+    """+1 where mask, -1 elsewhere, as int64."""
+    out = mask.astype(np.int64)
+    out *= 2
+    out -= 1
+    return out
+
+
 def _products(s1, positive) -> np.ndarray:
     """alpha * beta as int64 +-1.  s1 marks alpha = +1 and positive a
     projection >= 0, that is beta = -1, so the product is -1 where the
     two agree."""
-    out = (s1 != positive).astype(np.int64)
-    out *= 2
-    out -= 1
-    return out
+    return _plus_minus(s1 != positive)
 
 
 def _resultant_positive(b: float, u, c_pos, v) -> np.ndarray:
@@ -207,37 +214,6 @@ def _resultant_positive(b: float, u, c_pos, v) -> np.ndarray:
     if (np.hypot(wx, wy) <= RESULTANT_EPS).any():
         raise DegenerateResultantError("a trial's resultant has near-zero norm")
     return math.cos(b) * wx + math.sin(b) * wy >= 0.0
-
-
-def _resultant_products(s1, c_pos, b: float, u, v, tol: float) -> np.ndarray:
-    """Products from Alice's sign s1 and Bob's outcome
-    -sgn(b-hat . (u-hat + c v-hat)), over arrays; c is +1 where c_pos.
-
-    The projection onto b-hat is computed as cos(b - u) + c cos(b - v),
-    which equals resultant_sign's cos b * wx + sin b * wy: two cosines
-    per trial in place of four trig calls and a hypot.  The two
-    roundings differ by a few ulp of the angles b - u and b - v, which
-    tol bounds.  Since |b-hat . w| <= |w|, every trial whose resultant
-    norm is at most RESULTANT_EPS also has a projection within tol of
-    zero, as does every trial whose sign the two roundings could
-    disagree on.  Those few are redone by _resultant_positive, so the
-    degenerate raise and every product are the ones resultant_sign gives
-    for the same shares.
-    """
-    proj = np.subtract(b, u)
-    np.cos(proj, out=proj)
-    cv = np.subtract(b, v)
-    np.cos(cv, out=cv)
-    c = c_pos.astype(float)
-    c *= 2.0
-    c -= 1.0
-    cv *= c
-    proj += cv
-    positive = proj >= 0.0
-    near = np.flatnonzero((proj >= -tol) & (proj <= tol))
-    if near.size:
-        positive[near] = _resultant_positive(b, u[near], c_pos[near], v[near])
-    return _products(s1, positive)
 
 
 def comm_bit_fixed(a: float, lam: float, delta: float) -> int:
@@ -384,12 +360,22 @@ def run_trial_twoshare(
 
 
 def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
-    """Products of two-share trials over share arrays.
+    """Products of two-share trials over share arrays.  Gives
+    run_trial_twoshare's product for each pair of shares.
 
-    Alice's two signs are arc compares of each share about a, as in
-    fixed_products, with the trials near an arc end redone by np.cos;
-    Bob's sign goes through the two-cosine projection of
-    _resultant_products.
+    No trig runs on the full arrays.  Alice's two signs are arc compares
+    of each share about a, as in fixed_products, and the trials near an
+    arc end are redone by np.cos before her bit is formed.  With
+    m = (lam1 + lam2)/2 and h = (lam2 - lam1)/2, Bob's projection
+    cos(b - lam1) + c cos(b - lam2) is 2 cos(m - b) cos h when c = +1
+    and 2 sin(m - b) sin h when c = -1, so it is >= 0 where the arc
+    compare of m about b agrees with that of h about 0, or of m about
+    b + pi/2 with h about pi/2.  Trials within a slack of an end of m's
+    arc, and trials with h within SMALL_SHIFT of a zero of its factor,
+    are redone with resultant_sign's own formulas, which also raise
+    DegenerateResultantError for exactly the trials it raises for.  A
+    slack-sized window about h's zeros is not enough: two factors just
+    outside a slack multiply to far less than the reference can round.
     """
     w1, w2 = _window(lam1), _window(lam2)
     tol = _slack(a, b, w1 + w2)
@@ -400,7 +386,30 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     if redo.size:
         s1[redo] = np.cos(a - lam1[redo]) >= 0.0
         s2[redo] = np.cos(a - lam2[redo]) >= 0.0
-    return _resultant_products(s1, s1 == s2, b, lam1, lam2, tol)
+    c_pos = s1 == s2
+    # rounding is monotone, so the same operations on the share bounds
+    # bound m and h; h reuses m's buffer
+    m = np.add(lam1, lam2)
+    m *= 0.5
+    m_window = (0.5 * (w1[0] + w2[0]), 0.5 * (w1[1] + w2[1]))
+    plus, near_plus = _on_arc(m, m_window, b, tol)
+    minus, near_minus = _on_arc(m, m_window, b + HALF_PI, tol)
+    h = np.subtract(lam2, lam1, out=m)
+    h *= 0.5
+    h_window = (0.5 * (w2[0] - w1[1]), 0.5 * (w2[1] - w1[0]))
+    cos_h, near_cos = _on_arc(h, h_window, 0.0, SMALL_SHIFT)
+    sin_h, near_sin = _on_arc(h, h_window, HALF_PI, SMALL_SHIFT)
+    np.equal(plus, cos_h, out=plus)
+    np.equal(minus, sin_h, out=minus)
+    positive = _pick(c_pos, plus, minus)
+    near_plus |= near_cos
+    near_minus |= near_sin
+    redo = np.flatnonzero(_pick(c_pos, near_plus, near_minus))
+    if redo.size:
+        positive[redo] = _resultant_positive(
+            b, lam1[redo], c_pos[redo], lam2[redo]
+        )
+    return _products(s1, positive)
 
 
 def quantized_direction(index: int, k: int) -> float:
@@ -476,12 +485,14 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
     )
 
 
-def quantum_products(a: float, b: float, u, v) -> np.ndarray:
-    """Products of reference-sampler trials over arrays of uniform draws."""
+def quantum_products(a: float, b: float, v) -> np.ndarray:
+    """Products of reference-sampler trials over arrays of Bob's uniform
+    draws v.  Gives run_trial_quantum's product for any coin u: the
+    product is alpha * (-alpha) = -1 where v falls below cos(theta/2)**2
+    and alpha * alpha = +1 elsewhere, so Alice's coin cancels and one
+    compare of v against the same threshold decides it."""
     threshold = math.cos(0.5 * separation(a, b)) ** 2
-    alpha = np.where(u < 0.5, 1, -1)
-    beta = np.where(v < threshold, -alpha, alpha)
-    return alpha * beta
+    return _plus_minus(v >= threshold)
 
 
 @dataclass(frozen=True)
@@ -550,9 +561,11 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         check=check_k_bits,
     ),
     ProtocolKind.QUANTUM: ProtocolRow(
-        # raw uniforms: a scale of 1.0 would cost a multiply per draw
+        # raw uniforms: a scale of 1.0 would cost a multiply per draw.
+        # Plane 0, Alice's coin, cancels from the product; it is still
+        # drawn because the benchmark's traced draw counts pin two planes.
         planes=(None, None),
-        products=lambda spec, a, b, n, u, v: quantum_products(a, b, u, v),
+        products=lambda spec, a, b, n, u, v: quantum_products(a, b, v),
         trial=lambda spec, a, b, u, v: run_trial_quantum(a, b, u, v),
         trial_flags=("--u", "--v"),
         law=LawKind.QUANTUM_COSINE,

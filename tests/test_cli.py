@@ -18,6 +18,40 @@ GOLDEN_PLAIN_CSV = (
     "3.1415926535897931,1,1,0,256,plain,,9\n"
 )
 
+# chsh --n 200000 --seed 0, and curve --grid 7 --n 20000 at the default
+# seed 0: the sampled kernels of two-share and quantum, pinned to the byte
+GOLDEN_CHSH = {
+    "two-share": (
+        "two-share,-2.99851,2.99851,Superquantum,0.0029599236354169679,0\n"
+        "CHSH S = -2.998510, |S| = 2.998510 +- 0.002960\n"
+        "classification: Superquantum\n"
+        "bounds: local 2, Tsirelson 2.8284271247, algebraic 4\n"
+    ),
+    "quantum": (
+        "quantum,-2.8244600000000002,2.8244600000000002,Superclassical,"
+        "0.0031667061747184568,0\n"
+        "CHSH S = -2.824460, |S| = 2.824460 +- 0.003167\n"
+        "classification: Superclassical\n"
+        "bounds: local 2, Tsirelson 2.8284271247, algebraic 4\n"
+    ),
+}
+
+GOLDEN_TWO_SHARE_CSV = (
+    "theta,E_analytic,E_mc,stderr,n,protocol,delta,seed\n"
+    "0,-1,-1,0,20000,two-share,,0\n"
+    "0.52359877559829882,-0.88888888888888884,-0.89019999999999999,"
+    "0.0032213658593832524,20000,two-share,,0\n"
+    "1.0471975511965976,-0.55555555555555558,-0.56430000000000002,"
+    "0.0058376601048707863,20000,two-share,,0\n"
+    "1.5707963267948966,0,0.00089999999999999998,0.0070710649480824313,"
+    "20000,two-share,,0\n"
+    "2.0943951023931953,0.55555555555555558,0.55910000000000004,"
+    "0.0058626239432527137,20000,two-share,,0\n"
+    "2.6179938779914944,0.88888888888888906,0.89019999999999999,"
+    "0.0032213658593832524,20000,two-share,,0\n"
+    "3.1415926535897931,1,1,0,20000,two-share,,0\n"
+)
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -50,6 +84,25 @@ def test_curve_golden_bytes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == GOLDEN_PLAIN_CSV
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_CHSH))
+def test_chsh_golden_bytes(capsys, protocol):
+    code, out, _ = run(
+        capsys,
+        ["chsh", "--protocol", protocol, "--n", "200000", "--seed", "0"],
+    )
+    assert code == 0
+    assert out == GOLDEN_CHSH[protocol]
+
+
+def test_two_share_curve_golden_bytes(capsys):
+    code, out, _ = run(
+        capsys,
+        ["curve", "--protocol", "two-share", "--grid", "7", "--n", "20000"],
+    )
+    assert code == 0
+    assert out == GOLDEN_TWO_SHARE_CSV
 
 
 def test_curve_csv_round_trips_bitwise(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bellcomm.angles import TWO_PI, sgn
+from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.protocols import (
@@ -253,6 +253,22 @@ class TestQuantumReference:
         assert rec.comm_bits == ()
         # theta = 0: threshold 1, every v anticorrelates
         assert run_trial_quantum(0.7, 0.7, 0.9, 0.0).product == -1
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.4, 1.7), (0.7, 0.7), (0.0, math.pi), (-4.0, 2.1)]
+    )
+    def test_vector_products_at_the_threshold(self, a, b):
+        # v at cos(theta/2)**2 and one ulp either side, for either coin;
+        # theta = 0 puts the threshold at 1.0 and theta = pi at ~4e-33
+        spec = ProtocolSpec(ProtocolKind.QUANTUM)
+        t = math.cos(0.5 * separation(a, b)) ** 2
+        v = np.array([t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 0.0, 0.5])
+        v = np.tile(v, 2)
+        u = np.repeat([0.2, 0.7], v.size // 2)
+        got = PROTOCOLS[spec.kind].products(spec, a, b, v.size, u, v)
+        want = [run_trial_quantum(a, b, x, y).product for x, y in zip(u, v)]
+        assert got.tolist() == want
+        assert want[:3] == [1, -1, 1]
 
     @given(angles, angles, units, units)
     def test_product_is_dichotomic(self, a, b, u, v):
@@ -506,28 +522,114 @@ class TestArcCompareKernel:
         with pytest.raises(DegenerateResultantError):
             fixed_products(a, b, lam, dd)
 
+    @staticmethod
+    def _two_share(a, b, lam1, lam2):
+        """The vector and scalar products of the pairs whose scalar trial
+        does not raise: one degenerate pair would make the whole array
+        raise and hide every other product."""
+        keep = []
+        for i, (x, y) in enumerate(zip(lam1, lam2)):
+            try:
+                run_trial_twoshare(a, b, x, y)
+            except DegenerateResultantError:
+                continue
+            keep.append(i)
+        assert keep, "every pair is degenerate"
+        return _products_or_raise(
+            lambda x, y: two_share_products(a, b, x, y),
+            lambda x, y: run_trial_twoshare(a, b, x, y),
+            lam1[keep], lam2[keep],
+        )
+
     @pytest.mark.parametrize("b", SETTINGS)
     @pytest.mark.parametrize("a", SETTINGS)
     def test_two_share_at_arc_ends(self, a, b):
         # each share at one of Alice's arc ends, or the pair placed so its
-        # midpoint sits at a zero of Bob's projection; at b = 1e6 the
-        # two-cosine projection rounds by about 1e-10, which the redo
-        # window must cover
+        # midpoint m sits within ulps of b, b -+ pi/2 or b + pi, where
+        # the factor of m in Bob's projection changes sign; at b = 1e6
+        # the compare of m rounds by about 1e-10, which the redo window
+        # must cover
         rng = np.random.default_rng(13)
         scale = abs(a) + abs(b) + TWO_PI
         at_a = _around([a + HALF_PI, a - HALF_PI], scale)
         n = at_a.size
-        half = rng.choice([1e-9, 0.3, 1.0, HALF_PI, 3.0], n)
+        half = rng.choice([1e-9, 1e-4, 0.3, 1.0, HALF_PI, 3.0], n)
         mids = _around([b + HALF_PI, b - HALF_PI, b, b + math.pi], scale)
         mids = rng.choice(mids, n)
         lam1 = np.where(rng.random(n) < 0.5, at_a, mids - half)
         lam2 = np.where(rng.random(n) < 0.5, rng.permutation(at_a), mids + half)
-        got, want = _products_or_raise(
-            lambda x, y: two_share_products(a, b, x, y),
-            lambda x, y: run_trial_twoshare(a, b, x, y),
-            lam1, lam2,
+        got, want = self._two_share(a, b, lam1, lam2)
+        assert got == want
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("b", SETTINGS)
+    def test_two_share_antipodal_pairs_at_alice_ends(self, b, side):
+        # lam1 = a + pi/2 - e1 and lam2 = a - pi/2 + e2 (or 2 pi above):
+        # with e1, e2 of one sign Alice's signs agree, so c = +1, and
+        # Bob's projection is 2 cos(m - b) cos h with h = -+pi/2 + (e1 +
+        # e2)/2 and m = a + (e2 - e1)/2 (or pi above).  a = b + side pi/2
+        # puts m a few slacks past an end of Bob's arc, so both factors
+        # are about 1e-10 and the product is far below what the
+        # reference rounds: only a redo decides these trials
+        a = b + side * HALF_PI
+        slack = 1e-10 + 64 * np.finfo(float).eps * (abs(a) + abs(b) + TWO_PI)
+        steps = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 10.0]) * slack
+        e1, e2 = (g.ravel() for g in np.meshgrid(steps, steps))
+        e1, e2 = np.concatenate([e1, -e1]), np.concatenate([e2, -e2])
+        lam1 = np.tile(a + HALF_PI - e1, 2)
+        lam2 = np.concatenate([a - HALF_PI + e2, a + 1.5 * math.pi + e2])
+        assert comm_bit_twoshare(a, lam1[0], lam2[0]) == 1
+        got, want = self._two_share(
+            a, b, np.concatenate([lam1, lam2]), np.concatenate([lam2, lam1])
         )
         assert got == want
+
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_two_share_differences_near_multiples_of_pi(self, a, b):
+        # lam2 - lam1 within 200 ulp of 0, +-pi or +-2 pi puts h = (lam2 -
+        # lam1)/2 at or next to a zero of cos h or sin h; lam1 is random,
+        # at Alice's arc ends, or where m sits at one of Bob's
+        rng = np.random.default_rng(17)
+        n = 1000
+        starts = np.concatenate([
+            TWO_PI * rng.random(n // 2),
+            rng.choice([a + HALF_PI, a - HALF_PI, b + HALF_PI, b - HALF_PI,
+                        b, b + math.pi], n // 2) % TWO_PI,
+        ])
+        diff = rng.choice([0.0, math.pi, -math.pi, TWO_PI, -TWO_PI], n)
+        lam1 = starts - np.where(rng.random(n) < 0.5, 0.5 * diff, 0.0)
+        lam2 = lam1 + diff
+        lam2 += rng.integers(-200, 201, n) * np.spacing(lam2)
+        got, want = self._two_share(a, b, lam1, lam2)
+        assert got == want
+
+    @pytest.mark.parametrize("b", SETTINGS)
+    @pytest.mark.parametrize("a", SETTINGS)
+    def test_two_share_raises_at_a_degenerate_pair(self, a, b):
+        # the two adjacent doubles between which Alice's sign flips, found
+        # by bisection about her arc end: c = -1 and the shares are one
+        # ulp apart, so the resultant cancels; every other trial is an
+        # ordinary draw
+        n, k = 1 << 12, 321
+        rng = np.random.default_rng(19)
+        lam1, lam2 = TWO_PI * rng.random(n), TWO_PI * rng.random(n)
+        two_share_products(a, b, lam1, lam2)
+        end = (a + HALF_PI) % TWO_PI
+        lo, hi = end - 1e-6, end + 1e-6
+        assert alice_output(a, lo) != alice_output(a, hi)
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if alice_output(a, mid) == alice_output(a, lo):
+                lo = mid
+            else:
+                hi = mid
+        lam1[k], lam2[k] = lo, hi
+        assert comm_bit_twoshare(a, lo, hi) == -1
+        with pytest.raises(DegenerateResultantError):
+            run_trial_twoshare(a, b, lo, hi)
+        with pytest.raises(DegenerateResultantError):
+            two_share_products(a, b, lam1, lam2)
 
     def test_out_of_range_shift_or_share_is_refused(self):
         # the arc compares hold for shifts in [0, pi/2] and finite shares;
