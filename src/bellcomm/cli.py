@@ -1,7 +1,11 @@
 """Command line surface: curve sweeps, CHSH runs, self-checks, single trials.
 
-Angles are radians unless --degrees is given.  Exit codes: 0 success,
-1 verification or bound failure, 2 usage error, 3 I/O error.
+Each cmd_* takes the parsed arguments and builds what it runs from them:
+the protocol through _protocol_from_args, which refuses the value flags
+the protocol does not take, and for chsh the settings.  Only curve, chsh
+and verify draw, so only they take --seed and --workers.  Angles are
+radians unless --degrees is given.  Exit codes: 0 success, 1
+verification or bound failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .chsh import (
@@ -28,7 +32,7 @@ from .chsh import (
 from .errors import BellcommError, ConfigurationError
 from .laws import LawKind, quantum_cosine_law
 from .montecarlo import CurveSweep, sweep_curve
-from .protocols import PROTOCOLS, ProtocolKind, ProtocolSpec, TrialRecord
+from .protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
 
@@ -45,24 +49,6 @@ _VALUE_FLAGS = ("--delta", "--k", "--lambda", "--lambda2", "--u", "--v")
 _PARAM_FLAGS = {"delta": "--delta", "k_bits": "--k"}
 # trial shares that are uniform draws, not angles
 _UNIFORM_FLAGS = ("--u", "--v")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation of one subcommand."""
-
-    command: str
-    protocol: ProtocolSpec | None = None
-    grid_points: int = 61
-    n: int = 100_000
-    seed: int = 0
-    out_path: Path | None = None
-    format: str = "csv"
-    workers: int = 1
-    settings: ChshSettings = CANONICAL_SETTINGS
-    a: float | None = None
-    b: float | None = None
-    shares: tuple[float, ...] = ()
 
 
 def _g17(x: float) -> str:
@@ -196,44 +182,46 @@ def _replacing(paths: list[Path]):
                 os.unlink(tmp)
 
 
-def cmd_curve(config: RunConfig) -> int:
-    formats = ("csv", "svg") if config.format == "both" else (config.format,)
-    if config.out_path is None:
+def cmd_curve(args) -> int:
+    protocol = _protocol_from_args(args)
+    if args.format == "both" and args.out is None:
+        raise ConfigurationError("--format both requires --out")
+    formats = ("csv", "svg") if args.format == "both" else (args.format,)
+    if args.out is None:
         paths = []
-    elif config.format == "both":
-        paths = [config.out_path.with_suffix("." + suffix) for suffix in formats]
+    elif args.format == "both":
+        paths = [args.out.with_suffix("." + suffix) for suffix in formats]
     else:
-        paths = [config.out_path]
+        paths = [args.out]
     with _replacing(paths) as files:
         sweep = sweep_curve(
-            config.protocol,
-            config.grid_points,
-            config.n,
-            config.seed,
-            workers=config.workers,
+            protocol, args.grid, args.n, args.seed, workers=args.workers
         )
         for suffix, fh in zip(formats, files or [sys.stdout] * len(formats)):
             fh.write(_curve_text(sweep, suffix))
     return EXIT_OK
 
 
-def cmd_chsh(config: RunConfig) -> int:
+def cmd_chsh(args) -> int:
+    protocol = _protocol_from_args(args)
+    overrides = {
+        field.name: _angle(getattr(args, field.name), args.degrees)
+        for field in fields(ChshSettings)
+        if getattr(args, field.name) is not None
+    }
+    settings = replace(CANONICAL_SETTINGS, **overrides)
     result = chsh_sampled(
-        config.protocol,
-        config.settings,
-        config.n,
-        config.seed,
-        workers=config.workers,
+        protocol, settings, args.n, args.seed, workers=args.workers
     )
     print(
         ",".join(
             (
-                config.protocol.kind.value,
+                protocol.kind.value,
                 _g17(result.s),
                 _g17(result.abs_s),
                 result.classification.value,
                 _g17(result.stderr_s),
-                str(config.seed),
+                str(args.seed),
             )
         )
     )
@@ -249,8 +237,8 @@ def cmd_chsh(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = run_all_checks(seed=config.seed, workers=config.workers)
+def cmd_verify(args) -> int:
+    results = run_all_checks(seed=args.seed, workers=args.workers)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
@@ -261,15 +249,15 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_configured_trial(config: RunConfig) -> TrialRecord:
-    """Run one trial from explicit CLI-supplied shares."""
-    spec = config.protocol
-    return PROTOCOLS[spec.kind].trial(spec, config.a, config.b, *config.shares)
-
-
-def cmd_trial(config: RunConfig) -> int:
-    record = run_configured_trial(config)
-    print(f"protocol: {config.protocol.kind.value}")
+def cmd_trial(args) -> int:
+    spec = _protocol_from_args(args)
+    record = PROTOCOLS[spec.kind].trial(
+        spec,
+        _angle(args.a, args.degrees),
+        _angle(args.b, args.degrees),
+        *_trial_shares(args, spec),
+    )
+    print(f"protocol: {spec.kind.value}")
     print(f"a: {_g17(record.a)}")
     print(f"b: {_g17(record.b)}")
     print(f"shares: ({', '.join(_g17(s) for s in record.shares)})")
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_protocol=True):
+    def add_common(p, with_protocol=True, sampled=True):
         if with_protocol:
             p.add_argument(
                 "--protocol",
@@ -362,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="bits per trial for the adaptive protocol (default 3,"
                 " at most 52)",
             )
-        p.add_argument("--seed", type=_seed_type, default=0)
-        p.add_argument("--workers", type=_workers_type, default=1)
+        if sampled:
+            p.add_argument("--seed", type=_seed_type, default=0)
+            p.add_argument("--workers", type=_workers_type, default=1)
         p.add_argument(
             "--degrees",
             action="store_true",
@@ -380,14 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     chsh_p = sub.add_parser("chsh", help="run a CHSH experiment")
     add_common(chsh_p)
     chsh_p.add_argument("--n", type=_trials_type, default=1_000_000)
-    for flag in ("--a", "--a-prime", "--b", "--b-prime"):
-        chsh_p.add_argument(flag, type=_angle_type, default=None)
+    for field in fields(ChshSettings):
+        chsh_p.add_argument(
+            "--" + field.name.replace("_", "-"), type=_angle_type, default=None
+        )
 
     verify_p = sub.add_parser("verify", help="run the self-check suite")
     add_common(verify_p, with_protocol=False)
 
     trial = sub.add_parser("trial", help="run and print a single trial")
-    add_common(trial)
+    add_common(trial, sampled=False)
     trial.add_argument("--a", type=_angle_type, required=True)
     trial.add_argument("--b", type=_angle_type, required=True)
     trial.add_argument("--lambda", type=_angle_type, default=None)
@@ -397,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _angle(value: float | None, degrees: bool) -> float | None:
-    if value is None:
-        return None
+def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
@@ -439,59 +428,6 @@ def _trial_shares(args, spec: ProtocolSpec) -> tuple[float, ...]:
     return tuple(shares)
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.command == "verify":
-        return RunConfig(
-            command="verify", seed=args.seed, workers=args.workers
-        )
-    protocol = _protocol_from_args(args)
-    if args.command == "curve":
-        if args.format == "both" and args.out is None:
-            raise ConfigurationError("--format both requires --out")
-        return RunConfig(
-            command="curve",
-            protocol=protocol,
-            grid_points=args.grid,
-            n=args.n,
-            seed=args.seed,
-            out_path=args.out,
-            format=args.format,
-            workers=args.workers,
-        )
-    if args.command == "chsh":
-        base = CANONICAL_SETTINGS
-        settings = ChshSettings(
-            a=_angle(args.a, args.degrees) if args.a is not None else base.a,
-            a_prime=(
-                _angle(args.a_prime, args.degrees)
-                if args.a_prime is not None
-                else base.a_prime
-            ),
-            b=_angle(args.b, args.degrees) if args.b is not None else base.b,
-            b_prime=(
-                _angle(args.b_prime, args.degrees)
-                if args.b_prime is not None
-                else base.b_prime
-            ),
-        )
-        return RunConfig(
-            command="chsh",
-            protocol=protocol,
-            n=args.n,
-            seed=args.seed,
-            workers=args.workers,
-            settings=settings,
-        )
-    return RunConfig(
-        command="trial",
-        protocol=protocol,
-        seed=args.seed,
-        a=_angle(args.a, args.degrees),
-        b=_angle(args.b, args.degrees),
-        shares=_trial_shares(args, protocol),
-    )
-
-
 _COMMANDS = {
     "curve": cmd_curve,
     "chsh": cmd_chsh,
@@ -507,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

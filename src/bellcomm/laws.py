@@ -25,6 +25,8 @@ from .errors import (
 )
 
 HALF_PI = 0.5 * math.pi
+# the absolute error the quadrature oracles aim for on their scaled results
+QUAD_TOL = 1e-9
 
 
 def _rescaled(theta: float) -> float:
@@ -128,7 +130,7 @@ def shift_averaged_law(theta: float) -> float:
     return value
 
 
-def shift_average_quadrature(theta: float, quad_tol: float = 1e-9) -> float:
+def shift_average_quadrature(theta: float) -> float:
     """Average of fixed_shift_law over delta uniform on [0, pi/2], by quadrature.
 
     Integrates (2/pi) * Integral_0^{pi/2} E(theta, delta) d(delta).  The
@@ -138,8 +140,6 @@ def shift_average_quadrature(theta: float, quad_tol: float = 1e-9) -> float:
     """
     from scipy.integrate import quad
 
-    if quad_tol <= 0.0:
-        raise DomainError("quad_tol must be positive")
     _rescaled(theta)
     crossings = {
         2.0 * theta,
@@ -153,14 +153,14 @@ def shift_average_quadrature(theta: float, quad_tol: float = 1e-9) -> float:
         0.0,
         HALF_PI,
         points=kinks or None,
-        epsabs=0.25 * quad_tol * HALF_PI,
+        epsabs=0.25 * QUAD_TOL * HALF_PI,
         epsrel=0.0,
         limit=200,
     )
     scaled = value * 2.0 / math.pi
-    if abserr * 2.0 / math.pi > quad_tol:
+    if abserr * 2.0 / math.pi > QUAD_TOL:
         raise NumericError(
-            f"shift average quadrature error {abserr:.3e} exceeds {quad_tol:.3e}"
+            f"shift average quadrature error {abserr:.3e} exceeds {QUAD_TOL:.3e}"
         )
     return scaled
 
@@ -177,7 +177,7 @@ def mean_sign_vs_reference(t: float) -> float:
     return 2.0 * t / math.pi - 1.0
 
 
-def mean_sign_vs_reference_quad(t: float, quad_tol: float = 1e-9) -> float:
+def mean_sign_vs_reference_quad(t: float) -> float:
     """Quadrature oracle for mean_sign_vs_reference.
 
     Integrates sgn(cos(x) - cos(t)) / (2*pi) over the full circle, with
@@ -187,8 +187,6 @@ def mean_sign_vs_reference_quad(t: float, quad_tol: float = 1e-9) -> float:
 
     if not 0.0 <= t <= math.pi:
         raise DomainError(f"reference angle must lie in [0, pi], got {t!r}")
-    if quad_tol <= 0.0:
-        raise DomainError("quad_tol must be positive")
     ref = math.cos(t)
     points = sorted({t, 2.0 * math.pi - t} - {0.0, 2.0 * math.pi})
     value, abserr = quad(
@@ -196,18 +194,18 @@ def mean_sign_vs_reference_quad(t: float, quad_tol: float = 1e-9) -> float:
         0.0,
         2.0 * math.pi,
         points=points or None,
-        epsabs=quad_tol,
+        epsabs=QUAD_TOL,
         epsrel=0.0,
         limit=200,
     )
-    if abserr > 10.0 * quad_tol:
+    if abserr > 10.0 * QUAD_TOL:
         raise NumericError(
-            f"sign-mean quadrature error {abserr:.3e} exceeds {quad_tol:.3e}"
+            f"sign-mean quadrature error {abserr:.3e} exceeds {QUAD_TOL:.3e}"
         )
     return value / (2.0 * math.pi)
 
 
-def two_share_integral(r: float, quad_tol: float = 1e-9) -> float:
+def two_share_integral(r: float) -> float:
     """Share-pair correlation as the folded single integral, by quadrature.
 
     Evaluates (4/pi^2) * Integral_0^pi sgn(cos(tau)) |tau - r| d(tau),
@@ -218,22 +216,20 @@ def two_share_integral(r: float, quad_tol: float = 1e-9) -> float:
 
     if not 0.0 <= r <= math.pi:
         raise DomainError(f"r must lie in [0, pi], got {r!r}")
-    if quad_tol <= 0.0:
-        raise DomainError("quad_tol must be positive")
     points = sorted({HALF_PI, r} - {0.0, math.pi})
     value, abserr = quad(
         lambda tau: float(sgn(math.cos(tau))) * abs(tau - r),
         0.0,
         math.pi,
         points=points or None,
-        epsabs=0.25 * quad_tol * math.pi**2,
+        epsabs=0.25 * QUAD_TOL * math.pi**2,
         epsrel=0.0,
         limit=200,
     )
     scaled = value * 4.0 / math.pi**2
-    if abserr * 4.0 / math.pi**2 > quad_tol:
+    if abserr * 4.0 / math.pi**2 > QUAD_TOL:
         raise NumericError(
-            f"folded integral quadrature error {abserr:.3e} exceeds {quad_tol:.3e}"
+            f"folded integral quadrature error {abserr:.3e} exceeds {QUAD_TOL:.3e}"
         )
     return scaled
 

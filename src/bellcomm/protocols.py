@@ -14,8 +14,10 @@ shared-direction twins run no trig on the full arrays: every sign of
 fixed_products and two_share_products is a compare of the shares, or of
 their midpoint and half-difference, against the ends of an arc, and the
 few trials near an end are redone with the scalar trial's own formulas,
-which also decide every degenerate raise.  quantum_products is one
-compare of Bob's draw against the scalar trial's threshold.
+which also decide every degenerate raise.  Settings or shares too large
+for the compares to resolve send every trial to that redo.
+quantum_products is one compare of Bob's draw against the scalar
+trial's threshold.
 
 PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
 protocol carries, the scale of each share plane the sampler draws, its
@@ -128,6 +130,8 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 # both branches: trials with h within SMALL_SHIFT of a zero of cos h or
 # sin h are redone, and the same bound holds for the rest.
 SMALL_SHIFT = 1e-3
+# The most arc ends _on_arc walks; shares drawn in [0, 2 pi) need at most five.
+_MAX_ENDS = 64
 
 
 def _window(x) -> tuple[float, float]:
@@ -152,16 +156,21 @@ def _on_arc(x, window, centre: float, tol: float):
     centre + pi/2 + k pi, so it is the parity of the ends below x: one
     pair of compares per end inside window, which bounds x, and none
     per end outside it.  The first array is the sign; the second marks
-    the x within tol of an end, whose sign the caller redoes.
+    the x within tol of an end, whose sign the caller redoes.  From a
+    tol of pi/4 the windows about neighbouring ends could overlap and
+    cancel in the parity, and a walk past _MAX_ENDS ends means a window
+    too wide, or ends too coarsely rounded, to walk: then every x is
+    marked.
     """
     lo, hi = window
+    if tol >= 0.25 * math.pi or not hi - lo < _MAX_ENDS * math.pi:
+        return np.zeros(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
     # start an end at least pi below lo; cos(x - centre) >= 0 just above
     # an end with odd k
-    k = math.floor((lo - centre) / math.pi - 0.5) - 1
-    positive = k % 2 == 1
+    first = math.floor((lo - centre) / math.pi - 0.5)
+    positive = first % 2 == 0
     below = above = None
-    while True:
-        k += 1
+    for k in range(first, first + _MAX_ENDS):
         end = centre + HALF_PI + k * math.pi
         if end + tol < lo:
             positive = not positive
@@ -172,6 +181,8 @@ def _on_arc(x, window, centre: float, tol: float):
         else:
             below ^= x >= end - tol
             above ^= x > end + tol
+    else:
+        return np.zeros(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
     if below is None:
         return np.full(x.shape, positive), np.zeros(x.shape, dtype=bool)
     near = below ^ above

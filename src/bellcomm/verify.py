@@ -130,7 +130,7 @@ def _check_law_endpoints_and_bounds() -> CheckResult:
 def _check_shift_average_identity() -> CheckResult:
     worst = 0.0
     for theta in _theta_grid(181):
-        gap = abs(shift_average_quadrature(theta, 1e-9) - shift_averaged_law(theta))
+        gap = abs(shift_average_quadrature(theta) - shift_averaged_law(theta))
         worst = max(worst, gap)
     return CheckResult(
         "shift-average-identity", worst <= 1e-8, worst, 1e-8
@@ -148,7 +148,7 @@ def _check_sign_mean_oracle() -> CheckResult:
 def _check_folded_integral_oracle() -> CheckResult:
     worst = 0.0
     for r in _theta_grid(100):
-        gap = abs(two_share_integral(r, 1e-9) - shift_averaged_law(r))
+        gap = abs(two_share_integral(r) - shift_averaged_law(r))
         worst = max(worst, gap)
     return CheckResult("folded-integral-oracle", worst <= 1e-8, worst, 1e-8)
 
@@ -200,6 +200,19 @@ def _check_averaged_law_curvature() -> CheckResult:
     )
 
 
+def _worst_point(
+    spec: ProtocolSpec, law: CorrelationLaw, mc_n: int, seed: int, workers: int
+) -> tuple[float, float]:
+    """The largest |E_mc - law| over a 13-point sweep, and its theta."""
+    sweep = montecarlo.sweep_curve(spec, 13, mc_n, seed, workers=workers)
+    worst = worst_theta = 0.0
+    for theta, est in zip(sweep.grid, sweep.estimates):
+        gap = abs(est.mean - law.evaluate(theta))
+        if gap > worst:
+            worst, worst_theta = gap, theta
+    return worst, worst_theta
+
+
 def _mc_curve_check(
     name: str,
     spec: ProtocolSpec,
@@ -207,20 +220,10 @@ def _mc_curve_check(
     mc_n: int,
     seed: int,
     workers: int,
-    deltas_note: str = "",
 ) -> CheckResult:
     tol = 0.02 * math.sqrt(100_000 / mc_n)
-    sweep = montecarlo.sweep_curve(spec, 13, mc_n, seed, workers=workers)
-    worst = 0.0
-    worst_theta = 0.0
-    for theta, est in zip(sweep.grid, sweep.estimates):
-        gap = abs(est.mean - law.evaluate(theta))
-        if gap > worst:
-            worst, worst_theta = gap, theta
-    detail = f"max at theta={worst_theta:.4f}"
-    if deltas_note:
-        detail += f", {deltas_note}"
-    return CheckResult(name, worst <= tol, worst, tol, detail)
+    worst, theta = _worst_point(spec, law, mc_n, seed, workers)
+    return CheckResult(name, worst <= tol, worst, tol, f"max at theta={theta:.4f}")
 
 
 def _check_mc_fixed_shift(mc_n, seed, workers) -> CheckResult:
@@ -228,16 +231,16 @@ def _check_mc_fixed_shift(mc_n, seed, workers) -> CheckResult:
     worst = 0.0
     detail = ""
     for i, delta in enumerate(SHIFT_GRID):
-        spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
-        law = CorrelationLaw(LawKind.FIXED_SHIFT, delta=delta)
-        sweep = montecarlo.sweep_curve(
-            spec, 13, mc_n, montecarlo.child_seed(seed, i), workers=workers
+        gap, theta = _worst_point(
+            ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta),
+            CorrelationLaw(LawKind.FIXED_SHIFT, delta=delta),
+            mc_n,
+            montecarlo.child_seed(seed, i),
+            workers,
         )
-        for theta, est in zip(sweep.grid, sweep.estimates):
-            gap = abs(est.mean - law.evaluate(theta))
-            if gap > worst:
-                worst = gap
-                detail = f"max at theta={theta:.4f}, delta={delta:.4f}"
+        if gap > worst:
+            worst = gap
+            detail = f"max at theta={theta:.4f}, delta={delta:.4f}"
     return CheckResult("mc-fixed-shift-curves", worst <= tol, worst, tol, detail)
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bellcomm import cli
+from bellcomm.chsh import CANONICAL_SETTINGS, chsh_sampled
 from bellcomm.cli import build_parser, main, read_curve_csv
 from bellcomm.errors import DegenerateResultantError
 from bellcomm.laws import CorrelationLaw, LawKind
@@ -282,6 +283,13 @@ class TestUsageErrors:
         ["trial", "--protocol", "quantum", "--a", "0", "--b", "1",
          "--u", "x", "--v", "0.5"],
     ]
+    # a single trial draws nothing, so it takes no seed and no workers
+    CASES += [
+        ["trial", "--protocol", "plain", "--a", "0", "--b", "1",
+         "--lambda", "0.5", "--seed", "1"],
+        ["trial", "--protocol", "plain", "--a", "0", "--b", "1",
+         "--lambda", "0.5", "--workers", "2"],
+    ]
 
     @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c) or "empty" for c in CASES])
     def test_exit_code_two(self, capsys, argv):
@@ -476,6 +484,39 @@ def test_chsh_accepts_setting_overrides(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("plain,")
+
+
+@pytest.mark.parametrize(
+    "flags, overrides",
+    [
+        (["--a", "10", "--a-prime", "100", "--b", "-30", "--b-prime", "400",
+          "--degrees"],
+         {"a": math.radians(10), "a_prime": math.radians(100),
+          "b": math.radians(-30), "b_prime": math.radians(400)}),
+        (["--b-prime", "20", "--degrees"], {"b_prime": math.radians(20)}),
+        (["--a-prime", "0.7"], {"a_prime": 0.7}),
+    ],
+)
+def test_chsh_overrides_replace_only_their_settings(capsys, flags, overrides):
+    # each given setting is converted, the others stay canonical, and
+    # the run is the library's on those settings
+    argv = ["chsh", "--protocol", "two-share", "--n", "3000", "--seed", "4"]
+    code, out, _ = run(capsys, argv + flags)
+    assert code == 0
+    spec = ProtocolSpec(ProtocolKind.TWO_SHARE)
+    res = chsh_sampled(spec, replace(CANONICAL_SETTINGS, **overrides), 3000, 4)
+    assert out.splitlines()[0] == (
+        f"two-share,{res.s:.17g},{res.abs_s:.17g},{res.classification.value},"
+        f"{res.stderr_s:.17g},4"
+    )
+
+
+def test_curve_delta_in_degrees_matches_radians(capsys):
+    argv = ["curve", "--protocol", "fixed-shift", "--grid", "5", "--n", "2000"]
+    deg = run(capsys, argv + ["--delta", "36", "--degrees"])
+    rad = run(capsys, argv + ["--delta", repr(math.radians(36))])
+    assert deg == rad
+    assert deg[0] == 0
 
 
 def test_trial_two_share_frozen(capsys):

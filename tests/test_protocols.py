@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -630,6 +631,80 @@ class TestArcCompareKernel:
             run_trial_twoshare(a, b, lo, hi)
         with pytest.raises(DegenerateResultantError):
             two_share_products(a, b, lam1, lam2)
+
+    SHARED_DIRECTION = [
+        ProtocolSpec(ProtocolKind.PLAIN),
+        ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=math.pi / 5),
+        ProtocolSpec(ProtocolKind.RANDOM_SHIFT),
+        ProtocolSpec(ProtocolKind.TWO_SHARE),
+    ]
+    LARGE = [2e14, 1e15, 1e17, 1e20, 1e300]
+
+    @staticmethod
+    def _sampled(spec, a, b, place=None):
+        """The vector products, timed, and the scalar trial products on
+        4096 uniform draws scaled as the sampler scales them; place, if
+        given, edits the list of angle planes in place first."""
+        row = PROTOCOLS[spec.kind]
+        n = 1 << 12
+        shares = [
+            scale * np.random.default_rng(plane).random(n)
+            for plane, scale in enumerate(row.planes)
+        ]
+        if place is not None:
+            place([x for x, scale in zip(shares, row.planes) if scale == TWO_PI])
+        start = time.perf_counter()
+        got = row.products(spec, a, b, n, *shares).tolist()
+        elapsed = time.perf_counter() - start
+        want = [row.trial(spec, a, b, *t).product for t in zip(*shares)]
+        return got, want, elapsed
+
+    @pytest.mark.parametrize(
+        "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
+    )
+    @pytest.mark.parametrize(
+        "a, b", [(x, 0.3) for x in LARGE] + [(0.3, x) for x in LARGE]
+    )
+    def test_large_settings(self, spec, a, b):
+        # from a setting of about 5e13 the slack reaches pi/4, where the
+        # windows about neighbouring arc ends would overlap and cancel in
+        # the parity: every trial must fall to the exact redo, at once
+        got, want, elapsed = self._sampled(spec, a, b)
+        assert got == want
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
+    )
+    @pytest.mark.parametrize("big", [1e5, 1e300, 1.7e308])
+    # random-shift's midpoint lam + (lam + delta) overflows at 1.7e308
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_one_far_share_per_plane(self, spec, big):
+        # one share far out widens a window over many arc ends; a second
+        # plane gets -big, so at 1.7e308 the window of the half-difference
+        # overflows to infinity
+        def place(planes):
+            for i, plane in enumerate(planes):
+                plane[7 + i] = -big if i else big
+
+        got, want, elapsed = self._sampled(spec, 0.3, 1.1, place)
+        assert got == want
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
+    )
+    @pytest.mark.parametrize("big", [1e5, 1e300, -1e300])
+    def test_far_share_plane(self, spec, big):
+        # the last angle plane moved far out; for two-share the window of
+        # the half-difference stays narrow but, at 1e300, all its arc ends
+        # round to one double, so the walk must stop of itself
+        def place(planes):
+            planes[-1] += big
+
+        got, want, elapsed = self._sampled(spec, 0.3, 1.1, place)
+        assert got == want
+        assert elapsed < 0.5
 
     def test_out_of_range_shift_or_share_is_refused(self):
         # the arc compares hold for shifts in [0, pi/2] and finite shares;
