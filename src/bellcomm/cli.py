@@ -350,14 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
                 help="bits per trial for the adaptive protocol (default 3,"
                 " at most 52)",
             )
+            # every command that takes a protocol takes angles; verify
+            # takes neither
+            p.add_argument(
+                "--degrees",
+                action="store_true",
+                help="interpret all angle arguments as degrees",
+            )
         if sampled:
             p.add_argument("--seed", type=_seed_type, default=0)
             p.add_argument("--workers", type=_workers_type, default=1)
-        p.add_argument(
-            "--degrees",
-            action="store_true",
-            help="interpret all angle arguments as degrees",
-        )
 
     curve = sub.add_parser("curve", help="sweep a correlation curve")
     add_common(curve)

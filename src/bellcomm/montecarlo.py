@@ -16,6 +16,11 @@ The draw for trial i on a plane is word i of that plane's stream, so it
 depends only on (seed, plane, i), never on chunk size, thread count, or
 execution order.
 
+Each thread draws its share planes into buffers of its own, one CHUNK
+of doubles per plane, and reuses them for every chunk it draws, so a
+row's products must never alias its shares: the next chunk on the same
+thread would overwrite them.
+
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
 the same shares.  The norm is 2 for plain and at least 2 sin(delta/2)
@@ -30,6 +35,7 @@ chunk, which makes every estimate bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,11 +58,15 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def uniforms(seed: int, plane: int, start: int, count: int) -> np.ndarray:
+def uniforms(
+    seed: int, plane: int, start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform [0, 1) doubles for trial indices [start, start + count).
 
     start must be 4-aligned so the stream is prefix-stable: the value for
-    trial i never depends on how many trials are requested.
+    trial i never depends on how many trials are requested.  With out, a
+    float64 array of shape (count,), the doubles are written into it and
+    it is returned; the values are the same either way.
     """
     _check_seed(seed)
     if start % 4:
@@ -65,7 +75,7 @@ def uniforms(seed: int, plane: int, start: int, count: int) -> np.ndarray:
         key=np.array([seed, 0], dtype=np.uint64),
         counter=np.array([start // 4, plane, 0, 0], dtype=np.uint64),
     )
-    return Generator(bitgen).random(count)
+    return Generator(bitgen).random(count, out=out)
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -75,11 +85,26 @@ def child_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# Each thread's share buffers, one CHUNK of doubles per plane, reused by
+# every chunk the thread draws: a fresh 512 KiB array per plane per chunk
+# is handed back to the OS when the chunk ends and faulted in again.
+_buffers = threading.local()
+
+
+def _plane_buffer(plane: int) -> np.ndarray:
+    planes = getattr(_buffers, "planes", None)
+    if planes is None:
+        planes = _buffers.planes = []
+    while len(planes) <= plane:
+        planes.append(np.empty(CHUNK))
+    return planes[plane]
+
+
 def _chunk_products(spec, a, b, seed, start, count):
     row = PROTOCOLS[spec.kind]
     shares = []
     for plane, scale in enumerate(row.planes):
-        u = uniforms(seed, plane, start, count)
+        u = uniforms(seed, plane, start, count, out=_plane_buffer(plane)[:count])
         if scale is not None:
             u *= scale
         shares.append(u)

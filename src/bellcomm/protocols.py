@@ -287,8 +287,10 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
         # lam + delta and the midpoint lie at most pi/2 above the shares
         mid_window = (window[0], window[1] + HALF_PI)
         s2, near_v = _on_arc(v, mid_window, a, tol)
-        mid = np.add(lam, v, out=v)
-        mid *= 0.5
+        # halving first cannot overflow near the largest doubles, and
+        # halving is exact, so this rounds as (lam + v) * 0.5 does
+        mid = np.multiply(v, 0.5, out=v)
+        mid += 0.5 * lam
         b_mid = b
     plus, near_plus = _on_arc(mid, mid_window, b_mid, tol)
     minus, near_minus = _on_arc(mid, mid_window, b_mid + HALF_PI, tol)

@@ -243,6 +243,8 @@ class TestUsageErrors:
         ["verify", "--workers", "-1"],
         ["curve", "--protocol", "plain", "--workers", "two"],
     ]
+    # verify takes no angle, so no --degrees
+    CASES += [["verify", "--degrees"]]
     # a value flag the chosen protocol does not take
     CASES += [
         ["chsh", "--protocol", "random-shift", "--k", "3"],

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -70,6 +72,14 @@ class TestUniforms:
         u = uniforms(7, 3, 0, 1000)
         assert float(u.min()) >= 0.0
         assert float(u.max()) < 1.0
+
+    # a full chunk, and the partial last chunk of 1e5 trials
+    @pytest.mark.parametrize("count", [CHUNK, 100_000 - CHUNK])
+    def test_draws_into_a_buffer(self, count):
+        buf = np.empty(CHUNK)
+        got = uniforms(5, 1, 4 * CHUNK, count, out=buf[:count])
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == uniforms(5, 1, 4 * CHUNK, count).tobytes()
 
 
 def test_child_seed_stable_and_spread():
@@ -250,7 +260,7 @@ def test_degenerate_two_share_draw_raises(monkeypatch):
     with pytest.raises(DegenerateResultantError):
         run_trial_twoshare(a, 1.0, 0.0, math.pi)
 
-    def draws(seed, plane, start, count):
+    def draws(seed, plane, start, count, out=None):
         # plane 0 scales to lambda1 = 0, plane 1 to lambda2 = pi exactly
         return np.full(count, 0.5 * plane)
 
@@ -321,3 +331,45 @@ class TestPoolSize:
         sweep_curve(PLAIN, 4, 64, 1, workers=workers)
         estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers=workers)
         assert pools == []
+
+
+class TestConcurrentCallers:
+    """Each thread draws into its own buffers, reused from chunk to
+    chunk; callers on two threads at once must each get their serial
+    result, at any worker count."""
+
+    N = 3 * CHUNK + 17
+    JOBS = [(TWOSHARE, 0.3, 1.1, 5), (TWOSHARE, 0.3, 1.1, 6)]
+
+    def _run(self, spec, a, b, seed, workers):
+        return (
+            estimate_correlation(spec, a, b, self.N, seed, workers=workers),
+            sample_products(spec, a, b, self.N, seed).tobytes(),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_threads_at_once(self, workers):
+        want = [self._run(*job, workers=1) for job in self.JOBS]
+        got = [[] for _ in self.JOBS]
+        start = threading.Barrier(len(self.JOBS))
+
+        def caller(i):
+            start.wait(timeout=30)
+            for _ in range(3):
+                got[i].append(self._run(*self.JOBS[i], workers=workers))
+
+        threads = [
+            threading.Thread(target=caller, args=(i,))
+            for i in range(len(self.JOBS))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]

@@ -87,6 +87,21 @@ def test_every_kind_has_exactly_one_row():
         assert len(drawn) == len(row.planes), kind
 
 
+def test_products_never_alias_shares():
+    # the sampler reuses its share buffers for the next chunk, so
+    # products that were a view of a share would change under the caller
+    params = {"delta": math.pi / 5, "k_bits": 3}
+    rng = np.random.default_rng(4)
+    for kind, row in PROTOCOLS.items():
+        spec = ProtocolSpec(kind, **({row.param: params[row.param]} if row.param else {}))
+        shares = [
+            rng.random(256) * (1.0 if scale is None else scale)
+            for scale in row.planes
+        ]
+        products = row.products(spec, 0.4, 1.3, 256, *shares)
+        assert not any(np.shares_memory(products, x) for x in shares), kind
+
+
 def test_bob_helpers_never_see_alice_setting():
     # the locality split: no Bob-side function takes the setting a
     for fn in (bob_output_fixed, bob_output_twoshare, bob_output_adaptive):
@@ -690,6 +705,17 @@ class TestArcCompareKernel:
         got, want, elapsed = self._sampled(spec, 0.3, 1.1, place)
         assert got == want
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("big", [1.7e308, np.finfo(float).max])
+    @pytest.mark.filterwarnings("error")
+    def test_random_shift_midpoint_near_largest_double(self, big):
+        # lam + (lam + delta) overflows here; the midpoint must not
+        def place(planes):
+            planes[0][7::512] = big
+
+        spec = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
+        got, want, _ = self._sampled(spec, 0.3, 1.1, place)
+        assert got == want
 
     @pytest.mark.parametrize(
         "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
