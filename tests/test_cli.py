@@ -53,6 +53,45 @@ GOLDEN_TWO_SHARE_CSV = (
     "3.1415926535897931,1,1,0,20000,two-share,,0\n"
 )
 
+# verify at the default seed 0, identical at every worker count: the law
+# checks' deviations and the Monte Carlo checks' sampled figures
+GOLDEN_VERIFY = (
+    "PASS step-law-matches-five-branch: deviation 0.000e+00 (tolerance"
+    " 1.000e-12)\n"
+    "PASS five-branch-continuity: deviation 1.110e-16 (tolerance 1.000e-12)\n"
+    "PASS five-branch-point-symmetry: deviation 4.441e-16 (tolerance"
+    " 1.000e-12)\n"
+    "PASS law-endpoints-and-bounds: deviation 0.000e+00 (tolerance"
+    " 1.000e-12)\n"
+    "PASS shift-average-identity: deviation 3.331e-16 (tolerance 1.000e-08)\n"
+    "PASS sign-mean-oracle: deviation 3.331e-16 (tolerance 1.000e-06)\n"
+    "PASS folded-integral-oracle: deviation 4.441e-16 (tolerance 1.000e-08)\n"
+    "PASS superquantum-crossing: deviation 4.357e-02 (tolerance 1.000e-09)"
+    " [smallest best margin over the shift grid; must stay above tolerance]\n"
+    "PASS averaged-law-curvature: deviation 1.180e-11 (tolerance"
+    " 1.000e-06) [max gap to cosine 0.0560, must exceed 0.01]\n"
+    "PASS mc-fixed-shift-curves: deviation 1.633e-02 (tolerance 4.472e-02)"
+    " [max at theta=1.3090, delta=1.2566]\n"
+    "PASS mc-two-share-curve: deviation 5.844e-03 (tolerance 4.472e-02)"
+    " [max at theta=1.8326]\n"
+    "PASS mc-random-shift-curve: deviation 9.300e-03 (tolerance 4.472e-02)"
+    " [max at theta=0.7854]\n"
+    "PASS mc-plain-curve: deviation 1.537e-02 (tolerance 4.472e-02) [max"
+    " at theta=1.0472]\n"
+    "PASS mc-quantum-curve: deviation 8.075e-03 (tolerance 4.472e-02) [max"
+    " at theta=0.5236]\n"
+    "PASS chsh-analytic-values: deviation 0.000e+00 (tolerance 1.000e-12)\n"
+    "PASS chsh-monotone-in-shift: deviation 0.000e+00 (tolerance"
+    " 0.000e+00) [abs_s must not decrease along the shift grid]\n"
+    "PASS chsh-fixed-shift-orthogonal: deviation 0.000e+00 (tolerance"
+    " 1.000e-02) [distance below the algebraic bound]\n"
+    "PASS chsh-quantum-reference: deviation 3.667e-03 (tolerance 3.162e-02)\n"
+    "PASS chsh-plain-local: deviation 7.760e-03 (tolerance 3.162e-02)\n"
+    "PASS chsh-adaptive-exact: deviation 0.000e+00 (tolerance 0.000e+00)"
+    " [3 bits per trial]\n"
+    "all 20 checks passed\n"
+)
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -566,6 +605,13 @@ def test_degrees_flag_matches_radians(capsys):
     )
     assert deg == rad
     assert deg[0] == 0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_golden_bytes(capsys, workers):
+    code, out, _ = run(capsys, ["verify", "--workers", workers])
+    assert code == 0
+    assert out == GOLDEN_VERIFY
 
 
 def test_verify_command_passes(capsys):

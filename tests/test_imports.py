@@ -1,10 +1,12 @@
 """What importing the package loads, and the lazy imports that keep it small.
 
-scipy is loaded only by the quadrature oracles, on their first call, and
-the SVG writer escapes text with html.escape instead of xml.sax.saxutils,
-which would pull in urllib, http.client and the email parser.
+Nothing in the package needs scipy: the quadrature oracles and the whole
+verify command run with it blocked.  The SVG writer escapes text with
+html.escape instead of xml.sax.saxutils, which would pull in urllib,
+http.client and the email parser.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from bellcomm import cli, svgplot
 from bellcomm.montecarlo import sweep_curve
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
+from test_cli import GOLDEN_VERIFY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,30 +56,36 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
     ]
 
 
-@pytest.mark.parametrize(
-    "oracle, closed_form, tol",
-    [
-        ("shift_average_quadrature", "shift_averaged_law", 1e-8),
-        ("mean_sign_vs_reference_quad", "mean_sign_vs_reference", 1e-6),
-        ("two_share_integral", "shift_averaged_law", 1e-8),
-    ],
-)
-def test_oracle_loads_scipy_on_first_call(oracle, closed_form, tol):
+ORACLE_GAPS = [
+    ("shift_average_quadrature", "shift_averaged_law", 1e-8),
+    ("mean_sign_vs_reference_quad", "mean_sign_vs_reference", 1e-6),
+    ("two_share_integral", "shift_averaged_law", 1e-8),
+]
+
+
+def test_oracles_and_verify_run_with_scipy_blocked():
     out = run_fresh(
-        "import math, sys\n"
-        "from bellcomm import laws\n"
-        "print('scipy' in sys.modules)\n"
-        "for j in range(9):\n"
-        "    x = (j / 8) * math.pi\n"
-        f"    print(repr(abs(laws.{oracle}(x) - laws.{closed_form}(x))))\n"
-        "print('scipy' in sys.modules)\n"
+        "import contextlib, io, json, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from bellcomm import cli, laws\n"
+        "gaps = {}\n"
+        f"for oracle, closed_form, _ in {ORACLE_GAPS!r}:\n"
+        "    xs = [(j / 8) * math.pi for j in range(9)]\n"
+        "    gaps[oracle] = [abs(getattr(laws, oracle)(x)\n"
+        "                        - getattr(laws, closed_form)(x)) for x in xs]\n"
+        "stdout = io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout):\n"
+        "    code = cli.main(['verify'])\n"
+        "print(json.dumps({'gaps': gaps, 'code': code,\n"
+        "                  'stdout': stdout.getvalue()}))\n"
     )
-    lines = out.split()
-    assert lines[0] == "False"
-    assert lines[-1] == "True"
-    gaps = [float(line) for line in lines[1:-1]]
-    assert len(gaps) == 9
-    assert max(gaps) < tol
+    report = json.loads(out)
+    for oracle, _, tol in ORACLE_GAPS:
+        gaps = report["gaps"][oracle]
+        assert len(gaps) == 9
+        assert max(gaps) < tol
+    assert report["code"] == 0
+    assert report["stdout"] == GOLDEN_VERIFY
 
 
 def emitted_text() -> list[str]:

@@ -1,13 +1,17 @@
 import math
+import random
+import warnings
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bellcomm import laws
 from bellcomm.errors import (
     BoundaryAmbiguityError,
     ConfigurationError,
     DomainError,
+    NumericError,
 )
 from bellcomm.laws import (
     CorrelationLaw,
@@ -172,6 +176,71 @@ def test_two_share_integral_matches_averaged_law():
         assert two_share_integral(theta) == pytest.approx(
             shift_averaged_law(theta), abs=1e-8
         )
+
+
+class TestKronrod21:
+    # each oracle with the grid verify evaluates it on
+    ORACLES = [
+        (shift_average_quadrature, 181),
+        (mean_sign_vs_reference_quad, 100),
+        (two_share_integral, 100),
+    ]
+
+    @pytest.mark.parametrize("oracle, points", ORACLES)
+    def test_matches_quadpack_bit_for_bit(self, monkeypatch, oracle, points):
+        integrate = pytest.importorskip("scipy.integrate")
+        rule = laws._kronrod21
+        calls = []
+
+        def spy(f, breaks, epsabs):
+            result = rule(f, breaks, epsabs)
+            calls.append((f, breaks, epsabs, result))
+            return result
+
+        monkeypatch.setattr(laws, "_kronrod21", spy)
+        rng = random.Random(20)
+        xs = [(j / (points - 1)) * math.pi for j in range(points)]
+        xs += [rng.uniform(0.0, math.pi) for _ in range(1000)]
+        for x in xs:
+            oracle(x)
+        assert len(calls) == len(xs)
+        for f, breaks, epsabs, result in calls:
+            expected = integrate.quad(
+                f,
+                breaks[0],
+                breaks[-1],
+                points=breaks[1:-1] or None,
+                epsabs=epsabs,
+                epsrel=0.0,
+                limit=200,
+            )
+            assert result == expected, breaks
+
+    @pytest.mark.parametrize(
+        "f", [lambda x: abs(x - 0.3), lambda x: x**25, math.sqrt]
+    )
+    def test_one_piece_matches_unrefined_quadpack(self, f):
+        # limit=1 stops quad after its first qk21, whatever its estimate,
+        # which reaches the branches of the estimate a kinked oracle does not
+        integrate = pytest.importorskip("scipy.integrate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            expected = integrate.quad(f, 0.0, 1.0, limit=1)
+        assert laws._kronrod21(f, [0.0, 1.0], math.inf) == expected
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_exact_on_monomials_up_to_degree_31(self, k):
+        value, _ = laws._kronrod21(lambda x: x**k, [0.0, 1.0], math.inf)
+        assert value == pytest.approx(1.0 / (k + 1), abs=1e-15)
+
+    def test_kink_not_handed_in_raises(self):
+        def f(x):
+            return abs(x - 0.3)
+
+        value, _ = laws._kronrod21(f, [0.0, 0.3, 1.0], 1e-9)
+        assert value == pytest.approx(0.29, abs=1e-15)
+        with pytest.raises(NumericError):
+            laws._kronrod21(f, [0.0, 1.0], 1e-9)
 
 
 @given(thetas)
