@@ -17,9 +17,12 @@ depends only on (seed, plane, i), never on chunk size, thread count, or
 execution order.
 
 Each thread draws its share planes into buffers of its own, one CHUNK
-of doubles per plane, and reuses them for every chunk it draws, so a
-row's products must never alias its shares: the next chunk on the same
-thread would overwrite them.
+of doubles per plane, and reuses them for every chunk it draws; the
+same per-thread buffers (protocols.thread_buffer) also hold the
+kernels' float temporaries.  So a row's mask must never alias its
+shares or that scratch: the next chunk on the same thread would
+overwrite them.  A chunk allocates no float or int64 array a chunk
+long; its boolean masks are an eighth of that.
 
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
@@ -28,14 +31,15 @@ for fixed-shift, so neither can trip it unless delta <= 1e-12, where the
 chance is below 3.2e-13 per trial; for random-shift and two-share it is
 about 1e-24 per trial.
 
-Trial products are +-1 and are accumulated as exact integer sums per
-chunk, which makes every estimate bit-identical for any worker count.
+Each row's kernel returns the mask of the trials whose product is +1,
+so a chunk of count trials sums to 2 * (number of +1 trials) - count:
+an exact integer count, which makes every estimate bit-identical for
+any worker count.  Only sample_products turns masks into int +-1.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,11 +49,7 @@ from numpy.random import Generator, Philox
 from .angles import separation
 from .errors import ConfigurationError, DomainError
 from .laws import CorrelationLaw
-from .protocols import PROTOCOLS, ProtocolSpec
-
-# One Philox counter block is four doubles, so chunk starts stay
-# multiples of four and every chunk begins exactly on a block boundary.
-CHUNK = 1 << 16
+from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
 
 
 def _check_seed(seed: int) -> int:
@@ -85,26 +85,12 @@ def child_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Each thread's share buffers, one CHUNK of doubles per plane, reused by
-# every chunk the thread draws: a fresh 512 KiB array per plane per chunk
-# is handed back to the OS when the chunk ends and faulted in again.
-_buffers = threading.local()
-
-
-def _plane_buffer(plane: int) -> np.ndarray:
-    planes = getattr(_buffers, "planes", None)
-    if planes is None:
-        planes = _buffers.planes = []
-    while len(planes) <= plane:
-        planes.append(np.empty(CHUNK))
-    return planes[plane]
-
-
-def _chunk_products(spec, a, b, seed, start, count):
+def _chunk_mask(spec, a, b, seed, start, count):
+    """Where the products of trials [start, start + count) are +1."""
     row = PROTOCOLS[spec.kind]
     shares = []
     for plane, scale in enumerate(row.planes):
-        u = uniforms(seed, plane, start, count, out=_plane_buffer(plane)[:count])
+        u = uniforms(seed, plane, start, count, out=thread_buffer(plane, count))
         if scale is not None:
             u *= scale
         shares.append(u)
@@ -114,15 +100,19 @@ def _chunk_products(spec, a, b, seed, start, count):
 def sample_products(
     spec: ProtocolSpec, a: float, b: float, n: int, seed: int
 ) -> np.ndarray:
-    """The first n trial products, as an int array; prefix-stable in n."""
+    """The first n trial products, as an int64 array of +1 and -1;
+    prefix-stable in n.  The estimates count the kernels' masks
+    instead, so only this function builds the +-1 array."""
     if n < 1:
         raise ConfigurationError(f"n must be at least 1, got {n!r}")
     _check_seed(seed)
-    parts = [
-        _chunk_products(spec, a, b, seed, start, min(CHUNK, n - start))
+    products = np.concatenate([
+        _chunk_mask(spec, a, b, seed, start, min(CHUNK, n - start))
         for start in range(0, n, CHUNK)
-    ]
-    return np.concatenate(parts)
+    ]).astype(np.int64)
+    products *= 2
+    products -= 1
+    return products
 
 
 def _fan_out(func, items: range, workers: int) -> list:
@@ -162,16 +152,16 @@ def estimate_correlation(
 
     Identical arguments give bit-identical results for any worker count:
     each trial's randomness is addressed by (seed, trial index) alone and
-    the chunk sums are exact integers.
+    the chunk sums are exact integers, counted from the kernels' masks.
     """
     if n < 1:
         raise ConfigurationError(f"n must be at least 1, got {n!r}")
     _check_seed(seed)
 
     def chunk_sum(start: int) -> int:
-        return int(
-            _chunk_products(spec, a, b, seed, start, min(CHUNK, n - start)).sum()
-        )
+        count = min(CHUNK, n - start)
+        mask = _chunk_mask(spec, a, b, seed, start, count)
+        return 2 * int(np.count_nonzero(mask)) - count
 
     total = sum(_fan_out(chunk_sum, range(0, n, CHUNK), workers))
     mean = total / n

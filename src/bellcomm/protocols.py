@@ -8,9 +8,12 @@ Alice's outcome reads (a, shares) only and Bob's outcome reads
 setting a at all, so the locality split is visible in the signatures.
 
 Next to each scalar trial sits the *_products function the sampler runs
-over share arrays.  The scalar code is the reference: the vector twin
-must give the same product, bit for bit, for the same shares.  The
-shared-direction twins run no trig on the full arrays: every sign of
+over share arrays.  It returns a boolean mask, True where the trial's
+product alpha * beta is +1 and False where it is -1, a new array that
+shares no memory with the shares or with the thread's buffers.  The
+scalar code is the reference: the mask must give the same product, bit
+for bit, for the same shares.  The shared-direction twins run no trig
+on the full arrays: every sign of
 fixed_products and two_share_products is a compare of the shares, or of
 their midpoint and half-difference, against the ends of an arc, and the
 few trials near an end are redone with the scalar trial's own formulas,
@@ -18,6 +21,10 @@ which also decide every degenerate raise.  Settings or shares too large
 for the compares to resolve send every trial to that redo.
 quantum_products is one compare of Bob's draw against the scalar
 trial's threshold.
+
+The kernels keep their float temporaries, a chunk long, in buffers that
+belong to the thread and are reused from call to call (thread_buffer),
+the same buffers the sampler draws its share planes into.
 
 PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
 protocol carries, the scale of each share plane the sampler draws, its
@@ -28,6 +35,7 @@ shares, and its correlation law.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -39,6 +47,11 @@ from .errors import ConfigurationError, DegenerateResultantError, DomainError
 from .laws import LawKind
 
 HALF_PI = 0.5 * math.pi
+
+# Trials per sampling chunk, and the length of each per-thread buffer.
+# One Philox counter block is four doubles, so chunk starts stay
+# multiples of four and every chunk begins exactly on a block boundary.
+CHUNK = 1 << 16
 
 # The largest k for which every sector centre index + 0.5 is an exact
 # double; beyond it the last centre can round out of its own sector.
@@ -105,6 +118,32 @@ class TrialRecord:
     @property
     def product(self) -> int:
         return self.alpha * self.beta
+
+
+# Each thread's float64 buffers, CHUNK doubles each, reused by every
+# chunk the thread runs: a fresh 512 KiB array per chunk is handed back
+# to the OS when the chunk ends and faulted in again by the next.
+_buffers = threading.local()
+
+
+def thread_buffer(key: int | str, count: int) -> np.ndarray:
+    """count doubles of this thread's buffer key, to be overwritten.
+
+    The sampler keys its share planes by plane number and the kernels
+    key their temporaries by name, so the two never meet.  The contents
+    last until the thread next asks for the same key, so nothing that
+    outlives a call may be a view of it.  Above CHUNK doubles the array
+    is a fresh one.
+    """
+    if count > CHUNK:
+        return np.empty(count)
+    held = getattr(_buffers, "held", None)
+    if held is None:
+        held = _buffers.held = {}
+    buffer = held.get(key)
+    if buffer is None:
+        buffer = held[key] = np.empty(CHUNK)
+    return buffer[:count]
 
 
 def alice_output(a: float, lam: float) -> int:
@@ -200,19 +239,11 @@ def _pick(c_pos, plus, minus) -> np.ndarray:
     return picked
 
 
-def _plus_minus(mask) -> np.ndarray:
-    """+1 where mask, -1 elsewhere, as int64."""
-    out = mask.astype(np.int64)
-    out *= 2
-    out -= 1
-    return out
-
-
-def _products(s1, positive) -> np.ndarray:
-    """alpha * beta as int64 +-1.  s1 marks alpha = +1 and positive a
+def _plus(s1, positive) -> np.ndarray:
+    """Where alpha * beta = +1.  s1 marks alpha = +1 and positive a
     projection >= 0, that is beta = -1, so the product is -1 where the
     two agree."""
-    return _plus_minus(s1 != positive)
+    return s1 != positive
 
 
 def _resultant_positive(b: float, u, c_pos, v) -> np.ndarray:
@@ -258,8 +289,9 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
 
 
 def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
-    """Products of fixed-shift trials over share arrays; delta may be a
-    scalar or an array.  Gives run_trial_fixed's product for each share.
+    """Products of fixed-shift trials over share arrays, as the mask of
+    the trials whose product is +1; delta may be a scalar or an array.
+    Gives run_trial_fixed's product for each share.
 
     No trig runs on the full arrays.  Alice's signs are arc compares:
     cos(a - lam) >= 0 where lam lies within pi/2 of a, and her second
@@ -283,29 +315,29 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     else:
         check_delta(float(delta.min()))
         check_delta(float(delta.max()))
-        v = lam + delta
+        v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
         # lam + delta and the midpoint lie at most pi/2 above the shares
         mid_window = (window[0], window[1] + HALF_PI)
         s2, near_v = _on_arc(v, mid_window, a, tol)
         # halving first cannot overflow near the largest doubles, and
         # halving is exact, so this rounds as (lam + v) * 0.5 does
         mid = np.multiply(v, 0.5, out=v)
-        mid += 0.5 * lam
+        mid += np.multiply(lam, 0.5, out=thread_buffer("half", len(lam)))
         b_mid = b
     plus, near_plus = _on_arc(mid, mid_window, b_mid, tol)
     minus, near_minus = _on_arc(mid, mid_window, b_mid + HALF_PI, tol)
     c_pos = s1 == s2
     near |= near_v
     near |= _pick(c_pos, near_plus, near_minus | (delta <= SMALL_SHIFT))
-    products = _products(s1, _pick(c_pos, plus, minus))
+    mask = _plus(s1, _pick(c_pos, plus, minus))
     redo = np.flatnonzero(near)
     if redo.size:
         x = lam[redo]
         d = np.broadcast_to(delta, lam.shape)[redo]
         r1 = np.cos(a - x) >= 0.0
         r2 = np.cos((a - x) - d) >= 0.0
-        products[redo] = _products(r1, _resultant_positive(b, x, r1 == r2, x + d))
-    return products
+        mask[redo] = _plus(r1, _resultant_positive(b, x, r1 == r2, x + d))
+    return mask
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
@@ -373,8 +405,9 @@ def run_trial_twoshare(
 
 
 def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
-    """Products of two-share trials over share arrays.  Gives
-    run_trial_twoshare's product for each pair of shares.
+    """Products of two-share trials over share arrays, as the mask of
+    the trials whose product is +1.  Gives run_trial_twoshare's product
+    for each pair of shares.
 
     No trig runs on the full arrays.  Alice's two signs are arc compares
     of each share about a, as in fixed_products, and the trials near an
@@ -402,7 +435,7 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     c_pos = s1 == s2
     # rounding is monotone, so the same operations on the share bounds
     # bound m and h; h reuses m's buffer
-    m = np.add(lam1, lam2)
+    m = np.add(lam1, lam2, out=thread_buffer("m", len(lam1)))
     m *= 0.5
     m_window = (0.5 * (w1[0] + w2[0]), 0.5 * (w1[1] + w2[1]))
     plus, near_plus = _on_arc(m, m_window, b, tol)
@@ -422,7 +455,7 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
         positive[redo] = _resultant_positive(
             b, lam1[redo], c_pos[redo], lam2[redo]
         )
-    return _products(s1, positive)
+    return _plus(s1, positive)
 
 
 def quantized_direction(index: int, k: int) -> float:
@@ -474,11 +507,12 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
 
 
 def adaptive_products(a: float, b: float, k: int, count: int) -> np.ndarray:
-    """Products of count adaptive trials: the deterministic step of the
-    rebuilt separation; the share cancels out, so none is needed."""
+    """Products of count adaptive trials, as the mask of those whose
+    product is +1: the deterministic step of the rebuilt separation,
+    +1 from pi/2 on; the share cancels out, so none is needed."""
     a_q = quantized_direction(sector_index(a, k), k)
-    step = -1 if separation(a_q, b) < HALF_PI else 1
-    return np.full(count, step, dtype=np.int64)
+    # the scalar trial's compare, negated, so a NaN b steps as it does
+    return np.full(count, not separation(a_q, b) < HALF_PI)
 
 
 def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
@@ -500,12 +534,13 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
 
 def quantum_products(a: float, b: float, v) -> np.ndarray:
     """Products of reference-sampler trials over arrays of Bob's uniform
-    draws v.  Gives run_trial_quantum's product for any coin u: the
-    product is alpha * (-alpha) = -1 where v falls below cos(theta/2)**2
-    and alpha * alpha = +1 elsewhere, so Alice's coin cancels and one
+    draws v, as the mask of the trials whose product is +1.  Gives
+    run_trial_quantum's product for any coin u: the product is
+    alpha * (-alpha) = -1 where v falls below cos(theta/2)**2 and
+    alpha * alpha = +1 elsewhere, so Alice's coin cancels and one
     compare of v against the same threshold decides it."""
     threshold = math.cos(0.5 * separation(a, b)) ** 2
-    return _plus_minus(v >= threshold)
+    return v >= threshold
 
 
 @dataclass(frozen=True)
@@ -515,7 +550,10 @@ class ProtocolRow:
     planes holds one scale per share plane the sampler draws: the share
     is scale * u for the plane's uniform u, or u itself when the scale
     is None.  products(spec, a, b, n, *shares) gives the n trial products
-    over those share arrays.  trial(spec, a, b, *shares) runs
+    over those share arrays as a boolean mask, True where alpha * beta
+    is +1 and False where it is -1; the mask is a new array, never a
+    view of the shares or of a thread_buffer, and the shares are left
+    as they were.  trial(spec, a, b, *shares) runs
     one scalar trial on the shares that trial_flags name on the command
     line, in order.  law is the kind of closed-form law the estimates
     converge to, parameterized by the spec's delta, or None.  param names

@@ -626,7 +626,7 @@ def test_verify_command_fails_on_sabotage(capsys, monkeypatch):
     row = PROTOCOLS[ProtocolKind.QUANTUM]
 
     def flipped(*args):
-        return -row.products(*args)
+        return ~row.products(*args)
 
     monkeypatch.setitem(
         PROTOCOLS, ProtocolKind.QUANTUM, replace(row, products=flipped)

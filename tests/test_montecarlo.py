@@ -168,6 +168,22 @@ class TestSampleProducts:
             sample_products(PLAIN, 0.0, 0.0, 0, 1)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 5, CHUNK - 1, CHUNK + 40])
+@pytest.mark.parametrize(
+    "spec", [FIXED, PLAIN, RANDOM, TWOSHARE, ADAPTIVE, QUANTUM],
+    ids=lambda spec: spec.kind.value,
+)
+def test_counted_sum_equals_materialised_sum(spec, n, workers):
+    # the estimate counts each chunk's +1 mask; sample_products builds
+    # the +-1 array; both must give the same total, to the trial
+    products = sample_products(spec, 0.4, 1.3, n, 7)
+    assert products.dtype == np.int64
+    assert products.shape == (n,)
+    est = estimate_correlation(spec, 0.4, 1.3, n, 7, workers=workers)
+    assert est.mean * n == products.sum()
+
+
 class TestEstimateCorrelation:
     def test_plain_perfect_anticorrelation(self):
         est = estimate_correlation(PLAIN, 0.0, 0.0, 4096, 11)

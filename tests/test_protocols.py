@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bellcomm import protocols
 from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.protocols import (
+    CHUNK,
     HALF_PI,
     MAX_K_BITS,
     PROTOCOLS,
@@ -32,12 +34,20 @@ from bellcomm.protocols import (
     run_trial_twoshare,
     fixed_products,
     sector_index,
+    thread_buffer,
     two_share_products,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 shifts = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+def _signs(mask):
+    """The trial products a kernel's mask stands for: +1 where it is
+    True, -1 where it is False."""
+    assert mask.dtype == bool
+    return np.where(mask, 1, -1).tolist()
 
 
 class TestProtocolSpec:
@@ -87,19 +97,59 @@ def test_every_kind_has_exactly_one_row():
         assert len(drawn) == len(row.planes), kind
 
 
-def test_products_never_alias_shares():
-    # the sampler reuses its share buffers for the next chunk, so
-    # products that were a view of a share would change under the caller
+def _spec(kind):
+    row = PROTOCOLS[kind]
     params = {"delta": math.pi / 5, "k_bits": 3}
+    return ProtocolSpec(kind, **({row.param: params[row.param]} if row.param else {}))
+
+
+def _held_buffers():
+    """This thread's buffers, share planes and kernel scratch alike."""
+    return list(getattr(protocols._buffers, "held", {}).values())
+
+
+def test_products_never_alias_shares():
+    # the sampler reuses its share buffers for the next chunk, and the
+    # kernels their scratch for the next call, so a mask that was a view
+    # of either would change under the caller
     rng = np.random.default_rng(4)
     for kind, row in PROTOCOLS.items():
-        spec = ProtocolSpec(kind, **({row.param: params[row.param]} if row.param else {}))
         shares = [
             rng.random(256) * (1.0 if scale is None else scale)
             for scale in row.planes
         ]
-        products = row.products(spec, 0.4, 1.3, 256, *shares)
-        assert not any(np.shares_memory(products, x) for x in shares), kind
+        mask = row.products(_spec(kind), 0.4, 1.3, 256, *shares)
+        assert mask.dtype == bool and mask.shape == (256,), kind
+        assert not any(np.shares_memory(mask, x) for x in shares), kind
+        assert not any(np.shares_memory(mask, x) for x in _held_buffers()), kind
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+def test_mask_survives_the_next_call_on_the_thread(kind):
+    # shares drawn into the thread's plane buffers, as the sampler draws
+    # them; the second call overwrites those and the kernel scratch
+    row = PROTOCOLS[kind]
+    spec = _spec(kind)
+    n = CHUNK
+
+    def call(seed):
+        rng = np.random.default_rng(seed)
+        shares = []
+        for plane, scale in enumerate(row.planes):
+            x = thread_buffer(plane, n)
+            x[:] = rng.random(n) * (1.0 if scale is None else scale)
+            shares.append(x)
+        return row.products(spec, 0.4, 1.3, n, *shares)
+
+    first = call(1)
+    kept = first.copy()
+    second = call(2)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    # the first mask is still the one its shares give
+    assert np.array_equal(call(1), kept)
+    if row.planes:
+        assert not np.array_equal(second, kept)
 
 
 def test_bob_helpers_never_see_alice_setting():
@@ -283,7 +333,7 @@ class TestQuantumReference:
         u = np.repeat([0.2, 0.7], v.size // 2)
         got = PROTOCOLS[spec.kind].products(spec, a, b, v.size, u, v)
         want = [run_trial_quantum(a, b, x, y).product for x, y in zip(u, v)]
-        assert got.tolist() == want
+        assert _signs(got) == want
         assert want[:3] == [1, -1, 1]
 
     @given(angles, angles, units, units)
@@ -360,7 +410,7 @@ class TestTwoCosineKernel:
         want = [
             row.trial(spec, a, b, *trial).product for trial in zip(*shares)
         ]
-        assert got.tolist() == want
+        assert _signs(got) == want
 
     def test_sign_where_the_two_roundings_disagree(self):
         # b-hat is within ulps of perpendicular to the share; the identity
@@ -376,8 +426,8 @@ class TestTwoCosineKernel:
         want = [run_trial_plain(a, b, x).product for x in shares]
         spec = ProtocolSpec(ProtocolKind.PLAIN)
         got = PROTOCOLS[spec.kind].products(spec, a, b, 3, shares)
-        assert got.tolist() == want
-        assert two_share_products(a, b, shares, shares).tolist() == want
+        assert _signs(got) == want
+        assert _signs(two_share_products(a, b, shares, shares)) == want
 
     def test_one_degenerate_two_share_trial_in_a_full_chunk_raises(self):
         # a = pi/2, lambda1 = 0, lambda2 = pi: c = +1 and the resultant
@@ -408,7 +458,7 @@ class TestTwoCosineKernel:
             with pytest.raises(DegenerateResultantError):
                 fixed_products(a, b, lam, delta)
         else:
-            got = fixed_products(a, b, lam, delta)
+            got = _signs(fixed_products(a, b, lam, delta))
             assert got[k] == run_trial_fixed(a, b, lam[k], delta).product
 
 
@@ -416,7 +466,7 @@ def _products_or_raise(products, trial, *shares):
     """The vector products and the scalar trial products as lists, or
     the string "raises" where DegenerateResultantError came instead."""
     try:
-        got = products(*shares).tolist()
+        got = _signs(products(*shares))
     except DegenerateResultantError:
         got = "raises"
     try:
@@ -669,7 +719,7 @@ class TestArcCompareKernel:
         if place is not None:
             place([x for x, scale in zip(shares, row.planes) if scale == TWO_PI])
         start = time.perf_counter()
-        got = row.products(spec, a, b, n, *shares).tolist()
+        got = _signs(row.products(spec, a, b, n, *shares))
         elapsed = time.perf_counter() - start
         want = [row.trial(spec, a, b, *t).product for t in zip(*shares)]
         return got, want, elapsed

@@ -56,7 +56,7 @@ def test_sign_flip_in_sampler_is_caught(monkeypatch):
     row = PROTOCOLS[ProtocolKind.FIXED_SHIFT]
 
     def flipped(*args):
-        return -row.products(*args)
+        return ~row.products(*args)
 
     monkeypatch.setitem(
         PROTOCOLS, ProtocolKind.FIXED_SHIFT, replace(row, products=flipped)
