@@ -21,8 +21,9 @@ of doubles per plane, and reuses them for every chunk it draws; the
 same per-thread buffers (protocols.thread_buffer) also hold the
 kernels' float temporaries.  So a row's mask must never alias its
 shares or that scratch: the next chunk on the same thread would
-overwrite them.  A chunk allocates no float or int64 array a chunk
-long; its boolean masks are an eighth of that.
+overwrite them.  A chunk allocates no float or integer array a chunk
+long but the one-byte ones, boolean masks and the one-share rows'
+table lookups, an eighth of that.
 
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
@@ -102,10 +103,12 @@ def sample_products(
 ) -> np.ndarray:
     """The first n trial products, as an int64 array of +1 and -1;
     prefix-stable in n.  The estimates count the kernels' masks
-    instead, so only this function builds the +-1 array."""
+    instead, so only this function builds the +-1 array.  Non-finite
+    settings raise DomainError before any trial is drawn."""
     if n < 1:
         raise ConfigurationError(f"n must be at least 1, got {n!r}")
     _check_seed(seed)
+    separation(a, b)
     products = np.concatenate([
         _chunk_mask(spec, a, b, seed, start, min(CHUNK, n - start))
         for start in range(0, n, CHUNK)
@@ -153,10 +156,12 @@ def estimate_correlation(
     Identical arguments give bit-identical results for any worker count:
     each trial's randomness is addressed by (seed, trial index) alone and
     the chunk sums are exact integers, counted from the kernels' masks.
+    Non-finite settings raise DomainError before any trial is drawn.
     """
     if n < 1:
         raise ConfigurationError(f"n must be at least 1, got {n!r}")
     _check_seed(seed)
+    theta = separation(a, b)
 
     def chunk_sum(start: int) -> int:
         count = min(CHUNK, n - start)
@@ -167,7 +172,7 @@ def estimate_correlation(
     mean = total / n
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
     return CorrelationEstimate(
-        a=a, b=b, theta=separation(a, b), mean=mean, stderr=stderr, n=n
+        a=a, b=b, theta=theta, mean=mean, stderr=stderr, n=n
     )
 
 

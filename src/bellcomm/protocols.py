@@ -13,16 +13,19 @@ product alpha * beta is +1 and False where it is -1, a new array that
 shares no memory with the shares or with the thread's buffers.  The
 scalar code is the reference: the mask must give the same product, bit
 for bit, for the same shares.  The shared-direction twins run no trig
-on the full arrays: every sign of
-fixed_products and two_share_products is a compare of the shares, or of
-their midpoint and half-difference, against the ends of an arc, and the
-few trials near an end are redone with the scalar trial's own formulas,
-which also decide every degenerate raise.  Settings or shares too large
-for the compares to resolve send every trial to that redo.
-quantum_products is one compare of Bob's draw against the scalar
-trial's threshold.
+on the full arrays.  Every sign of fixed_products and
+two_share_products flips only at the ends of an arc, as the shares, or
+their midpoint and half-difference, cross them.  With one shift for
+every trial (plain, fixed-shift) the product is a function of the share
+alone, looked up in a table of bins of [0, 2 pi) built once per
+setting pair; otherwise each sign is a compare against the arc ends.
+The few trials near an end are redone with the scalar trial's own
+formulas, which also decide every degenerate raise.  Settings or
+shares too large for the compares to resolve send every trial to that
+redo.  quantum_products is one compare of Bob's draw against the
+scalar trial's threshold.
 
-The kernels keep their float temporaries, a chunk long, in buffers that
+The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
 the same buffers the sampler draws its share planes into.
 
@@ -34,6 +37,7 @@ shares, and its correlation law.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -120,29 +124,30 @@ class TrialRecord:
         return self.alpha * self.beta
 
 
-# Each thread's float64 buffers, CHUNK doubles each, reused by every
-# chunk the thread runs: a fresh 512 KiB array per chunk is handed back
-# to the OS when the chunk ends and faulted in again by the next.
+# Each thread's buffers, CHUNK items each, reused by every chunk the
+# thread runs: a fresh 512 KiB array per chunk is handed back to the OS
+# when the chunk ends and faulted in again by the next.
 _buffers = threading.local()
 
 
-def thread_buffer(key: int | str, count: int) -> np.ndarray:
-    """count doubles of this thread's buffer key, to be overwritten.
+def thread_buffer(key: int | str, count: int, dtype=np.float64) -> np.ndarray:
+    """count items of this thread's buffer key, to be overwritten.
 
     The sampler keys its share planes by plane number and the kernels
-    key their temporaries by name, so the two never meet.  The contents
-    last until the thread next asks for the same key, so nothing that
-    outlives a call may be a view of it.  Above CHUNK doubles the array
-    is a fresh one.
+    key their temporaries by name, so the two never meet; a key always
+    names the same dtype, float64 unless the caller says otherwise.
+    The contents last until the thread next asks for the same key, so
+    nothing that outlives a call may be a view of it.  Above CHUNK
+    items the array is a fresh one.
     """
     if count > CHUNK:
-        return np.empty(count)
+        return np.empty(count, dtype)
     held = getattr(_buffers, "held", None)
     if held is None:
         held = _buffers.held = {}
     buffer = held.get(key)
     if buffer is None:
-        buffer = held[key] = np.empty(CHUNK)
+        buffer = held[key] = np.empty(CHUNK, dtype)
     return buffer[:count]
 
 
@@ -183,7 +188,10 @@ def _window(x) -> tuple[float, float]:
 
 def _slack(a: float, b: float, bounds: tuple[float, ...]) -> float:
     """Distance from an arc end within which a compare may disagree with
-    the reference formulas, for settings a, b and shares within bounds."""
+    the reference formulas, for settings a, b and shares within bounds.
+    Settings must be finite; the sum may overflow to inf."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"settings must be finite, got a={a!r}, b={b!r}")
     size = abs(a) + abs(b) + max(map(abs, bounds))
     return ARC_SLACK + _ROUNDING * size
 
@@ -293,28 +301,44 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     the trials whose product is +1; delta may be a scalar or an array.
     Gives run_trial_fixed's product for each share.
 
-    No trig runs on the full arrays.  Alice's signs are arc compares:
-    cos(a - lam) >= 0 where lam lies within pi/2 of a, and her second
-    sign is the same compare for lam + delta.  With m = lam + delta/2,
-    Bob's projection cos(b - lam) + c cos(b - lam - delta) is
-    2 cos(delta/2) cos(b - m) when c = +1 and -2 sin(delta/2) sin(b - m)
-    when c = -1, so its sign is the arc compare of m about b, or about
-    b + pi/2.  Trials within a slack of an arc end, and flipped-bit
-    trials at a shift of at most SMALL_SHIFT, are redone with
-    run_trial_fixed's own formulas, which also raise
+    No trig runs on the full arrays.  Each sign flips only at the ends
+    of an arc: Alice's where lam, or lam + delta, crosses a -+ pi/2.
+    With m = lam + delta/2, Bob's projection cos(b - lam) +
+    c cos(b - lam - delta) is 2 cos(delta/2) cos(b - m) when c = +1 and
+    -2 sin(delta/2) sin(b - m) when c = -1, so its sign flips where m
+    crosses b -+ pi/2, or b.  Trials within a slack of an arc end, and
+    flipped-bit trials at a shift of at most SMALL_SHIFT, are redone
+    with run_trial_fixed's own formulas, which also raise
     DegenerateResultantError for exactly the trials it raises for.
+
+    One shift for every trial (plain and fixed-shift) makes the product
+    a function of lam alone: each share looks its product up in the
+    table of its bin of [0, 2 pi) that _bin_table builds once per
+    (a, b, delta), and the shares in redo bins take the exact formulas.
+    Shares outside [0, 2 pi), which the sampler never draws, all take
+    them.  A shift per trial (random-shift) moves the arc ends with the
+    share, so every sign is an arc compare (_on_arc) of lam, lam + delta
+    or m.
     """
     window = _window(lam)
-    tol = _slack(a, b, window)
-    s1, near = _on_arc(lam, window, a, tol)
     if np.ndim(delta) == 0:
         check_delta(delta)
-        # one shift for every trial moves the arc ends, not the shares
-        s2, near_v = _on_arc(lam, window, a - delta, tol)
-        mid, mid_window, b_mid = lam, window, b - 0.5 * delta
+        if 0.0 <= window[0] and window[1] < TWO_PI:
+            idx = thread_buffer("idx", len(lam), np.intp)
+            # truncation is the floor for shares >= 0
+            np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
+            table = _bin_table(float(a), float(b), float(delta))
+            bins = np.take(table, idx)
+            mask = bins == _PLUS
+            redo = np.flatnonzero(bins == _REDO)
+        else:
+            mask = np.empty(len(lam), dtype=bool)
+            redo = np.arange(len(lam))
     else:
         check_delta(float(delta.min()))
         check_delta(float(delta.max()))
+        tol = _slack(a, b, window)
+        s1, near = _on_arc(lam, window, a, tol)
         v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
         # lam + delta and the midpoint lie at most pi/2 above the shares
         mid_window = (window[0], window[1] + HALF_PI)
@@ -323,21 +347,84 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
         # halving is exact, so this rounds as (lam + v) * 0.5 does
         mid = np.multiply(v, 0.5, out=v)
         mid += np.multiply(lam, 0.5, out=thread_buffer("half", len(lam)))
-        b_mid = b
-    plus, near_plus = _on_arc(mid, mid_window, b_mid, tol)
-    minus, near_minus = _on_arc(mid, mid_window, b_mid + HALF_PI, tol)
-    c_pos = s1 == s2
-    near |= near_v
-    near |= _pick(c_pos, near_plus, near_minus | (delta <= SMALL_SHIFT))
-    mask = _plus(s1, _pick(c_pos, plus, minus))
-    redo = np.flatnonzero(near)
+        plus, near_plus = _on_arc(mid, mid_window, b, tol)
+        minus, near_minus = _on_arc(mid, mid_window, b + HALF_PI, tol)
+        c_pos = s1 == s2
+        near |= near_v
+        near |= _pick(c_pos, near_plus, near_minus | (delta <= SMALL_SHIFT))
+        mask = _plus(s1, _pick(c_pos, plus, minus))
+        redo = np.flatnonzero(near)
     if redo.size:
         x = lam[redo]
-        d = np.broadcast_to(delta, lam.shape)[redo]
+        d = delta if np.ndim(delta) == 0 else delta[redo]
         r1 = np.cos(a - x) >= 0.0
         r2 = np.cos((a - x) - d) >= 0.0
         mask[redo] = _plus(r1, _resultant_positive(b, x, r1 == r2, x + d))
     return mask
+
+
+# fixed_products' table for one shared shift: bins of [0, 2 pi), each
+# about 1.5e-3 wide, so a chunk of 2**16 shares has a few hundred in the
+# bins about the eight arc ends; _PLUS, _MINUS or _REDO per bin
+_BINS = 4096
+_BIN_SCALE = _BINS / TWO_PI
+_MINUS, _PLUS, _REDO = 0, 1, 2
+
+
+@functools.lru_cache(maxsize=16)
+def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
+    """The product of fixed-shift trials with shares in each bin of
+    [0, 2 pi): _PLUS or _MINUS where every share of the bin has it,
+    _REDO where its trials must take the exact formulas.  The array is
+    read-only and has _BINS + 1 entries; the last, _REDO, is for shares
+    just below 2 pi whose bin index rounds up to _BINS.
+
+    The four signs of fixed_products flip only at the ends
+    centre + pi/2 + k pi of their arcs, for the centres a, a - delta,
+    b - delta/2 and b - delta/2 + pi/2: eight ends in [0, 2 pi).  Every
+    bin within twice the slack of an end is _REDO.  A bin index rounds
+    by far less than the slack, so a share whose bin is not _REDO lies
+    further than the slack from every end, where each sign is the one
+    the reference formulas give.  No sign flips within a run of bins
+    between two ends, so one scalar trial at the run's middle share
+    gives the product of every share in it; flipped-bit runs at a shift
+    of at most SMALL_SHIFT stay _REDO.  A slack of pi/4 or more makes
+    every bin _REDO.  The build costs O(ends), not O(bins).
+    """
+    tol = _slack(a, b, (0.0, TWO_PI))
+    table = np.full(_BINS + 1, _REDO, dtype=np.int8)
+    if tol < 0.25 * math.pi:
+        centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
+        ends = sorted(
+            (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
+        )
+        first = [math.floor((e - 2.0 * tol) * _BIN_SCALE) for e in ends]
+        last = [math.floor((e + 2.0 * tol) * _BIN_SCALE) for e in ends]
+        # run i holds the bins after end i's redo bins and before end
+        # i + 1's; the last run wraps past 2 pi round to the first end
+        for start, stop in zip(last, first[1:] + [first[0] + _BINS]):
+            start += 1
+            if start >= stop:
+                continue
+            # run_trial_fixed's formulas, inlined: this runs per estimate
+            x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
+            s1 = math.cos(a - x) >= 0.0
+            c = 1.0 if s1 == (math.cos((a - x) - delta) >= 0.0) else -1.0
+            if c < 0.0 and delta <= SMALL_SHIFT:
+                continue
+            v = x + delta
+            wx = math.cos(x) + c * math.cos(v)
+            wy = math.sin(x) + c * math.sin(v)
+            positive = math.cos(b) * wx + math.sin(b) * wy >= 0.0
+            value = _PLUS if s1 != positive else _MINUS
+            # the last entry stays _REDO; a run past it wraps to bin 0
+            lo = start % _BINS
+            hi = lo + (stop - start)
+            table[lo:min(hi, _BINS)] = value
+            if hi > _BINS:
+                table[: hi - _BINS] = value
+    table.flags.writeable = False
+    return table
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:

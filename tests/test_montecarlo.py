@@ -222,6 +222,26 @@ class TestEstimateCorrelation:
         assert est.theta == pytest.approx(TWO_PI - 4.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize(
+    "spec", [PLAIN, FIXED, RANDOM, TWOSHARE, ADAPTIVE, QUANTUM],
+    ids=lambda spec: spec.kind.value,
+)
+def test_non_finite_setting_raises_before_sampling(spec, which, bad, monkeypatch):
+    # the kernels would turn inf into silent +-1 products and NaN into a
+    # bare ValueError; the settings are refused before any chunk is drawn
+    def no_chunks(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_chunk_mask", no_chunks)
+    settings = {"a": 0.3, "b": 1.1, which: bad}
+    with pytest.raises(DomainError):
+        sample_products(spec, settings["a"], settings["b"], 100, 1)
+    with pytest.raises(DomainError):
+        estimate_correlation(spec, settings["a"], settings["b"], 100, 1)
+
+
 def test_law_for_protocol_mapping():
     assert law_for_protocol(PLAIN).kind is LawKind.LINEAR
     assert law_for_protocol(FIXED).kind is LawKind.FIXED_SHIFT

@@ -369,11 +369,13 @@ def test_fixed_trial_mean_is_not_checked_here():
 
 
 class TestTwoCosineKernel:
-    """The vector products take Bob's sign from arc compares (plain,
-    fixed-shift, random-shift) or from cos(b - u) + c cos(b - v)
-    (two-share); the scalar trials build the resultant with four trig
-    calls and check its norm.  Every product and every degenerate trial
-    must agree."""
+    """The vector products run no trig on the full arrays: plain and
+    fixed-shift look each share's product up in a table of bins of
+    [0, 2 pi), built once per setting pair, and random-shift and
+    two-share take every sign from arc compares; trials near an arc end
+    take the exact formulas.  The scalar trials build the resultant with
+    four trig calls and check its norm.  Every product and every
+    degenerate trial must agree."""
 
     N = 1 << 12
 
@@ -728,12 +730,15 @@ class TestArcCompareKernel:
         "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
     )
     @pytest.mark.parametrize(
-        "a, b", [(x, 0.3) for x in LARGE] + [(0.3, x) for x in LARGE]
+        "a, b",
+        [(x, 0.3) for x in LARGE] + [(0.3, x) for x in LARGE]
+        + [(1.7e308, -1.7e308)],
     )
     def test_large_settings(self, spec, a, b):
         # from a setting of about 5e13 the slack reaches pi/4, where the
         # windows about neighbouring arc ends would overlap and cancel in
-        # the parity: every trial must fall to the exact redo, at once
+        # the parity: every trial must fall to the exact redo, at once.
+        # The last pair is finite though |a| + |b| overflows
         got, want, elapsed = self._sampled(spec, a, b)
         assert got == want
         assert elapsed < 0.5
@@ -742,8 +747,6 @@ class TestArcCompareKernel:
         "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
     )
     @pytest.mark.parametrize("big", [1e5, 1e300, 1.7e308])
-    # random-shift's midpoint lam + (lam + delta) overflows at 1.7e308
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_one_far_share_per_plane(self, spec, big):
         # one share far out widens a window over many arc ends; a second
         # plane gets -big, so at 1.7e308 the window of the half-difference
@@ -781,6 +784,82 @@ class TestArcCompareKernel:
         got, want, elapsed = self._sampled(spec, 0.3, 1.1, place)
         assert got == want
         assert elapsed < 0.5
+
+    ONE_SHARE = [
+        ProtocolSpec(ProtocolKind.PLAIN),
+        *(ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=d)
+          for d in (0.0, 1e-4, math.pi / 5, HALF_PI)),
+    ]
+
+    @staticmethod
+    def _row(spec, a, b, lam):
+        row = PROTOCOLS[spec.kind]
+        return _products_or_raise(
+            lambda x: row.products(spec, a, b, len(x), x),
+            lambda x: row.trial(spec, a, b, x),
+            lam,
+        )
+
+    @pytest.mark.parametrize(
+        "spec", ONE_SHARE, ids=lambda spec: f"{spec.kind.value}-{spec.delta}"
+    )
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, 0.0), (1e6, -4.0), (10 * TWO_PI - HALF_PI, 0.3),
+         (6000 * TWO_PI - HALF_PI, 0.3)],
+    )
+    def test_shares_at_bin_edges(self, spec, a, b):
+        # every edge of the one-share table's bins, and 3 ulp either
+        # side, where a share's bin index rounds; 0 and 2 pi - 1 ulp,
+        # whose index rounds up to the last, redo, entry.  The last two
+        # settings put the arc end a + pi/2 within 1e-12 of 0 and of
+        # 2 pi, where a - lam rounds the reference's sign change to the
+        # other side of 2 pi: the end's redo bins must wrap round
+        edges = np.arange(protocols._BINS + 1) * (TWO_PI / protocols._BINS)
+        lam = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
+        lam = np.concatenate([[0.0, np.nextafter(TWO_PI, 0.0)], lam])
+        # all in [0, 2 pi), so the table decides
+        lam = lam[(lam >= 0.0) & (lam < TWO_PI)]
+        got, want = self._row(spec, a, b, lam)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "spec", ONE_SHARE, ids=lambda spec: f"{spec.kind.value}-{spec.delta}"
+    )
+    @pytest.mark.parametrize("stray", [-1e-300, TWO_PI])
+    def test_one_stray_share_in_a_chunk(self, spec, stray, monkeypatch):
+        # one share just outside [0, 2 pi) sends the whole chunk to the
+        # exact formulas, without a table
+        def no_table(*args):
+            raise AssertionError("a table was looked up")
+
+        lam = TWO_PI * np.random.default_rng(23).random(CHUNK)
+        lam[4321] = stray
+        monkeypatch.setattr(protocols, "_bin_table", no_table)
+        got, want = self._row(spec, 0.3, 1.1, lam)
+        assert got == want
+
+    def test_bin_table_is_cached_and_read_only(self):
+        table = protocols._bin_table(0.3, 1.1, math.pi / 5)
+        assert table is protocols._bin_table(0.3, 1.1, math.pi / 5)
+        assert table.dtype == np.int8 and table.shape == (protocols._BINS + 1,)
+        assert table[-1] == protocols._REDO
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = protocols._PLUS
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_is_refused(self, bad):
+        # inf would give silent products from nan cosines, and NaN
+        # would reach the arc walk's floor or the table cache
+        lam = np.array([0.1, 2.0, 4.0])
+        for a, b in [(bad, 1.0), (0.3, bad)]:
+            with pytest.raises(DomainError):
+                fixed_products(a, b, lam, 0.3)
+            with pytest.raises(DomainError):
+                fixed_products(a, b, lam, np.array([0.2, 0.3, 1.0]))
+            with pytest.raises(DomainError):
+                two_share_products(a, b, lam, lam[::-1])
 
     def test_out_of_range_shift_or_share_is_refused(self):
         # the arc compares hold for shifts in [0, pi/2] and finite shares;
