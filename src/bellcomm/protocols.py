@@ -12,18 +12,23 @@ over share arrays.  It returns a boolean mask, True where the trial's
 product alpha * beta is +1 and False where it is -1, a new array that
 shares no memory with the shares or with the thread's buffers.  The
 scalar code is the reference: the mask must give the same product, bit
-for bit, for the same shares.  The shared-direction twins run no trig
-on the full arrays.  Every sign of fixed_products and
-two_share_products flips only at the ends of an arc, as the shares, or
-their midpoint and half-difference, cross them.  With one shift for
-every trial (plain, fixed-shift) the product is a function of the share
+for bit, for the same shares.
+
+The shared-direction protocols are written once, as the two-share
+protocol: plain, fixed-shift and random-shift are two-share with the
+second share lam + delta, in the scalar trials and in the vector
+products alike.  Their vector products run no trig on the full arrays.
+Every sign flips only at the ends of an arc, as the shares, or their
+midpoint and half-difference, cross them.  With one shift for every
+trial (plain, fixed-shift) the product is a function of the share
 alone, looked up in a table of bins of [0, 2 pi) built once per
-setting pair; otherwise each sign is a compare against the arc ends.
-The few trials near an end are redone with the scalar trial's own
-formulas, which also decide every degenerate raise.  Settings or
-shares too large for the compares to resolve send every trial to that
-redo.  quantum_products is one compare of Bob's draw against the
-scalar trial's threshold.
+setting pair; otherwise (random-shift, two-share) each sign is a
+compare against the arc ends in two_share_products.  The few trials
+near an end are redone by _exact_plus, the scalar two-share trial's own
+formulas over arrays, which also decide every degenerate raise.
+Settings or shares too large for the compares to resolve send every
+trial to that redo.  quantum_products is one compare of Bob's draw
+against the scalar trial's threshold.
 
 The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
@@ -164,15 +169,15 @@ ARC_SLACK = 1e-10
 # Rounding of an angle of size x is at most a few EPS * x; the factor
 # leaves room for the arc ends centre + pi/2 + k pi built from it.
 _ROUNDING = 64.0 * np.finfo(float).eps
-# On the flipped-bit branch the resultant norm is 2 sin(delta/2) and the
-# projection 2 sin(delta/2) sin(m - b): at a shift this small either may
-# be near zero for every share, so those trials are always redone.
-# Above it, a trial further than ARC_SLACK from every arc end has a
-# projection of at least (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about
-# 4e-14, ten times what the four-trig reference can round away.  In
-# two_share_products the half-difference h plays the part of delta/2 on
-# both branches: trials with h within SMALL_SHIFT of a zero of cos h or
-# sin h are redone, and the same bound holds for the rest.
+# Bob's projection is 2 cos h cos(m - b) for bit +1 and 2 sin h sin(m - b)
+# for bit -1, with h the half-difference of the two shares (delta/2 for
+# a shifted share).  Near a zero of its factor of h the projection may
+# be near zero for every m, so two_share_products redoes the trials with
+# h within SMALL_SHIFT of such a zero, and _bin_table leaves flipped-bit
+# runs at a shift of at most SMALL_SHIFT to the redo.  For the rest, a
+# trial further than ARC_SLACK from every arc end of m has a projection
+# of at least (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about 4e-14, ten
+# times what the four-trig reference can round away.
 SMALL_SHIFT = 1e-3
 # The most arc ends _on_arc walks; shares drawn in [0, 2 pi) need at most five.
 _MAX_ENDS = 64
@@ -203,14 +208,14 @@ def _on_arc(x, window, centre: float, tol: float):
     centre + pi/2 + k pi, so it is the parity of the ends below x: one
     pair of compares per end inside window, which bounds x, and none
     per end outside it.  The first array is the sign; the second marks
-    the x within tol of an end, whose sign the caller redoes.  From a
-    tol of pi/4 the windows about neighbouring ends could overlap and
-    cancel in the parity, and a walk past _MAX_ENDS ends means a window
-    too wide, or ends too coarsely rounded, to walk: then every x is
-    marked.
+    the x within tol of an end, whose sign the caller redoes.  tol must
+    stay below pi/4, past which the windows about neighbouring ends
+    could overlap and cancel in the parity.  A walk past _MAX_ENDS ends
+    means a window too wide, or ends too coarsely rounded, to walk:
+    then every x is marked.
     """
     lo, hi = window
-    if tol >= 0.25 * math.pi or not hi - lo < _MAX_ENDS * math.pi:
+    if not hi - lo < _MAX_ENDS * math.pi:
         return np.zeros(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
     # start an end at least pi below lo; cos(x - centre) >= 0 just above
     # an end with odd k
@@ -254,33 +259,30 @@ def _plus(s1, positive) -> np.ndarray:
     return s1 != positive
 
 
-def _resultant_positive(b: float, u, c_pos, v) -> np.ndarray:
-    """Where resultant_sign(b, u, c, v) is +1, over arrays, by its own
-    operations; c is +1 where c_pos.  Raises DegenerateResultantError
-    if any trial's resultant norm is at most RESULTANT_EPS."""
-    c = np.where(c_pos, 1.0, -1.0)
-    wx = np.cos(u) + c * np.cos(v)
-    wy = np.sin(u) + c * np.sin(v)
+def _exact_plus(a: float, b: float, lam1, lam2) -> np.ndarray:
+    """Where run_trial_twoshare(a, b, lam1, lam2)'s product is +1, over
+    arrays, by its own operations.  Raises DegenerateResultantError if
+    any trial's resultant norm is at most RESULTANT_EPS."""
+    s1 = np.cos(a - lam1) >= 0.0
+    c = np.where(s1 == (np.cos(a - lam2) >= 0.0), 1.0, -1.0)
+    wx = np.cos(lam1) + c * np.cos(lam2)
+    wy = np.sin(lam1) + c * np.sin(lam2)
     if (np.hypot(wx, wy) <= RESULTANT_EPS).any():
         raise DegenerateResultantError("a trial's resultant has near-zero norm")
-    return math.cos(b) * wx + math.sin(b) * wy >= 0.0
+    return _plus(s1, math.cos(b) * wx + math.sin(b) * wy >= 0.0)
 
 
 def comm_bit_fixed(a: float, lam: float, delta: float) -> int:
-    """The bit Alice sends: her sign along the share times her sign along
-    the shifted share."""
+    """The bit Alice sends: the two-share bit for the share and the
+    shifted share lam + delta."""
     check_delta(delta)
-    return sgn(math.cos(a - lam)) * sgn(math.cos((a - lam) - delta))
+    return comm_bit_twoshare(a, lam, lam + delta)
 
 
 def bob_output_fixed(b: float, lam: float, c: int, delta: float) -> int:
-    """Bob's outcome from the share, the received bit, and the known shift.
-
-    The received bit picks between the two resultants of the share and
-    its shifted copy; the overall minus is the anticorrelation convention
-    that pins E(0) = -1.
-    """
-    return -resultant_sign(b, lam, c, lam + delta)
+    """Bob's outcome from the share, the received bit, and the known
+    shift: the two-share outcome for the share and the shifted share."""
+    return bob_output_twoshare(b, lam, c, lam + delta)
 
 
 def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord:
@@ -301,65 +303,34 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     the trials whose product is +1; delta may be a scalar or an array.
     Gives run_trial_fixed's product for each share.
 
-    No trig runs on the full arrays.  Each sign flips only at the ends
-    of an arc: Alice's where lam, or lam + delta, crosses a -+ pi/2.
-    With m = lam + delta/2, Bob's projection cos(b - lam) +
-    c cos(b - lam - delta) is 2 cos(delta/2) cos(b - m) when c = +1 and
-    -2 sin(delta/2) sin(b - m) when c = -1, so its sign flips where m
-    crosses b -+ pi/2, or b.  Trials within a slack of an arc end, and
-    flipped-bit trials at a shift of at most SMALL_SHIFT, are redone
-    with run_trial_fixed's own formulas, which also raise
-    DegenerateResultantError for exactly the trials it raises for.
-
-    One shift for every trial (plain and fixed-shift) makes the product
-    a function of lam alone: each share looks its product up in the
-    table of its bin of [0, 2 pi) that _bin_table builds once per
-    (a, b, delta), and the shares in redo bins take the exact formulas.
-    Shares outside [0, 2 pi), which the sampler never draws, all take
-    them.  A shift per trial (random-shift) moves the arc ends with the
-    share, so every sign is an arc compare (_on_arc) of lam, lam + delta
-    or m.
+    A shift per trial (random-shift) is two_share_products at the second
+    share lam + delta.  One shift for every trial (plain and
+    fixed-shift) makes the product a function of lam alone: each share
+    looks its product up in the table of its bin of [0, 2 pi) that
+    _bin_table builds once per (a, b, delta), and the shares in redo
+    bins take the exact formulas (_exact_plus), which also raise
+    DegenerateResultantError for exactly the trials run_trial_fixed
+    raises for.  Shares outside [0, 2 pi), which the sampler never
+    draws, all take them.
     """
-    window = _window(lam)
-    if np.ndim(delta) == 0:
-        check_delta(delta)
-        if 0.0 <= window[0] and window[1] < TWO_PI:
-            idx = thread_buffer("idx", len(lam), np.intp)
-            # truncation is the floor for shares >= 0
-            np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
-            table = _bin_table(float(a), float(b), float(delta))
-            bins = np.take(table, idx)
-            mask = bins == _PLUS
-            redo = np.flatnonzero(bins == _REDO)
-        else:
-            mask = np.empty(len(lam), dtype=bool)
-            redo = np.arange(len(lam))
-    else:
+    if np.ndim(delta):
         check_delta(float(delta.min()))
         check_delta(float(delta.max()))
-        tol = _slack(a, b, window)
-        s1, near = _on_arc(lam, window, a, tol)
         v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
-        # lam + delta and the midpoint lie at most pi/2 above the shares
-        mid_window = (window[0], window[1] + HALF_PI)
-        s2, near_v = _on_arc(v, mid_window, a, tol)
-        # halving first cannot overflow near the largest doubles, and
-        # halving is exact, so this rounds as (lam + v) * 0.5 does
-        mid = np.multiply(v, 0.5, out=v)
-        mid += np.multiply(lam, 0.5, out=thread_buffer("half", len(lam)))
-        plus, near_plus = _on_arc(mid, mid_window, b, tol)
-        minus, near_minus = _on_arc(mid, mid_window, b + HALF_PI, tol)
-        c_pos = s1 == s2
-        near |= near_v
-        near |= _pick(c_pos, near_plus, near_minus | (delta <= SMALL_SHIFT))
-        mask = _plus(s1, _pick(c_pos, plus, minus))
-        redo = np.flatnonzero(near)
+        return two_share_products(a, b, lam, v)
+    check_delta(delta)
+    lo, hi = _window(lam)
+    if not (0.0 <= lo and hi < TWO_PI):
+        return _exact_plus(a, b, lam, lam + delta)
+    idx = thread_buffer("idx", len(lam), np.intp)
+    # truncation is the floor for shares >= 0
+    np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
+    bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
+    mask = bins == _PLUS
+    redo = np.flatnonzero(bins == _REDO)
     if redo.size:
         x = lam[redo]
-        d = delta if np.ndim(delta) == 0 else delta[redo]
-        r1 = np.cos(a - x) >= 0.0
-        r2 = np.cos((a - x) - d) >= 0.0
-        mask[redo] = _plus(r1, _resultant_positive(b, x, r1 == r2, x + d))
+        mask[redo] = _exact_plus(a, b, x, x + delta)
     return mask
 
 
@@ -406,17 +377,12 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
             start += 1
             if start >= stop:
                 continue
-            # run_trial_fixed's formulas, inlined: this runs per estimate
             x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
-            s1 = math.cos(a - x) >= 0.0
-            c = 1.0 if s1 == (math.cos((a - x) - delta) >= 0.0) else -1.0
-            if c < 0.0 and delta <= SMALL_SHIFT:
+            c = comm_bit_fixed(a, x, delta)
+            if c < 0 and delta <= SMALL_SHIFT:
                 continue
-            v = x + delta
-            wx = math.cos(x) + c * math.cos(v)
-            wy = math.sin(x) + c * math.sin(v)
-            positive = math.cos(b) * wx + math.sin(b) * wy >= 0.0
-            value = _PLUS if s1 != positive else _MINUS
+            product = alice_output(a, x) * bob_output_fixed(b, x, c, delta)
+            value = _PLUS if product > 0 else _MINUS
             # the last entry stays _REDO; a run past it wraps to bin 0
             lo = start % _BINS
             hi = lo + (stop - start)
@@ -448,10 +414,7 @@ def run_trial_random_shift(
     The drawn shift is a share known to both sides, so it is recorded
     alongside the angular share.
     """
-    if not 0.0 <= delta_draw <= HALF_PI:
-        raise ConfigurationError(
-            f"delta_draw must lie in [0, pi/2], got {delta_draw!r}"
-        )
+    check_delta(delta_draw)
     rec = run_trial_fixed(a, b, lam, delta_draw)
     return TrialRecord(
         a=a,
@@ -497,52 +460,50 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     for each pair of shares.
 
     No trig runs on the full arrays.  Alice's two signs are arc compares
-    of each share about a, as in fixed_products, and the trials near an
-    arc end are redone by np.cos before her bit is formed.  With
-    m = (lam1 + lam2)/2 and h = (lam2 - lam1)/2, Bob's projection
-    cos(b - lam1) + c cos(b - lam2) is 2 cos(m - b) cos h when c = +1
-    and 2 sin(m - b) sin h when c = -1, so it is >= 0 where the arc
-    compare of m about b agrees with that of h about 0, or of m about
-    b + pi/2 with h about pi/2.  Trials within a slack of an end of m's
-    arc, and trials with h within SMALL_SHIFT of a zero of its factor,
-    are redone with resultant_sign's own formulas, which also raise
-    DegenerateResultantError for exactly the trials it raises for.  A
+    of each share about a.  With h = (lam2 - lam1)/2 and m = lam1 + h,
+    Bob's projection cos(b - lam1) + c cos(b - lam2) is
+    2 cos(m - b) cos h when c = +1 and 2 sin(m - b) sin h when c = -1,
+    so it is >= 0 where the arc compare of m about b agrees with that
+    of h about 0, or of m about b + pi/2 with h about pi/2.  Trials
+    within a slack of an arc end of a share or of m, and trials with h
+    within SMALL_SHIFT of a zero of its factor, are redone whole by
+    _exact_plus, which also raises DegenerateResultantError for exactly
+    the trials run_trial_twoshare raises for; a trial near one of
+    Alice's ends is redone whatever bit the compares gave it.  A
     slack-sized window about h's zeros is not enough: two factors just
     outside a slack multiply to far less than the reference can round.
+    From a slack of pi/4 every trial is redone, before any difference
+    of shares is formed, so nothing overflows.
     """
     w1, w2 = _window(lam1), _window(lam2)
     tol = _slack(a, b, w1 + w2)
+    if tol >= 0.25 * math.pi:
+        return _exact_plus(a, b, lam1, lam2)
     s1, near = _on_arc(lam1, w1, a, tol)
     s2, near2 = _on_arc(lam2, w2, a, tol)
     near |= near2
-    redo = np.flatnonzero(near)
-    if redo.size:
-        s1[redo] = np.cos(a - lam1[redo]) >= 0.0
-        s2[redo] = np.cos(a - lam2[redo]) >= 0.0
     c_pos = s1 == s2
     # rounding is monotone, so the same operations on the share bounds
-    # bound m and h; h reuses m's buffer
-    m = np.add(lam1, lam2, out=thread_buffer("m", len(lam1)))
-    m *= 0.5
-    m_window = (0.5 * (w1[0] + w2[0]), 0.5 * (w1[1] + w2[1]))
-    plus, near_plus = _on_arc(m, m_window, b, tol)
-    minus, near_minus = _on_arc(m, m_window, b + HALF_PI, tol)
-    h = np.subtract(lam2, lam1, out=m)
+    # bound h, and m lies between the two shares; m reuses h's buffer
+    h = np.subtract(lam2, lam1, out=thread_buffer("m", len(lam1)))
     h *= 0.5
     h_window = (0.5 * (w2[0] - w1[1]), 0.5 * (w2[1] - w1[0]))
     cos_h, near_cos = _on_arc(h, h_window, 0.0, SMALL_SHIFT)
     sin_h, near_sin = _on_arc(h, h_window, HALF_PI, SMALL_SHIFT)
+    m = np.add(lam1, h, out=h)
+    m_window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
+    plus, near_plus = _on_arc(m, m_window, b, tol)
+    minus, near_minus = _on_arc(m, m_window, b + HALF_PI, tol)
     np.equal(plus, cos_h, out=plus)
     np.equal(minus, sin_h, out=minus)
-    positive = _pick(c_pos, plus, minus)
     near_plus |= near_cos
     near_minus |= near_sin
-    redo = np.flatnonzero(_pick(c_pos, near_plus, near_minus))
+    near |= _pick(c_pos, near_plus, near_minus)
+    mask = _plus(s1, _pick(c_pos, plus, minus))
+    redo = np.flatnonzero(near)
     if redo.size:
-        positive[redo] = _resultant_positive(
-            b, lam1[redo], c_pos[redo], lam2[redo]
-        )
-    return _plus(s1, positive)
+        mask[redo] = _exact_plus(a, b, lam1[redo], lam2[redo])
+    return mask
 
 
 def quantized_direction(index: int, k: int) -> float:

@@ -759,6 +759,19 @@ class TestArcCompareKernel:
         assert got == want
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_two_share_far_shares_of_opposite_sign_in_one_trial(self, sign):
+        # lam2 - lam1 of the first trial overflows; from a slack of pi/4
+        # every trial must take the exact formulas before any difference
+        # of shares is formed
+        got, want = _products_or_raise(
+            lambda x, y: two_share_products(0.3, 1.1, x, y),
+            lambda x, y: run_trial_twoshare(0.3, 1.1, x, y),
+            np.array([sign * 1.7e308, 0.2]),
+            np.array([-sign * 1.7e308, 0.4]),
+        )
+        assert got == want
+
     @pytest.mark.parametrize("big", [1.7e308, np.finfo(float).max])
     @pytest.mark.filterwarnings("error")
     def test_random_shift_midpoint_near_largest_double(self, big):
@@ -878,3 +891,48 @@ class TestArcCompareKernel:
             two_share_products(0.0, 1.0, lam, bad)
         with pytest.raises(DomainError):
             run_trial_fixed(0.0, 1.0, math.nan, 0.3)
+
+
+def _record_or_raise(trial, *args):
+    """A scalar trial's product and sent bits, or "raises"."""
+    try:
+        rec = trial(*args)
+    except DegenerateResultantError:
+        return "raises"
+    return rec.product, rec.comm_bits
+
+
+class TestShiftIsASecondShare:
+    """Fixed-shift and random-shift are the two-share protocol with the
+    second share lam + delta: the same bit, the same product and the
+    same raise, in the scalar trials and in the vector products, down to
+    the rounding of lam + delta at Alice's shifted arc ends."""
+
+    SHIFTS = [0.0, 1e-13, 1e-3, math.pi / 5, HALF_PI]
+    SETTINGS = [(0.0, 0.7), (1.3, 0.2), (1.75 * math.pi, 2.9), (-4.0, 1.1),
+                (20.0, -3.0), (10 * TWO_PI - HALF_PI, 0.3), (1e6, -4.0)]
+
+    @given(angles, angles, angles, shifts)
+    def test_scalar_trials_at_drawn_shares(self, a, b, lam, delta):
+        want = _record_or_raise(run_trial_twoshare, a, b, lam, lam + delta)
+        assert _record_or_raise(run_trial_fixed, a, b, lam, delta) == want
+        assert _record_or_raise(run_trial_random_shift, a, b, lam, delta) == want
+
+    @pytest.mark.parametrize("delta", SHIFTS)
+    @pytest.mark.parametrize("a, b", SETTINGS)
+    def test_shares_at_shifted_arc_ends(self, a, b, delta):
+        # lam + delta within ulps of a -+ pi/2, where Alice's second sign
+        # changes and only the rounding of lam + delta decides it
+        ends = np.array([a + HALF_PI - delta, a - HALF_PI - delta])
+        lam = (ends[:, None] + np.arange(-60, 61) * np.spacing(ends)[:, None]).ravel()
+        wants = [_record_or_raise(run_trial_twoshare, a, b, x, x + delta) for x in lam]
+        for x, want in zip(lam, wants):
+            assert _record_or_raise(run_trial_fixed, a, b, x, delta) == want
+            assert _record_or_raise(run_trial_random_shift, a, b, x, delta) == want
+        # the vector products of the trials that do not raise
+        lam = lam[[want != "raises" for want in wants]]
+        dd = np.full(lam.size, delta)
+        spec = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
+        got = PROTOCOLS[spec.kind].products(spec, a, b, lam.size, lam, dd)
+        assert np.array_equal(got, two_share_products(a, b, lam, lam + dd))
+        assert _signs(got) == [want[0] for want in wants if want != "raises"]
