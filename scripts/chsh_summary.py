@@ -3,7 +3,6 @@
 matching closed-form value where one exists, and the three bounds."""
 
 import argparse
-import math
 import sys
 
 from bellcomm.chsh import (
@@ -16,12 +15,13 @@ from bellcomm.chsh import (
 from bellcomm.cli import _seed_type, _trials_type, _workers_type
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
+from bellcomm.verify import SHIFT_GRID
 
 
 def specs():
     yield ProtocolSpec(ProtocolKind.PLAIN)
-    for delta in (math.pi / 10, math.pi / 5, 3 * math.pi / 10, 2 * math.pi / 5,
-                  math.pi / 2):
+    # plain already stands for delta = 0
+    for delta in SHIFT_GRID[1:]:
         yield ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
     yield ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
     yield ProtocolSpec(ProtocolKind.TWO_SHARE)

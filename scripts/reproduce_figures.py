@@ -9,7 +9,6 @@ no figure is left half-written; an I/O error exits 3.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -26,9 +25,7 @@ from bellcomm.cli import (
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.svgplot import render_plot
-
-SHIFTS = (0.0, math.pi / 10, math.pi / 5, 3 * math.pi / 10, 2 * math.pi / 5,
-          math.pi / 2)
+from bellcomm.verify import SHIFT_GRID
 
 
 def parse_args(argv=None):
@@ -65,7 +62,7 @@ def emit(spec, stem, title, seed, args):
 def main(argv=None) -> int:
     args = parse_args(argv)
     jobs = []
-    for i, delta in enumerate(SHIFTS):
+    for i, delta in enumerate(SHIFT_GRID):
         spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
         stem = f"fixed_shift_{i}_delta_{delta:.3f}".replace(".", "p")
         title = f"fixed shift, delta = {delta:.4f}"

@@ -288,7 +288,6 @@ class LawKind(Enum):
     LINEAR = "linear"
     QUANTUM_COSINE = "quantum-cosine"
     FIXED_SHIFT = "fixed-shift"
-    ORTHOGONAL_STEP = "orthogonal-step"
     SHIFT_AVERAGED = "shift-averaged"
 
 
@@ -315,6 +314,4 @@ class CorrelationLaw:
         if self.kind is LawKind.FIXED_SHIFT:
             assert self.delta is not None
             return fixed_shift_law(theta, self.delta)
-        if self.kind is LawKind.ORTHOGONAL_STEP:
-            return orthogonal_step_law(theta)
         return shift_averaged_law(theta)

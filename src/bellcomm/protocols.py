@@ -303,35 +303,35 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     the trials whose product is +1; delta may be a scalar or an array.
     Gives run_trial_fixed's product for each share.
 
-    A shift per trial (random-shift) is two_share_products at the second
-    share lam + delta.  One shift for every trial (plain and
-    fixed-shift) makes the product a function of lam alone: each share
-    looks its product up in the table of its bin of [0, 2 pi) that
-    _bin_table builds once per (a, b, delta), and the shares in redo
-    bins take the exact formulas (_exact_plus), which also raise
-    DegenerateResultantError for exactly the trials run_trial_fixed
-    raises for.  Shares outside [0, 2 pi), which the sampler never
-    draws, all take them.
+    One shift for every trial (plain and fixed-shift) makes the product
+    a function of lam alone: each share looks its product up in the
+    table of its bin of [0, 2 pi) that _bin_table builds once per
+    (a, b, delta), and the shares in redo bins take the exact formulas
+    (_exact_plus), which also raise DegenerateResultantError for exactly
+    the trials run_trial_fixed raises for.  Every chunk the table cannot
+    serve, with a shift per trial (random-shift) or a share outside
+    [0, 2 pi), which the sampler never draws, is two_share_products at
+    the second share lam + delta.
     """
     if np.ndim(delta):
         check_delta(float(delta.min()))
         check_delta(float(delta.max()))
-        v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
-        return two_share_products(a, b, lam, v)
-    check_delta(delta)
-    lo, hi = _window(lam)
-    if not (0.0 <= lo and hi < TWO_PI):
-        return _exact_plus(a, b, lam, lam + delta)
-    idx = thread_buffer("idx", len(lam), np.intp)
-    # truncation is the floor for shares >= 0
-    np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
-    bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
-    mask = bins == _PLUS
-    redo = np.flatnonzero(bins == _REDO)
-    if redo.size:
-        x = lam[redo]
-        mask[redo] = _exact_plus(a, b, x, x + delta)
-    return mask
+    else:
+        check_delta(delta)
+        lo, hi = _window(lam)
+        if 0.0 <= lo and hi < TWO_PI:
+            idx = thread_buffer("idx", len(lam), np.intp)
+            # truncation is the floor for shares >= 0
+            np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
+            bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
+            mask = bins == _PLUS
+            redo = np.flatnonzero(bins == _REDO)
+            if redo.size:
+                x = lam[redo]
+                mask[redo] = _exact_plus(a, b, x, x + delta)
+            return mask
+    v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
+    return two_share_products(a, b, lam, v)
 
 
 # fixed_products' table for one shared shift: bins of [0, 2 pi), each

@@ -1,5 +1,16 @@
 """Named self-checks: analytic identities plus reduced-n statistical checks.
 
+run_all_checks builds one ordered table of the twenty checks, each a
+call with no arguments that returns its CheckResult, and runs the table
+in one loop.  Most entries take one of three shapes, each written once:
+the largest gap over a grid, between two closed forms or a law and its
+quadrature oracle (_largest_gap); a 13-point Monte Carlo sweep against
+its law (curves); and a sampled CHSH value against a bound (chsh_near).
+Each sampled check states its own law, independent of the protocol
+table's.  The sampled CHSH checks read the signed S, which is negative
+at CANONICAL_SETTINGS for every law, so they also catch products of the
+wrong sign.
+
 Each check reports its observed deviation and tolerance, so a failure
 message carries the number that broke it.  The statistical checks scale
 their tolerance with the trial count, keeping the suite fast while
@@ -10,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from . import montecarlo
 from .chsh import (
@@ -19,9 +32,11 @@ from .chsh import (
     chsh_sampled,
 )
 from .laws import (
+    HALF_PI,
     CorrelationLaw,
     LawKind,
     fixed_shift_law,
+    linear_law,
     mean_sign_vs_reference,
     mean_sign_vs_reference_quad,
     orthogonal_step_law,
@@ -65,92 +80,39 @@ def _theta_grid(points: int) -> list[float]:
     return [(j / (points - 1)) * math.pi for j in range(points)]
 
 
-def _check_step_law_matches_five_branch() -> CheckResult:
-    # midpoints of 10^4 cells; every point sits well inside a branch
-    worst = 0.0
-    for j in range(10_000):
-        theta = ((j + 0.5) / 10_000) * math.pi
-        if min(abs(theta - math.pi / 4), abs(theta - 3 * math.pi / 4)) < 1e-6:
-            continue
-        gap = abs(orthogonal_step_law(theta) - fixed_shift_law(theta, math.pi / 2))
-        worst = max(worst, gap)
-    return CheckResult(
-        "step-law-matches-five-branch", worst <= 1e-12, worst, 1e-12
-    )
+def _largest_gap(name: str, tol: float, gaps) -> CheckResult:
+    """Pass when no gap exceeds tol; the deviation is the largest gap,
+    or 0 if none is positive."""
+    worst = max(chain((0.0,), gaps))
+    return CheckResult(name, worst <= tol, worst, tol)
 
 
 def _branch_values(t: float, d: float) -> tuple[float, ...]:
     return (-1.0, 2.0 * t - 1.0 - d, 4.0 * t - 2.0, 2.0 * t - 1.0 + d, 1.0)
 
 
-def _check_five_branch_continuity() -> CheckResult:
-    worst = 0.0
+def _branch_gaps():
+    """Jumps between neighbouring five-branch pieces at their shared ends."""
     for delta in SHIFT_GRID:
         d = delta / math.pi
         boundaries = (0.5 * d, 0.5 * (1.0 - d), 0.5 * (1.0 + d), 1.0 - 0.5 * d)
         for i, t in enumerate(boundaries):
             left, right = _branch_values(t, d)[i], _branch_values(t, d)[i + 1]
-            worst = max(worst, abs(left - right))
-    return CheckResult(
-        "five-branch-continuity", worst <= 1e-12, worst, 1e-12
-    )
+            yield abs(left - right)
 
 
-def _check_five_branch_symmetry() -> CheckResult:
-    worst = 0.0
-    for delta in SHIFT_GRID:
-        for theta in _theta_grid(1001):
-            gap = abs(
-                fixed_shift_law(math.pi - theta, delta)
-                + fixed_shift_law(theta, delta)
-            )
-            worst = max(worst, gap)
-    return CheckResult(
-        "five-branch-point-symmetry", worst <= 1e-12, worst, 1e-12
-    )
-
-
-def _check_law_endpoints_and_bounds() -> CheckResult:
+def _endpoint_and_bound_gaps():
+    """How far each law misses -1 at 0 and +1 at pi, and how far it
+    leaves [-1, 1]."""
     laws = [
         CorrelationLaw(LawKind.LINEAR),
         CorrelationLaw(LawKind.QUANTUM_COSINE),
         CorrelationLaw(LawKind.SHIFT_AVERAGED),
     ] + [CorrelationLaw(LawKind.FIXED_SHIFT, delta=d) for d in SHIFT_GRID]
-    worst = 0.0
     for law in laws:
-        worst = max(worst, abs(law.evaluate(0.0) + 1.0))
-        worst = max(worst, abs(law.evaluate(math.pi) - 1.0))
-        for theta in _theta_grid(1001):
-            worst = max(worst, abs(law.evaluate(theta)) - 1.0)
-    return CheckResult(
-        "law-endpoints-and-bounds", worst <= 1e-12, worst, 1e-12
-    )
-
-
-def _check_shift_average_identity() -> CheckResult:
-    worst = 0.0
-    for theta in _theta_grid(181):
-        gap = abs(shift_average_quadrature(theta) - shift_averaged_law(theta))
-        worst = max(worst, gap)
-    return CheckResult(
-        "shift-average-identity", worst <= 1e-8, worst, 1e-8
-    )
-
-
-def _check_sign_mean_oracle() -> CheckResult:
-    worst = 0.0
-    for t in _theta_grid(100):
-        gap = abs(mean_sign_vs_reference_quad(t) - mean_sign_vs_reference(t))
-        worst = max(worst, gap)
-    return CheckResult("sign-mean-oracle", worst <= 1e-6, worst, 1e-6)
-
-
-def _check_folded_integral_oracle() -> CheckResult:
-    worst = 0.0
-    for r in _theta_grid(100):
-        gap = abs(two_share_integral(r) - shift_averaged_law(r))
-        worst = max(worst, gap)
-    return CheckResult("folded-integral-oracle", worst <= 1e-8, worst, 1e-8)
+        yield abs(law.evaluate(0.0) + 1.0)
+        yield abs(law.evaluate(math.pi) - 1.0)
+        yield from (abs(law.evaluate(t)) - 1.0 for t in _theta_grid(1001))
 
 
 def _check_superquantum_crossing() -> CheckResult:
@@ -200,68 +162,6 @@ def _check_averaged_law_curvature() -> CheckResult:
     )
 
 
-def _worst_point(
-    spec: ProtocolSpec, law: CorrelationLaw, mc_n: int, seed: int, workers: int
-) -> tuple[float, float]:
-    """The largest |E_mc - law| over a 13-point sweep, and its theta."""
-    sweep = montecarlo.sweep_curve(spec, 13, mc_n, seed, workers=workers)
-    worst = worst_theta = 0.0
-    for theta, est in zip(sweep.grid, sweep.estimates):
-        gap = abs(est.mean - law.evaluate(theta))
-        if gap > worst:
-            worst, worst_theta = gap, theta
-    return worst, worst_theta
-
-
-def _mc_curve_check(
-    name: str,
-    spec: ProtocolSpec,
-    law: CorrelationLaw,
-    mc_n: int,
-    seed: int,
-    workers: int,
-) -> CheckResult:
-    tol = 0.02 * math.sqrt(100_000 / mc_n)
-    worst, theta = _worst_point(spec, law, mc_n, seed, workers)
-    return CheckResult(name, worst <= tol, worst, tol, f"max at theta={theta:.4f}")
-
-
-def _check_mc_fixed_shift(mc_n, seed, workers) -> CheckResult:
-    tol = 0.02 * math.sqrt(100_000 / mc_n)
-    worst = 0.0
-    detail = ""
-    for i, delta in enumerate(SHIFT_GRID):
-        gap, theta = _worst_point(
-            ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta),
-            CorrelationLaw(LawKind.FIXED_SHIFT, delta=delta),
-            mc_n,
-            montecarlo.child_seed(seed, i),
-            workers,
-        )
-        if gap > worst:
-            worst = gap
-            detail = f"max at theta={theta:.4f}, delta={delta:.4f}"
-    return CheckResult("mc-fixed-shift-curves", worst <= tol, worst, tol, detail)
-
-
-def _check_chsh_values() -> CheckResult:
-    worst = max(
-        abs(chsh_analytic(CorrelationLaw(LawKind.LINEAR)).abs_s - 2.0),
-        abs(chsh_analytic(CorrelationLaw(LawKind.SHIFT_AVERAGED)).abs_s - 3.0),
-        abs(
-            chsh_analytic(
-                CorrelationLaw(LawKind.FIXED_SHIFT, delta=math.pi / 2)
-            ).abs_s
-            - 4.0
-        ),
-        abs(
-            chsh_analytic(CorrelationLaw(LawKind.QUANTUM_COSINE)).abs_s
-            - TSIRELSON_BOUND
-        ),
-    )
-    return CheckResult("chsh-analytic-values", worst <= 1e-12, worst, 1e-12)
-
-
 def _check_chsh_monotone_in_shift() -> CheckResult:
     values = [
         chsh_analytic(CorrelationLaw(LawKind.FIXED_SHIFT, delta=d)).abs_s
@@ -279,123 +179,133 @@ def _check_chsh_monotone_in_shift() -> CheckResult:
     )
 
 
-def _check_chsh_sampled(chsh_n, seed, workers) -> list[CheckResult]:
-    tol = 0.01 * math.sqrt(1_000_000 / chsh_n)
-    results = []
-
-    res = chsh_sampled(
-        ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=math.pi / 2),
-        CANONICAL_SETTINGS,
-        chsh_n,
-        montecarlo.child_seed(seed, 101),
-        workers=workers,
-    )
-    gap = 4.0 - res.abs_s
-    results.append(
-        CheckResult(
-            "chsh-fixed-shift-orthogonal",
-            0.0 <= gap <= 0.01,
-            gap,
-            0.01,
-            "distance below the algebraic bound",
-        )
-    )
-
-    res = chsh_sampled(
-        ProtocolSpec(ProtocolKind.QUANTUM),
-        CANONICAL_SETTINGS,
-        chsh_n,
-        montecarlo.child_seed(seed, 102),
-        workers=workers,
-    )
-    gap = abs(res.abs_s - TSIRELSON_BOUND)
-    results.append(
-        CheckResult("chsh-quantum-reference", gap <= tol, gap, tol)
-    )
-
-    res = chsh_sampled(
-        ProtocolSpec(ProtocolKind.PLAIN),
-        CANONICAL_SETTINGS,
-        chsh_n,
-        montecarlo.child_seed(seed, 103),
-        workers=workers,
-    )
-    gap = abs(res.abs_s - 2.0)
-    results.append(CheckResult("chsh-plain-local", gap <= tol, gap, tol))
-
-    res = chsh_sampled(
-        ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3),
-        CANONICAL_SETTINGS,
-        1000,
-        montecarlo.child_seed(seed, 104),
-        workers=workers,
-    )
-    bits = len(run_trial_adaptive(math.pi / 2, math.pi / 4, 3, 0.0).comm_bits)
-    exact = res.abs_s == 4.0 and bits == 3
-    results.append(
-        CheckResult(
-            "chsh-adaptive-exact",
-            exact,
-            abs(res.abs_s - 4.0),
-            0.0,
-            f"{bits} bits per trial",
-        )
-    )
-    return results
-
-
 def run_all_checks(
     seed: int = 0,
     workers: int = 1,
     mc_n: int = 20_000,
     chsh_n: int = 100_000,
 ) -> list[CheckResult]:
-    """Run every identity and statistical check; order is stable."""
-    results = [
-        _check_step_law_matches_five_branch(),
-        _check_five_branch_continuity(),
-        _check_five_branch_symmetry(),
-        _check_law_endpoints_and_bounds(),
-        _check_shift_average_identity(),
-        _check_sign_mean_oracle(),
-        _check_folded_integral_oracle(),
-        _check_superquantum_crossing(),
-        _check_averaged_law_curvature(),
-        _check_mc_fixed_shift(mc_n, seed, workers),
-        _mc_curve_check(
-            "mc-two-share-curve",
-            ProtocolSpec(ProtocolKind.TWO_SHARE),
-            CorrelationLaw(LawKind.SHIFT_AVERAGED),
-            mc_n,
-            montecarlo.child_seed(seed, 11),
-            workers,
+    """Run every identity and statistical check; order is stable.
+
+    Child seeds 0-5 and 11-14 of seed drive the curve sweeps, 101-104
+    the CHSH runs.  The table is built per call, so a tracer that
+    rebinds the oracles or samplers sees every call.
+    """
+    mc_tol = 0.02 * math.sqrt(100_000 / mc_n)
+    chsh_tol = 0.01 * math.sqrt(1_000_000 / chsh_n)
+
+    def curves(name, *sweeps) -> CheckResult:
+        """The largest |E_mc - law| over 13-point sweeps, each given as
+        (kind, law, child-seed index, delta or None); the first point
+        wins a tie."""
+        points = []
+        for kind, law, index, delta in sweeps:
+            sweep = montecarlo.sweep_curve(
+                ProtocolSpec(kind, delta=delta),
+                13,
+                mc_n,
+                montecarlo.child_seed(seed, index),
+                workers=workers,
+            )
+            suffix = "" if delta is None else f", delta={delta:.4f}"
+            points += [
+                (abs(est.mean - law(theta)), theta, suffix)
+                for theta, est in zip(sweep.grid, sweep.estimates)
+            ]
+        gap, theta, suffix = max(points, key=lambda p: p[0])
+        return CheckResult(
+            name, gap <= mc_tol, gap, mc_tol, f"max at theta={theta:.4f}{suffix}"
+        )
+
+    def chsh_s(spec, index, n=chsh_n) -> float:
+        """Signed S at CANONICAL_SETTINGS, where every law gives S < 0,
+        so products of the wrong sign turn it positive."""
+        child = montecarlo.child_seed(seed, index)
+        return chsh_sampled(spec, CANONICAL_SETTINGS, n, child, workers=workers).s
+
+    def chsh_near(name, kind, index, bound) -> CheckResult:
+        gap = abs(chsh_s(ProtocolSpec(kind), index) + bound)
+        return CheckResult(name, gap <= chsh_tol, gap, chsh_tol)
+
+    def chsh_orthogonal() -> CheckResult:
+        gap = 4.0 + chsh_s(ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101)
+        return CheckResult(
+            "chsh-fixed-shift-orthogonal",
+            0.0 <= gap <= 0.01,
+            gap,
+            0.01,
+            "distance below the algebraic bound",
+        )
+
+    def chsh_adaptive() -> CheckResult:
+        s = chsh_s(ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3), 104, 1000)
+        bits = len(run_trial_adaptive(HALF_PI, math.pi / 4, 3, 0.0).comm_bits)
+        return CheckResult(
+            "chsh-adaptive-exact",
+            s == -4.0 and bits == 3,
+            abs(s + 4.0),
+            0.0,
+            f"{bits} bits per trial",
+        )
+
+    checks = (
+        # midpoints of 10^4 cells; every point sits well inside a branch
+        lambda: _largest_gap("step-law-matches-five-branch", 1e-12, (
+            abs(orthogonal_step_law(t) - fixed_shift_law(t, HALF_PI))
+            for t in (((j + 0.5) / 10_000) * math.pi for j in range(10_000))
+        )),
+        lambda: _largest_gap("five-branch-continuity", 1e-12, _branch_gaps()),
+        lambda: _largest_gap("five-branch-point-symmetry", 1e-12, (
+            abs(fixed_shift_law(math.pi - t, d) + fixed_shift_law(t, d))
+            for d in SHIFT_GRID
+            for t in _theta_grid(1001)
+        )),
+        lambda: _largest_gap(
+            "law-endpoints-and-bounds", 1e-12, _endpoint_and_bound_gaps()
         ),
-        _mc_curve_check(
-            "mc-random-shift-curve",
-            ProtocolSpec(ProtocolKind.RANDOM_SHIFT),
-            CorrelationLaw(LawKind.SHIFT_AVERAGED),
-            mc_n,
-            montecarlo.child_seed(seed, 12),
-            workers,
+        lambda: _largest_gap("shift-average-identity", 1e-8, (
+            abs(shift_average_quadrature(t) - shift_averaged_law(t))
+            for t in _theta_grid(181)
+        )),
+        lambda: _largest_gap("sign-mean-oracle", 1e-6, (
+            abs(mean_sign_vs_reference_quad(t) - mean_sign_vs_reference(t))
+            for t in _theta_grid(100)
+        )),
+        lambda: _largest_gap("folded-integral-oracle", 1e-8, (
+            abs(two_share_integral(t) - shift_averaged_law(t))
+            for t in _theta_grid(100)
+        )),
+        _check_superquantum_crossing,
+        _check_averaged_law_curvature,
+        lambda: curves("mc-fixed-shift-curves", *(
+            (ProtocolKind.FIXED_SHIFT, partial(fixed_shift_law, delta=d), i, d)
+            for i, d in enumerate(SHIFT_GRID)
+        )),
+        *(
+            partial(curves, name, (kind, law, index, None))
+            for name, kind, law, index in (
+                ("mc-two-share-curve", ProtocolKind.TWO_SHARE, shift_averaged_law, 11),
+                ("mc-random-shift-curve", ProtocolKind.RANDOM_SHIFT,
+                 shift_averaged_law, 12),
+                ("mc-plain-curve", ProtocolKind.PLAIN, linear_law, 13),
+                ("mc-quantum-curve", ProtocolKind.QUANTUM, quantum_cosine_law, 14),
+            )
         ),
-        _mc_curve_check(
-            "mc-plain-curve",
-            ProtocolSpec(ProtocolKind.PLAIN),
-            CorrelationLaw(LawKind.LINEAR),
-            mc_n,
-            montecarlo.child_seed(seed, 13),
-            workers,
+        lambda: _largest_gap("chsh-analytic-values", 1e-12, (
+            abs(chsh_analytic(law).abs_s - bound)
+            for law, bound in (
+                (CorrelationLaw(LawKind.LINEAR), 2.0),
+                (CorrelationLaw(LawKind.SHIFT_AVERAGED), 3.0),
+                (CorrelationLaw(LawKind.FIXED_SHIFT, delta=HALF_PI), 4.0),
+                (CorrelationLaw(LawKind.QUANTUM_COSINE), TSIRELSON_BOUND),
+            )
+        )),
+        _check_chsh_monotone_in_shift,
+        chsh_orthogonal,
+        lambda: chsh_near(
+            "chsh-quantum-reference", ProtocolKind.QUANTUM, 102, TSIRELSON_BOUND
         ),
-        _mc_curve_check(
-            "mc-quantum-curve",
-            ProtocolSpec(ProtocolKind.QUANTUM),
-            CorrelationLaw(LawKind.QUANTUM_COSINE),
-            mc_n,
-            montecarlo.child_seed(seed, 14),
-            workers,
-        ),
-        _check_chsh_values(),
-        _check_chsh_monotone_in_shift(),
-    ]
-    results.extend(_check_chsh_sampled(chsh_n, seed, workers))
-    return results
+        lambda: chsh_near("chsh-plain-local", ProtocolKind.PLAIN, 103, 2.0),
+        chsh_adaptive,
+    )
+    return [check() for check in checks]

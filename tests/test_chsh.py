@@ -20,7 +20,7 @@ from bellcomm.errors import (
     DomainError,
     InvariantViolationError,
 )
-from bellcomm.laws import CorrelationLaw, LawKind
+from bellcomm.laws import CorrelationLaw, LawKind, orthogonal_step_law
 from bellcomm.montecarlo import child_seed, estimate_correlation
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 
@@ -88,8 +88,9 @@ class TestAnalytic:
         # the piecewise-constant form has jumps exactly on the canonical
         # separations; the five-branch form at delta = pi/2 is the
         # well-defined way to evaluate there
-        with pytest.raises(BoundaryAmbiguityError):
-            chsh_analytic(CorrelationLaw(LawKind.ORTHOGONAL_STEP))
+        for theta in CANONICAL_SETTINGS.separations():
+            with pytest.raises(BoundaryAmbiguityError):
+                orthogonal_step_law(theta)
 
     def test_functional_combination(self):
         r = chsh_analytic(SHIFT_HALF)

@@ -261,7 +261,6 @@ def test_correlation_law_dispatch():
             lambda t: fixed_shift_law(t, delta),
         ),
         (CorrelationLaw(LawKind.SHIFT_AVERAGED), shift_averaged_law),
-        (CorrelationLaw(LawKind.ORTHOGONAL_STEP), orthogonal_step_law),
     ]
     for law, fn in cases:
         for theta in (0.0, 0.4, 1.3, 2.9, math.pi):

@@ -871,6 +871,9 @@ class TestArcCompareKernel:
                 fixed_products(a, b, lam, 0.3)
             with pytest.raises(DomainError):
                 fixed_products(a, b, lam, np.array([0.2, 0.3, 1.0]))
+            # shares outside [0, 2 pi) skip the table, not the refusal
+            with pytest.raises(DomainError):
+                fixed_products(a, b, lam + TWO_PI, 0.3)
             with pytest.raises(DomainError):
                 two_share_products(a, b, lam, lam[::-1])
 

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 import bellcomm.laws
 from bellcomm.protocols import PROTOCOLS, ProtocolKind
 from bellcomm.verify import CheckResult, run_all_checks
@@ -80,3 +82,31 @@ def test_step_convention_does_not_leak_into_interior(monkeypatch):
     name = "step-law-matches-five-branch"
     results = {r.name: r for r in small_run()}
     assert results[name].passed
+
+
+# the checks that negating one row's products must fail, and no others
+FAILS_ON_FLIP = {
+    ProtocolKind.PLAIN: {"mc-plain-curve", "chsh-plain-local"},
+    ProtocolKind.FIXED_SHIFT: {
+        "mc-fixed-shift-curves",
+        "chsh-fixed-shift-orthogonal",
+    },
+    ProtocolKind.RANDOM_SHIFT: {"mc-random-shift-curve"},
+    ProtocolKind.TWO_SHARE: {"mc-two-share-curve"},
+    ProtocolKind.ADAPTIVE: {"chsh-adaptive-exact"},
+    ProtocolKind.QUANTUM: {"mc-quantum-curve", "chsh-quantum-reference"},
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+def test_sign_flip_fails_exactly_that_rows_checks(kind, monkeypatch):
+    # at the canonical settings every law's S is negative, so a row whose
+    # products all flip sign gives a positive S; |S| alone would miss it
+    row = PROTOCOLS[kind]
+
+    def flipped(*args):
+        return ~row.products(*args)
+
+    monkeypatch.setitem(PROTOCOLS, kind, replace(row, products=flipped))
+    failed = {r.name for r in small_run() if not r.passed}
+    assert failed == FAILS_ON_FLIP[kind]
