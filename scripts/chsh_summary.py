@@ -12,7 +12,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import _seed_type, _trials_type, _workers_type
+from bellcomm.cli import _seed_type, _trials_type, _workers_type, run_guarded
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.verify import SHIFT_GRID
@@ -37,14 +37,7 @@ def label(spec):
     return spec.kind.value
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=_trials_type, default=200_000,
-                        help="trials per setting pair")
-    parser.add_argument("--seed", type=_seed_type, default=0)
-    parser.add_argument("--workers", type=_workers_type, default=8)
-    args = parser.parse_args(argv)
-
+def print_table(args) -> int:
     print(f"bounds: local {LOCAL_BOUND:g}  quantum {TSIRELSON_BOUND:.6f}"
           f"  algebraic {ALGEBRAIC_BOUND:g}")
     print(f"{'protocol':<22} {'|S| sampled':>12} {'+-':>9} "
@@ -57,6 +50,16 @@ def main(argv=None) -> int:
         print(f"{label(spec):<22} {r.abs_s:>12.6f} {r.stderr_s:>9.6f} "
               f"{analytic:>13}  {r.classification.value}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--n", type=_trials_type, default=200_000,
+                        help="trials per setting pair")
+    parser.add_argument("--seed", type=_seed_type, default=0)
+    parser.add_argument("--workers", type=_workers_type, default=8)
+    args = parser.parse_args(argv)
+    return run_guarded(lambda: print_table(args))
 
 
 if __name__ == "__main__":

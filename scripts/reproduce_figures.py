@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from bellcomm.cli import (
-    EXIT_IO,
     _grid_type,
     _replacing,
     _seed_type,
     _trials_type,
     _workers_type,
     curve_series,
+    run_guarded,
     write_curve_csv,
 )
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
@@ -77,14 +77,13 @@ def main(argv=None) -> int:
              child_seed(args.seed, 100 + j))
         )
 
-    try:
+    def write_all() -> int:
         args.outdir.mkdir(parents=True, exist_ok=True)
         for job in jobs:
             emit(*job, args)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return 0
+        return 0
+
+    return run_guarded(write_all)
 
 
 if __name__ == "__main__":

@@ -63,9 +63,14 @@ CANONICAL_SETTINGS = ChshSettings(
 
 
 def classify(abs_s: float) -> ChshClass:
-    """Place |S| against the three bounds."""
-    if abs_s < 0.0:
-        raise DomainError(f"|S| cannot be negative, got {abs_s!r}")
+    """Place |S| against the three bounds.
+
+    A non-finite or negative |S| is a DomainError: nan would otherwise
+    fall through every comparison to SUPERQUANTUM.  A value above the
+    algebraic bound 4, beyond rounding slack, is an InvariantViolationError.
+    """
+    if not math.isfinite(abs_s) or abs_s < 0.0:
+        raise DomainError(f"|S| must be finite and non-negative, got {abs_s!r}")
     if abs_s > ALGEBRAIC_BOUND + 1e-9:
         raise InvariantViolationError(
             f"|S| = {abs_s!r} exceeds the algebraic bound 4; "

@@ -438,23 +438,44 @@ _COMMANDS = {
 }
 
 
+def run_guarded(body) -> int:
+    """Run body, a call with no arguments that returns an exit code, and
+    turn what it raises into one stderr line and an exit code: 2 for a
+    usage error, 3 for an I/O error, 1 for any other package error.
+
+    stdout is flushed inside, so output that fails only when it leaves
+    the buffer, as on a full disk, is an I/O error as well.
+    """
+    try:
+        code = body()
+        sys.stdout.flush()
+        return code
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed; the interpreter flushes it again at
+            # exit, and would exit 120, so what it holds goes nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return EXIT_IO
+    except BellcommError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BellcommError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    return run_guarded(lambda: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":

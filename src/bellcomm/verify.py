@@ -1,20 +1,20 @@
-"""Named self-checks: analytic identities plus reduced-n statistical checks.
+"""Named self-checks: analytic identities plus fixed-budget statistical checks.
 
 run_all_checks builds one ordered table of the twenty checks, each a
 call with no arguments that returns its CheckResult, and runs the table
 in one loop.  Most entries take one of three shapes, each written once:
 the largest gap over a grid, between two closed forms or a law and its
-quadrature oracle (_largest_gap); a 13-point Monte Carlo sweep against
-its law (curves); and a sampled CHSH value against a bound (chsh_near).
-Each sampled check states its own law, independent of the protocol
-table's.  The sampled CHSH checks read the signed S, which is negative
-at CANONICAL_SETTINGS for every law, so they also catch products of the
-wrong sign.
+quadrature oracle; a 13-point Monte Carlo sweep against its law; and a
+sampled CHSH value against a bound.  All three decide by _largest_gap,
+under which a NaN gap fails.  Each sampled check states its own law,
+independent of the protocol table's.  The sampled CHSH checks read the
+signed S, which is negative at CANONICAL_SETTINGS for every law, so
+they also catch products of the wrong sign.
 
 Each check reports its observed deviation and tolerance, so a failure
-message carries the number that broke it.  The statistical checks scale
-their tolerance with the trial count, keeping the suite fast while
-preserving roughly five-sigma margins.
+message carries the number that broke it.  The sampled checks run a
+fixed budget, MC_N trials per curve point and CHSH_N per CHSH pair; by
+Hoeffding's inequality correct code fails one with probability < 2e-5.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import pairwise
+
+import numpy as np
 
 from . import montecarlo
 from .chsh import (
@@ -56,6 +58,12 @@ SHIFT_GRID = (
     math.pi / 2,
 )
 
+# trials per curve point and per CHSH pair, and tolerances near five sigma
+MC_N = 20_000
+CHSH_N = 100_000
+MC_TOL = 0.02 * math.sqrt(100_000 / MC_N)
+CHSH_TOL = 0.01 * math.sqrt(1_000_000 / CHSH_N)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -80,11 +88,22 @@ def _theta_grid(points: int) -> list[float]:
     return [(j / (points - 1)) * math.pi for j in range(points)]
 
 
-def _largest_gap(name: str, tol: float, gaps) -> CheckResult:
-    """Pass when no gap exceeds tol; the deviation is the largest gap,
-    or 0 if none is positive."""
-    worst = max(chain((0.0,), gaps))
-    return CheckResult(name, worst <= tol, worst, tol)
+def _worst(values) -> tuple[int, float]:
+    """Index and value of the first largest value; argmax ranks a nan
+    above every number, so any nan makes the result nan."""
+    gaps = np.fromiter(values, float)
+    at = int(np.argmax(gaps))
+    return at, float(gaps[at])
+
+
+def _largest_gap(name, tol, gaps, detail="", where=None) -> CheckResult:
+    """Pass when no gap exceeds tol.  The deviation is the largest gap,
+    or 0 if none is positive; a nan gap makes it nan, which fails.  The
+    detail is where's name for the worst gap's point, if where is given."""
+    at, worst = _worst(gaps)
+    deviation = worst if math.isnan(worst) else max(0.0, worst)
+    detail = detail if where is None else where[at]
+    return CheckResult(name, deviation <= tol, deviation, tol, detail)
 
 
 def _branch_values(t: float, d: float) -> tuple[float, ...]:
@@ -116,13 +135,14 @@ def _endpoint_and_bound_gaps():
 
 
 def _check_superquantum_crossing() -> CheckResult:
-    margin_floor = math.inf
-    for delta in SHIFT_GRID[1:]:
-        best = max(
+    margins = [
+        _worst(
             abs(fixed_shift_law(theta, delta)) - abs(quantum_cosine_law(theta))
             for theta in _theta_grid(1001)
-        )
-        margin_floor = min(margin_floor, best)
+        )[1]
+        for delta in SHIFT_GRID[1:]
+    ]
+    margin_floor = math.nan if any(map(math.isnan, margins)) else min(margins)
     return CheckResult(
         "superquantum-crossing",
         margin_floor >= 1e-9,
@@ -137,7 +157,7 @@ def _check_averaged_law_curvature() -> CheckResult:
     # the cosine
     h = math.pi / 512
     target = 8.0 / math.pi**2
-    worst = 0.0
+    gaps = []
     for theta in _theta_grid(257)[2:-2]:
         if abs(theta - math.pi / 2) < 2.5 * h:
             continue
@@ -147,11 +167,12 @@ def _check_averaged_law_curvature() -> CheckResult:
             + shift_averaged_law(theta + h)
         ) / h**2
         expect = target if theta < math.pi / 2 else -target
-        worst = max(worst, abs(second - expect))
-    gap_to_cosine = max(
+        gaps.append(abs(second - expect))
+    worst = _worst(gaps)[1]
+    gap_to_cosine = _worst(
         abs(shift_averaged_law(theta) - quantum_cosine_law(theta))
         for theta in _theta_grid(1001)
-    )
+    )[1]
     passed = worst <= 1e-6 and gap_to_cosine > 0.01
     return CheckResult(
         "averaged-law-curvature",
@@ -162,70 +183,42 @@ def _check_averaged_law_curvature() -> CheckResult:
     )
 
 
-def _check_chsh_monotone_in_shift() -> CheckResult:
-    values = [
-        chsh_analytic(CorrelationLaw(LawKind.FIXED_SHIFT, delta=d)).abs_s
-        for d in SHIFT_GRID
-    ]
-    worst_drop = max(
-        max(0.0, values[i] - values[i + 1]) for i in range(len(values) - 1)
-    )
-    return CheckResult(
-        "chsh-monotone-in-shift",
-        worst_drop == 0.0,
-        worst_drop,
-        0.0,
-        "abs_s must not decrease along the shift grid",
-    )
-
-
-def run_all_checks(
-    seed: int = 0,
-    workers: int = 1,
-    mc_n: int = 20_000,
-    chsh_n: int = 100_000,
-) -> list[CheckResult]:
+def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     """Run every identity and statistical check; order is stable.
 
     Child seeds 0-5 and 11-14 of seed drive the curve sweeps, 101-104
     the CHSH runs.  The table is built per call, so a tracer that
     rebinds the oracles or samplers sees every call.
     """
-    mc_tol = 0.02 * math.sqrt(100_000 / mc_n)
-    chsh_tol = 0.01 * math.sqrt(1_000_000 / chsh_n)
 
     def curves(name, *sweeps) -> CheckResult:
         """The largest |E_mc - law| over 13-point sweeps, each given as
-        (kind, law, child-seed index, delta or None); the first point
-        wins a tie."""
-        points = []
+        (kind, law, child-seed index, delta or None)."""
+        gaps, where = [], []
         for kind, law, index, delta in sweeps:
             sweep = montecarlo.sweep_curve(
                 ProtocolSpec(kind, delta=delta),
                 13,
-                mc_n,
+                MC_N,
                 montecarlo.child_seed(seed, index),
                 workers=workers,
             )
             suffix = "" if delta is None else f", delta={delta:.4f}"
-            points += [
-                (abs(est.mean - law(theta)), theta, suffix)
-                for theta, est in zip(sweep.grid, sweep.estimates)
-            ]
-        gap, theta, suffix = max(points, key=lambda p: p[0])
-        return CheckResult(
-            name, gap <= mc_tol, gap, mc_tol, f"max at theta={theta:.4f}{suffix}"
-        )
+            for theta, est in zip(sweep.grid, sweep.estimates):
+                gaps.append(abs(est.mean - law(theta)))
+                where.append(f"max at theta={theta:.4f}{suffix}")
+        return _largest_gap(name, MC_TOL, gaps, where=where)
 
-    def chsh_s(spec, index, n=chsh_n) -> float:
+    def chsh_s(spec, index, n=CHSH_N) -> float:
         """Signed S at CANONICAL_SETTINGS, where every law gives S < 0,
         so products of the wrong sign turn it positive."""
         child = montecarlo.child_seed(seed, index)
         return chsh_sampled(spec, CANONICAL_SETTINGS, n, child, workers=workers).s
 
     def chsh_near(name, kind, index, bound) -> CheckResult:
-        gap = abs(chsh_s(ProtocolSpec(kind), index) + bound)
-        return CheckResult(name, gap <= chsh_tol, gap, chsh_tol)
+        return _largest_gap(
+            name, CHSH_TOL, [abs(chsh_s(ProtocolSpec(kind), index) + bound)]
+        )
 
     def chsh_orthogonal() -> CheckResult:
         gap = 4.0 + chsh_s(ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101)
@@ -300,7 +293,13 @@ def run_all_checks(
                 (CorrelationLaw(LawKind.QUANTUM_COSINE), TSIRELSON_BOUND),
             )
         )),
-        _check_chsh_monotone_in_shift,
+        # the largest drop of |S| from one shift to the next
+        lambda: _largest_gap("chsh-monotone-in-shift", 0.0, (
+            s - t for s, t in pairwise(
+                chsh_analytic(CorrelationLaw(LawKind.FIXED_SHIFT, delta=d)).abs_s
+                for d in SHIFT_GRID
+            )
+        ), "abs_s must not decrease along the shift grid"),
         chsh_orthogonal,
         lambda: chsh_near(
             "chsh-quantum-reference", ProtocolKind.QUANTUM, 102, TSIRELSON_BOUND

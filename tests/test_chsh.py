@@ -60,6 +60,13 @@ class TestClassify:
         with pytest.raises(InvariantViolationError):
             classify(4.0 + 1e-8)
 
+    @pytest.mark.parametrize("abs_s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, abs_s):
+        # every comparison with nan is false, so without the check nan
+        # would pass both bounds and be called superquantum
+        with pytest.raises(DomainError):
+            classify(abs_s)
+
 
 class TestAnalytic:
     def test_linear_law_sits_on_local_bound(self):

@@ -1,4 +1,8 @@
 import importlib.util
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,32 @@ def test_reproduce_figures_replaces_each_pair_whole(tmp_path, capsys, monkeypatc
     assert module.main(argv + ["--seed", "9"]) == 3
     assert "No space left on device" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == first
+
+
+def test_chsh_summary_unwritable_stdout_is_an_io_error(capsys, monkeypatch):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert load("chsh_summary").main(["--n", "100", "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "i/o error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_chsh_summary_on_a_full_device_exits_3():
+    # with stdout buffered, as it is when not a terminal, the write fails
+    # only at the flush; unhandled, the interpreter's own flush at exit
+    # would fail again and exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "chsh_summary.py"), "--n", "100",
+             "--workers", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"

@@ -1,10 +1,15 @@
+import math
 from dataclasses import replace
 
 import pytest
 
 import bellcomm.laws
-from bellcomm.protocols import PROTOCOLS, ProtocolKind
-from bellcomm.verify import CheckResult, run_all_checks
+import bellcomm.montecarlo
+import bellcomm.verify
+from bellcomm.chsh import CANONICAL_SETTINGS
+from bellcomm.laws import HALF_PI
+from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
+from bellcomm.verify import CHSH_TOL, MC_TOL, CheckResult, run_all_checks
 
 EXPECTED_ORDER = [
     "step-law-matches-five-branch",
@@ -31,9 +36,7 @@ EXPECTED_ORDER = [
 
 
 def small_run(**kwargs):
-    # statistical tolerances rescale with n, so a light budget keeps the
-    # suite honest and quick
-    return run_all_checks(seed=0, workers=2, mc_n=4000, chsh_n=10_000, **kwargs)
+    return run_all_checks(seed=0, workers=2, **kwargs)
 
 
 def test_all_checks_pass_and_order_is_stable():
@@ -110,3 +113,96 @@ def test_sign_flip_fails_exactly_that_rows_checks(kind, monkeypatch):
     monkeypatch.setitem(PROTOCOLS, kind, replace(row, products=flipped))
     failed = {r.name for r in small_run() if not r.passed}
     assert failed == FAILS_ON_FLIP[kind]
+
+
+# the checks that a law or oracle returning nan must fail, and no others;
+# each is patched under its name in bellcomm.verify
+FAILS_ON_NAN = {
+    "orthogonal_step_law": {"step-law-matches-five-branch"},
+    "mean_sign_vs_reference": {"sign-mean-oracle"},
+    "mean_sign_vs_reference_quad": {"sign-mean-oracle"},
+    "shift_average_quadrature": {"shift-average-identity"},
+    "two_share_integral": {"folded-integral-oracle"},
+    "shift_averaged_law": {
+        "shift-average-identity",
+        "folded-integral-oracle",
+        "averaged-law-curvature",
+        "mc-two-share-curve",
+        "mc-random-shift-curve",
+    },
+    "fixed_shift_law": {
+        "step-law-matches-five-branch",
+        "five-branch-point-symmetry",
+        "superquantum-crossing",
+        "mc-fixed-shift-curves",
+    },
+    "quantum_cosine_law": {
+        "superquantum-crossing",
+        "averaged-law-curvature",
+        "mc-quantum-curve",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(FAILS_ON_NAN))
+def test_nan_fails_exactly_its_checks(name, monkeypatch):
+    # every comparison with nan is false, so a largest gap taken with
+    # plain max would skip a nan and pass
+    monkeypatch.setattr(bellcomm.verify, name, lambda *args, **kwargs: math.nan)
+    results = {r.name: r for r in small_run()}
+    failed = {check for check, r in results.items() if not r.passed}
+    assert failed == FAILS_ON_NAN[name]
+    # a failing gap reads nan, not a number; the curvature check may
+    # fail on its gap to the cosine alone
+    for check in failed - {"averaged-law-curvature"}:
+        assert math.isnan(results[check].deviation), check
+
+
+def test_false_alarm_bound_of_one_run(monkeypatch):
+    """Hoeffding's bound on the chance that correct code fails a sampled
+    check, summed over the sampled calls one run_all_checks makes.
+
+    A curve point is the mean of n products in [-1, 1], so it strays
+    more than MC_TOL from its law with probability at most
+    2 exp(-n MC_TOL^2 / 2).  S sums four such means, so it strays more
+    than CHSH_TOL with probability at most 2 exp(-n CHSH_TOL^2 / 8).
+    Fixed-shift at delta = pi/2 and adaptive are deterministic at
+    CANONICAL_SETTINGS: each pair's product is constant, so their CHSH
+    runs cannot fail by chance.
+    """
+    sweeps, runs = [], []
+    sweep_curve = bellcomm.montecarlo.sweep_curve
+    chsh_sampled = bellcomm.verify.chsh_sampled
+
+    def spy_sweep(*args, **kwargs):
+        sweeps.append(sweep_curve(*args, **kwargs))
+        return sweeps[-1]
+
+    def spy_chsh(spec, settings, n, *args, **kwargs):
+        result = chsh_sampled(spec, settings, n, *args, **kwargs)
+        runs.append((spec, settings, n, result))
+        return result
+
+    monkeypatch.setattr(bellcomm.montecarlo, "sweep_curve", spy_sweep)
+    monkeypatch.setattr(bellcomm.verify, "chsh_sampled", spy_chsh)
+    run_all_checks()
+
+    deterministic = (
+        ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI),
+        ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3),
+    )
+    points = [est.n for sweep in sweeps for est in sweep.estimates]
+    noisy = []
+    for spec, settings, n, result in runs:
+        assert settings == CANONICAL_SETTINGS
+        if spec in deterministic:
+            assert result.stderr_s == 0.0
+        else:
+            noisy.append(n)
+    # today 130 curve points at 4.1e-9 each and two noisy CHSH runs
+    # (quantum and plain) at 7.5e-6 each: 1.54e-5 in all
+    assert points and noisy
+    bound = sum(2.0 * math.exp(-n * MC_TOL**2 / 2.0) for n in points) + sum(
+        2.0 * math.exp(-n * CHSH_TOL**2 / 8.0) for n in noisy
+    )
+    assert bound < 2e-5
