@@ -12,7 +12,13 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import _seed_type, _trials_type, _workers_type, run_guarded
+from bellcomm.cli import (
+    _seed_type,
+    _trials_type,
+    _workers_type,
+    parse_args,
+    run_guarded,
+)
 from bellcomm.montecarlo import child_seed, law_for_protocol
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.verify import SHIFT_GRID
@@ -58,8 +64,7 @@ def main(argv=None) -> int:
                         help="trials per setting pair")
     parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=_workers_type, default=8)
-    args = parser.parse_args(argv)
-    return run_guarded(lambda: print_table(args))
+    return run_guarded(lambda: print_table(parse_args(parser, argv)))
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from bellcomm.cli import (
     _trials_type,
     _workers_type,
     curve_series,
+    parse_args,
     run_guarded,
     write_curve_csv,
 )
@@ -28,7 +29,7 @@ from bellcomm.svgplot import render_plot
 from bellcomm.verify import SHIFT_GRID
 
 
-def parse_args(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
     parser.add_argument("--n", type=_trials_type, default=100_000,
@@ -36,7 +37,7 @@ def parse_args(argv=None):
     parser.add_argument("--grid", type=_grid_type, default=61)
     parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=_workers_type, default=8)
-    return parser.parse_args(argv)
+    return parser
 
 
 def emit(spec, stem, title, seed, args):
@@ -60,24 +61,25 @@ def emit(spec, stem, title, seed, args):
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    jobs = []
-    for i, delta in enumerate(SHIFT_GRID):
-        spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
-        stem = f"fixed_shift_{i}_delta_{delta:.3f}".replace(".", "p")
-        title = f"fixed shift, delta = {delta:.4f}"
-        jobs.append((spec, stem, title, child_seed(args.seed, i)))
-    for j, kind in enumerate(
-        (ProtocolKind.TWO_SHARE, ProtocolKind.RANDOM_SHIFT,
-         ProtocolKind.PLAIN, ProtocolKind.QUANTUM)
-    ):
-        name = kind.value.replace("-", "_")
-        jobs.append(
-            (ProtocolSpec(kind), name, f"{kind.value} protocol",
-             child_seed(args.seed, 100 + j))
-        )
+    parser = build_parser()
 
     def write_all() -> int:
+        args = parse_args(parser, argv)
+        jobs = []
+        for i, delta in enumerate(SHIFT_GRID):
+            spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
+            stem = f"fixed_shift_{i}_delta_{delta:.3f}".replace(".", "p")
+            title = f"fixed shift, delta = {delta:.4f}"
+            jobs.append((spec, stem, title, child_seed(args.seed, i)))
+        for j, kind in enumerate(
+            (ProtocolKind.TWO_SHARE, ProtocolKind.RANDOM_SHIFT,
+             ProtocolKind.PLAIN, ProtocolKind.QUANTUM)
+        ):
+            name = kind.value.replace("-", "_")
+            jobs.append(
+                (ProtocolSpec(kind), name, f"{kind.value} protocol",
+                 child_seed(args.seed, 100 + j))
+            )
         args.outdir.mkdir(parents=True, exist_ok=True)
         for job in jobs:
             emit(*job, args)

@@ -77,28 +77,6 @@ def write_curve_csv(sweep: CurveSweep, fh) -> None:
         )
 
 
-def read_curve_csv(path: Path) -> list[dict]:
-    """Parse a curve CSV back into one dict per grid point."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "theta": float(row["theta"]),
-                    "E_analytic": (
-                        float(row["E_analytic"]) if row["E_analytic"] else None
-                    ),
-                    "E_mc": float(row["E_mc"]),
-                    "stderr": float(row["stderr"]),
-                    "n": int(row["n"]),
-                    "protocol": row["protocol"],
-                    "delta": float(row["delta"]) if row["delta"] else None,
-                    "seed": int(row["seed"]),
-                }
-            )
-    return rows
-
-
 def curve_series(sweep: CurveSweep) -> list[Series]:
     """Plot series for a sweep: analytic law, samples, cosine reference."""
     dense = tuple((j / 256) * math.pi for j in range(257))
@@ -438,17 +416,35 @@ _COMMANDS = {
 }
 
 
+def parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
+    """parser.parse_args(argv), with what argparse prints to stdout, the
+    help, written here: argparse drops an error from its own write, so
+    the help on a full device would exit 0.  Call it inside run_guarded,
+    which then reports that error as one of I/O.
+    """
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return parser.parse_args(argv)
+    finally:
+        sys.stdout.write(printed.getvalue())
+
+
 def run_guarded(body) -> int:
     """Run body, a call with no arguments that returns an exit code, and
     turn what it raises into one stderr line and an exit code: 2 for a
     usage error, 3 for an I/O error, 1 for any other package error.
 
-    stdout is flushed inside, so output that fails only when it leaves
-    the buffer, as on a full disk, is an I/O error as well.
+    stdout is flushed inside, also when argparse exits from within body
+    after --help or a usage error, so output that fails only when it
+    leaves the buffer, as on a full disk, is an I/O error as well; the
+    SystemExit itself goes on to the caller.
     """
     try:
-        code = body()
-        sys.stdout.flush()
+        try:
+            code = body()
+        finally:
+            sys.stdout.flush()
         return code
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -471,11 +467,15 @@ def run_guarded(body) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+
+    def run() -> int:
+        args = parse_args(parser, argv)
+        return _COMMANDS[args.command](args)
+
     try:
-        args = parser.parse_args(argv)
+        return run_guarded(run)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run_guarded(lambda: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":

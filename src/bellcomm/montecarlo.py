@@ -25,6 +25,17 @@ overwrite them.  A chunk allocates no float or integer array a chunk
 long but the one-byte ones, boolean masks and the one-share rows'
 table lookups, an eighth of that.
 
+Each thread also keeps one Philox bit generator and one Generator over
+it, and re-keys them for every draw (uniforms) by setting the state a
+fresh Philox(key, counter) would start from, so no chunk builds a bit
+generator and the streams are those of fresh ones, bit for bit.
+
+Estimates and sweeps with workers > 1 fan their chunks or grid points
+out (_fan_out): the calling thread runs a share of the items itself,
+alongside up to workers - 1 worker threads that are started on first
+use and kept for the process, so a thread's buffers and generator are
+made once and serve every later fan-out.
+
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
 the same shares.  The norm is 2 for plain and at least 2 sin(delta/2)
@@ -41,7 +52,9 @@ any worker count.  Only sample_products turns masks into int +-1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +64,11 @@ from .angles import separation
 from .errors import ConfigurationError, DomainError
 from .laws import CorrelationLaw
 from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
+
+
+# Per thread: the re-keyed Generator of uniforms, and whether the thread
+# is one of _fan_out's kept workers.
+_local = threading.local()
 
 
 def _check_seed(seed: int) -> int:
@@ -72,11 +90,21 @@ def uniforms(
     _check_seed(seed)
     if start % 4:
         raise ValueError("start must be a multiple of 4")
-    bitgen = Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([start // 4, plane, 0, 0], dtype=np.uint64),
-    )
-    return Generator(bitgen).random(count, out=out)
+    generator = getattr(_local, "generator", None)
+    if generator is None:
+        generator = _local.generator = Generator(Philox(key=0))
+    # the state Philox(key=(seed, 0), counter=(start // 4, plane, 0, 0))
+    # starts in: an empty buffer, so the first double comes from the
+    # block after that counter
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (start // 4, plane, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator.random(count, out=out)
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -118,17 +146,109 @@ def sample_products(
     return products
 
 
-def _fan_out(func, items: range, workers: int) -> list:
-    """func over items, in order, on at most min(workers, len(items)) threads.
+class _Items:
+    """One fan-out's items, handed out by index to whichever thread asks."""
 
-    A pool of one would only add thread start-up to the same serial work,
-    so that case, and workers < 1, runs inline.
+    def __init__(self, func, items: range):
+        self.func = func
+        self.items = items
+        self.results = [None] * len(items)
+        self.next = 0
+        self.unfinished = len(items)
+        self.failure = None  # (index, exception) of the first failed item
+        self.done = threading.Condition()
+
+    def run_share(self) -> None:
+        """Run the next unclaimed item until none is left."""
+        while True:
+            with self.done:
+                i = self.next
+                if i >= len(self.items):
+                    return
+                self.next += 1
+            try:
+                self.results[i] = self.func(self.items[i])
+                exc = None
+            except BaseException as caught:  # raised again by the caller
+                exc = caught
+            with self.done:
+                if exc is not None and (
+                    self.failure is None or i < self.failure[0]
+                ):
+                    self.failure = (i, exc)
+                self.unfinished -= 1
+                if not self.unfinished:
+                    self.done.notify_all()
+
+    def results_in_order(self) -> list:
+        """The results, once every item has run; if any item failed, the
+        exception of the first failed one in item order instead."""
+        with self.done:
+            while self.unfinished:
+                self.done.wait()
+        if self.failure is not None:
+            raise self.failure[1]
+        return self.results
+
+
+# The kept worker threads, and the shares of fan-outs waiting for one.
+_workers: list[threading.Thread] = []
+_shares: deque = deque()
+_posted = threading.Condition()
+
+
+def _work() -> None:
+    _local.worker = True
+    while True:
+        with _posted:
+            while not _shares:
+                _posted.wait()
+            run_share = _shares.popleft()
+        run_share()
+
+
+def _enlist(run_share, helpers: int) -> None:
+    """Post run_share to helpers kept workers, starting any missing."""
+    with _posted:
+        while len(_workers) < helpers:
+            thread = threading.Thread(
+                target=_work, name=f"bellcomm-{len(_workers) + 1}", daemon=True
+            )
+            thread.start()
+            _workers.append(thread)
+        _shares.extend([run_share] * helpers)
+        _posted.notify(helpers)
+
+
+def _forget_workers() -> None:
+    # a forked child has only the thread that forked
+    global _posted
+    _workers.clear()
+    _shares.clear()
+    _posted = threading.Condition()
+
+
+if hasattr(os, "register_at_fork"):  # only where processes fork
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _fan_out(func, items: range, workers: int) -> list:
+    """func over items, results in item order, on at most
+    size = min(workers, len(items)) threads at once.
+
+    The calling thread runs items itself, alongside size - 1 kept
+    workers, each taking the next unclaimed item until none is left; a
+    worker busy elsewhere just leaves more to the others.  The first
+    exception in item order is raised once every item has run.
+    size <= 1, and a fan-out from inside a worker, run inline.
     """
     size = min(workers, len(items))
-    if size <= 1:
+    if size <= 1 or getattr(_local, "worker", False):
         return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(func, items))
+    fan = _Items(func, items)
+    _enlist(fan.run_share, size - 1)
+    fan.run_share()
+    return fan.results_in_order()
 
 
 @dataclass(frozen=True)

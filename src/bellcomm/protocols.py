@@ -131,7 +131,9 @@ class TrialRecord:
 
 # Each thread's buffers, CHUNK items each, reused by every chunk the
 # thread runs: a fresh 512 KiB array per chunk is handed back to the OS
-# when the chunk ends and faulted in again by the next.
+# when the chunk ends and faulted in again by the next.  The sampler's
+# worker threads are kept for the process (montecarlo._fan_out), so
+# their buffers, like the calling thread's, are faulted in once.
 _buffers = threading.local()
 
 

@@ -1,12 +1,14 @@
+import csv
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from bellcomm import cli
 from bellcomm.chsh import CANONICAL_SETTINGS, chsh_sampled
-from bellcomm.cli import build_parser, main, read_curve_csv
+from bellcomm.cli import build_parser, main
 from bellcomm.errors import DegenerateResultantError
 from bellcomm.laws import CorrelationLaw, LawKind
 from bellcomm.montecarlo import sweep_curve
@@ -92,6 +94,28 @@ GOLDEN_VERIFY = (
     "all 20 checks passed\n"
 )
 
+
+
+def read_curve_csv(path: Path) -> list[dict]:
+    """Parse a curve CSV back into one dict per grid point."""
+    rows = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rows.append(
+                {
+                    "theta": float(row["theta"]),
+                    "E_analytic": (
+                        float(row["E_analytic"]) if row["E_analytic"] else None
+                    ),
+                    "E_mc": float(row["E_mc"]),
+                    "stderr": float(row["stderr"]),
+                    "n": int(row["n"]),
+                    "protocol": row["protocol"],
+                    "delta": float(row["delta"]) if row["delta"] else None,
+                    "seed": int(row["seed"]),
+                }
+            )
+    return rows
 
 def run(capsys, argv):
     code = main(argv)

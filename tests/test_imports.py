@@ -3,7 +3,8 @@
 Nothing in the package needs scipy: the quadrature oracles and the whole
 verify command run with it blocked.  The SVG writer escapes text with
 html.escape instead of xml.sax.saxutils, which would pull in urllib,
-http.client and the email parser.
+http.client and the email parser.  The sampler's threads are plain
+threading ones: concurrent.futures would bring logging and traceback.
 """
 
 import json
@@ -45,13 +46,16 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
     out = run_fresh(
         "import sys\n"
         "import bellcomm.cli\n"
-        "for name in ('scipy', 'xml.sax', 'urllib.request'):\n"
+        "for name in ('scipy', 'xml.sax', 'urllib.request',\n"
+        "             'concurrent.futures', 'logging'):\n"
         "    print(name, name in sys.modules)\n"
     )
     assert out.split("\n") == [
         "scipy False",
         "xml.sax False",
         "urllib.request False",
+        "concurrent.futures False",
+        "logging False",
         "",
     ]
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from bellcomm import montecarlo
 from bellcomm.errors import (
@@ -80,6 +85,29 @@ class TestUniforms:
         got = uniforms(5, 1, 4 * CHUNK, count, out=buf[:count])
         assert np.shares_memory(got, buf)
         assert got.tobytes() == uniforms(5, 1, 4 * CHUNK, count).tobytes()
+
+    def test_equals_a_fresh_generator(self):
+        # one thread's generator is re-keyed for each call; interleaved
+        # seeds, planes, starts and counts must each give what a freshly
+        # built generator gives.  Counts of 1, 3 and 7 leave words in
+        # Philox's buffer, which the next call must not read
+        calls = [
+            (2**64 - 1, 1, 0, 7),
+            (0, 0, 4, 1),
+            (5, 1, 4 * CHUNK, 3),
+            (2**64 - 1, 0, 8, 1000),
+            (5, 1, 4 * CHUNK, 3),
+            (123456789, 2, 4 * 12345, 1),
+            (0, 0, 0, CHUNK),
+            (2**64 - 1, 1, 0, 7),
+        ]
+        for seed, plane, start, count in calls:
+            fresh = Generator(Philox(
+                key=np.array([seed, 0], dtype=np.uint64),
+                counter=np.array([start // 4, plane, 0, 0], dtype=np.uint64),
+            ))
+            got = uniforms(seed, plane, start, count)
+            assert got.tobytes() == fresh.random(count).tobytes()
 
 
 def test_child_seed_stable_and_spread():
@@ -319,54 +347,173 @@ def test_mc_matches_law_at_moderate_n():
 
 
 class TestPoolSize:
-    """The fan-out asks for at most one thread per chunk or grid point."""
+    """The fan-out runs items on at most one thread per chunk or grid
+    point: the caller and min(workers, items) - 1 kept workers."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def helpers(self, monkeypatch):
+        # records how many kept workers each fan-out asks for and posts
+        # nothing, so the caller runs every item itself
         requested = []
-
-        class RecordingPool:
-            # runs the work inline; only the requested size matters here
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items):
-                return map(func, items)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            montecarlo, "_enlist", lambda run_share, n: requested.append(n)
+        )
         return requested
 
-    def test_estimate_capped_at_chunk_count(self, pools):
+    def test_estimate_capped_at_chunk_count(self, helpers):
         n = 2 * CHUNK + 5
         capped = estimate_correlation(PLAIN, 0.2, 1.7, n, 9, workers=64)
-        assert pools == [3]
+        assert helpers == [2]
         assert capped == estimate_correlation(PLAIN, 0.2, 1.7, n, 9)
 
-    def test_estimate_below_worker_count_keeps_workers(self, pools):
+    def test_estimate_below_worker_count_keeps_workers(self, helpers):
         estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9, workers=2)
-        assert pools == [2]
+        assert helpers == [1]
 
-    def test_single_chunk_runs_inline(self, pools):
+    def test_single_chunk_runs_inline(self, helpers):
         est = estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2, workers=8)
-        assert pools == []
+        assert helpers == []
         assert est == estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2)
 
-    def test_sweep_capped_at_point_count(self, pools):
+    def test_sweep_capped_at_point_count(self, helpers):
         capped = sweep_curve(TWOSHARE, 3, 512, 3, workers=64)
-        assert pools == [3]
+        assert helpers == [2]
         assert capped == sweep_curve(TWOSHARE, 3, 512, 3)
 
     @pytest.mark.parametrize("workers", [1, 0, -3])
-    def test_one_or_fewer_workers_runs_inline(self, pools, workers):
+    def test_one_or_fewer_workers_runs_inline(self, helpers, workers):
         sweep_curve(PLAIN, 4, 64, 1, workers=workers)
         estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers=workers)
-        assert pools == []
+        assert helpers == []
+
+    def test_at_most_size_threads_run_items_at_once(self):
+        # more kept workers than the next fan-out may use
+        montecarlo._fan_out(lambda i: i, range(6), 6)
+        lock = threading.Lock()
+        running, peak, threads = [0], [0], set()
+
+        def item(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return -i
+
+        assert montecarlo._fan_out(item, range(12), 3) == [-i for i in range(12)]
+        assert peak[0] <= 3
+        assert len(threads) <= 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_threads_are_kept_for_the_process():
+    # a fresh process, so no earlier fan-out has started a worker; a
+    # child forked from it has no workers, and must start its own
+    code = (
+        "import os, threading\n"
+        "from bellcomm.montecarlo import CHUNK, estimate_correlation\n"
+        "from bellcomm.protocols import ProtocolKind, ProtocolSpec\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def counted(self):\n"
+        "    started.append(self.name)\n"
+        "    start(self)\n"
+        "threading.Thread.start = counted\n"
+        "spec = ProtocolSpec(ProtocolKind.QUANTUM)\n"
+        "counts = set()\n"
+        "for seed in range(50):\n"
+        "    estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, seed, workers=2)\n"
+        "    counts.add(threading.active_count())\n"
+        "print(len(started), sorted(counts), flush=True)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, 0, workers=2)\n"
+        "    print(len(started), threading.active_count(), flush=True)\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split("\n") == ["1 [2]", "2 2", ""]
+
+
+def test_fan_out_inside_a_worker_runs_inline(monkeypatch):
+    want = estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9)
+    enlist, from_worker = montecarlo._enlist, []
+
+    def recording(run_share, n):
+        from_worker.append(getattr(montecarlo._local, "worker", False))
+        enlist(run_share, n)
+
+    monkeypatch.setattr(montecarlo, "_enlist", recording)
+
+    def item(i):
+        return estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9, workers=2)
+
+    got = []
+    caller = threading.Thread(
+        target=lambda: got.append(montecarlo._fan_out(item, range(4), 2)),
+        daemon=True,
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert got == [[want] * 4]
+    assert from_worker and not any(from_worker)
+
+
+@pytest.mark.parametrize("slow", [3, 5])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_first_failure_in_item_order_is_raised(workers, slow):
+    # items 3 and 5 both fail, the slow one last in time
+    def item(i):
+        if i == slow:
+            time.sleep(0.05)
+        if i in (3, 5):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        montecarlo._fan_out(item, range(8), workers)
+    assert info.value.args == (3,)
+    # the kept workers are still there for the next fan-out
+    assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
+
+
+def test_every_item_runs_once_under_contention():
+    # more threads than cores, switching as often as the interpreter
+    # allows: a lost update of the next index would run an item twice
+    # or not at all
+    runs, got = [], []
+
+    def item(i):
+        runs.append(i)
+        return i * i
+
+    def fan_outs():
+        for _ in range(20):
+            runs.clear()
+            got.append(montecarlo._fan_out(item, range(500), 5))
+            got.append(sorted(runs))
+
+    # on a thread of its own, so that a lost update that leaves the
+    # fan-out waiting fails here instead of hanging
+    caller = threading.Thread(target=fan_outs, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert got == [[i * i for i in range(500)], list(range(500))] * 20
 
 
 class TestConcurrentCallers:
@@ -383,7 +530,7 @@ class TestConcurrentCallers:
             sample_products(spec, a, b, self.N, seed).tobytes(),
         )
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_two_threads_at_once(self, workers):
         want = [self._run(*job, workers=1) for job in self.JOBS]
         got = [[] for _ in self.JOBS]

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import time
@@ -487,6 +488,38 @@ def _around(points, scale):
     return np.concatenate([ulps.ravel(), band.ravel()])
 
 
+@functools.cache
+def _drawn(spec, a, b, n, seed):
+    """n shares per plane of spec's row, from default_rng(seed + plane)
+    scaled as the sampler scales them, and their scalar trial products.
+    The scalar loop is the slow part of these tests, so it runs once per
+    argument tuple; the shares are read-only, as every test shares them.
+    """
+    row = PROTOCOLS[spec.kind]
+    shares = tuple(
+        scale * np.random.default_rng(seed + plane).random(n)
+        for plane, scale in enumerate(row.planes)
+    )
+    for x in shares:
+        x.flags.writeable = False
+    return shares, tuple(row.trial(spec, a, b, *t).product for t in zip(*shares))
+
+
+def _reference(spec, a, b, shares, drawn):
+    """The scalar trial products of shares, as a list: drawn's products
+    where every plane holds drawn's share bit for bit, and the trial run
+    again on the trials a test has moved."""
+    row = PROTOCOLS[spec.kind]
+    base, products = drawn
+    want = list(products)
+    moved = np.logical_or.reduce(
+        [x.view(np.int64) != y.view(np.int64) for x, y in zip(shares, base)]
+    )
+    for i in np.flatnonzero(moved):
+        want[i] = row.trial(spec, a, b, *(x[i] for x in shares)).product
+    return want
+
+
 class TestArcCompareKernel:
     """fixed_products takes every sign, and two_share_products Alice's
     two, from compares of the shares against arc ends, and redoes the
@@ -714,17 +747,14 @@ class TestArcCompareKernel:
         given, edits the list of angle planes in place first."""
         row = PROTOCOLS[spec.kind]
         n = 1 << 12
-        shares = [
-            scale * np.random.default_rng(plane).random(n)
-            for plane, scale in enumerate(row.planes)
-        ]
+        drawn = _drawn(spec, a, b, n, 0)
+        shares = [x.copy() for x in drawn[0]]
         if place is not None:
             place([x for x, scale in zip(shares, row.planes) if scale == TWO_PI])
         start = time.perf_counter()
         got = _signs(row.products(spec, a, b, n, *shares))
         elapsed = time.perf_counter() - start
-        want = [row.trial(spec, a, b, *t).product for t in zip(*shares)]
-        return got, want, elapsed
+        return got, _reference(spec, a, b, shares, drawn), elapsed
 
     @pytest.mark.parametrize(
         "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
@@ -846,11 +876,12 @@ class TestArcCompareKernel:
         def no_table(*args):
             raise AssertionError("a table was looked up")
 
-        lam = TWO_PI * np.random.default_rng(23).random(CHUNK)
+        drawn = _drawn(spec, 0.3, 1.1, CHUNK, 23)
+        lam = drawn[0][0].copy()
         lam[4321] = stray
         monkeypatch.setattr(protocols, "_bin_table", no_table)
-        got, want = self._row(spec, 0.3, 1.1, lam)
-        assert got == want
+        got = _signs(PROTOCOLS[spec.kind].products(spec, 0.3, 1.1, CHUNK, lam))
+        assert got == _reference(spec, 0.3, 1.1, [lam], drawn)
 
     def test_bin_table_is_cached_and_read_only(self):
         table = protocols._bin_table(0.3, 1.1, math.pi / 5)

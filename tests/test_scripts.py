@@ -151,3 +151,32 @@ def test_chsh_summary_on_a_full_device_exits_3():
         )
     assert proc.returncode == 3
     assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["-m", "bellcomm", "--help"], False),
+        (["-m", "bellcomm", "--help"], True),
+        (["-m", "bellcomm", "chsh", "--help"], True),
+        ([str(SCRIPTS / "chsh_summary.py"), "--help"], False),
+        ([str(SCRIPTS / "reproduce_figures.py"), "--help"], True),
+    ],
+)
+def test_help_on_a_full_device_exits_3(argv, unbuffered):
+    # argparse prints the help while it parses and drops an error from
+    # that write: unbuffered the run would exit 0, buffered 120 at the
+    # interpreter's own flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"
