@@ -117,10 +117,9 @@ def _rescaled(theta: float) -> float:
     return theta / math.pi
 
 
-def _check_shift(delta: float) -> float:
+def check_delta(delta: float) -> None:
     if not 0.0 <= delta <= HALF_PI:
-        raise ConfigurationError(f"shift must lie in [0, pi/2], got {delta!r}")
-    return delta / math.pi
+        raise ConfigurationError(f"delta must lie in [0, pi/2], got {delta!r}")
 
 
 def linear_law(theta: float) -> float:
@@ -154,7 +153,8 @@ def fixed_shift_law(theta: float, delta: float) -> float:
     belongs to exactly one branch; adjacent branches agree at the shared
     endpoint, making the law continuous.  d = 0 collapses to linear_law.
     """
-    d = _check_shift(delta)
+    check_delta(delta)
+    d = delta / math.pi
     t = _rescaled(theta)
     if t <= 0.5 * d:
         return -1.0
@@ -302,7 +302,7 @@ class CorrelationLaw:
         if self.kind is LawKind.FIXED_SHIFT:
             if self.delta is None:
                 raise ConfigurationError("the fixed-shift law requires delta")
-            _check_shift(self.delta)
+            check_delta(self.delta)
         elif self.delta is not None:
             raise ConfigurationError(f"{self.kind.value} law carries no delta")
 

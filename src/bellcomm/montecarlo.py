@@ -32,9 +32,10 @@ generator and the streams are those of fresh ones, bit for bit.
 
 Estimates and sweeps with workers > 1 fan their chunks or grid points
 out (_fan_out): the calling thread runs a share of the items itself,
-alongside up to workers - 1 worker threads that are started on first
-use and kept for the process, so a thread's buffers and generator are
-made once and serve every later fan-out.
+alongside up to workers - 1 helper threads started for that fan-out
+and joined before it returns.  A helper's buffers and generator are
+made on its first chunk and freed when it ends; the calling thread's
+last for the process.
 
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
@@ -52,9 +53,7 @@ any worker count.  Only sample_products turns masks into int +-1.
 from __future__ import annotations
 
 import math
-import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +65,7 @@ from .laws import CorrelationLaw
 from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
 
 
-# Per thread: the re-keyed Generator of uniforms, and whether the thread
-# is one of _fan_out's kept workers.
+# Per thread: the re-keyed Generator of uniforms.
 _local = threading.local()
 
 
@@ -146,109 +144,48 @@ def sample_products(
     return products
 
 
-class _Items:
-    """One fan-out's items, handed out by index to whichever thread asks."""
-
-    def __init__(self, func, items: range):
-        self.func = func
-        self.items = items
-        self.results = [None] * len(items)
-        self.next = 0
-        self.unfinished = len(items)
-        self.failure = None  # (index, exception) of the first failed item
-        self.done = threading.Condition()
-
-    def run_share(self) -> None:
-        """Run the next unclaimed item until none is left."""
-        while True:
-            with self.done:
-                i = self.next
-                if i >= len(self.items):
-                    return
-                self.next += 1
-            try:
-                self.results[i] = self.func(self.items[i])
-                exc = None
-            except BaseException as caught:  # raised again by the caller
-                exc = caught
-            with self.done:
-                if exc is not None and (
-                    self.failure is None or i < self.failure[0]
-                ):
-                    self.failure = (i, exc)
-                self.unfinished -= 1
-                if not self.unfinished:
-                    self.done.notify_all()
-
-    def results_in_order(self) -> list:
-        """The results, once every item has run; if any item failed, the
-        exception of the first failed one in item order instead."""
-        with self.done:
-            while self.unfinished:
-                self.done.wait()
-        if self.failure is not None:
-            raise self.failure[1]
-        return self.results
-
-
-# The kept worker threads, and the shares of fan-outs waiting for one.
-_workers: list[threading.Thread] = []
-_shares: deque = deque()
-_posted = threading.Condition()
-
-
-def _work() -> None:
-    _local.worker = True
-    while True:
-        with _posted:
-            while not _shares:
-                _posted.wait()
-            run_share = _shares.popleft()
-        run_share()
-
-
-def _enlist(run_share, helpers: int) -> None:
-    """Post run_share to helpers kept workers, starting any missing."""
-    with _posted:
-        while len(_workers) < helpers:
-            thread = threading.Thread(
-                target=_work, name=f"bellcomm-{len(_workers) + 1}", daemon=True
-            )
-            thread.start()
-            _workers.append(thread)
-        _shares.extend([run_share] * helpers)
-        _posted.notify(helpers)
-
-
-def _forget_workers() -> None:
-    # a forked child has only the thread that forked
-    global _posted
-    _workers.clear()
-    _shares.clear()
-    _posted = threading.Condition()
-
-
-if hasattr(os, "register_at_fork"):  # only where processes fork
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
 def _fan_out(func, items: range, workers: int) -> list:
     """func over items, results in item order, on at most
     size = min(workers, len(items)) threads at once.
 
-    The calling thread runs items itself, alongside size - 1 kept
-    workers, each taking the next unclaimed item until none is left; a
-    worker busy elsewhere just leaves more to the others.  The first
-    exception in item order is raised once every item has run.
-    size <= 1, and a fan-out from inside a worker, run inline.
+    The calling thread runs items itself, alongside size - 1 helper
+    threads started for this call and joined before it returns; each
+    takes the next unclaimed item until none is left.  The exception of
+    the first failed item in item order is raised once every item has
+    run.  Nothing is shared between calls, so fan-outs may run at once
+    on several threads, or inside an item of another.  size <= 1 runs
+    inline.
     """
     size = min(workers, len(items))
-    if size <= 1 or getattr(_local, "worker", False):
+    if size <= 1:
         return [func(item) for item in items]
-    fan = _Items(func, items)
-    _enlist(fan.run_share, size - 1)
-    fan.run_share()
-    return fan.results_in_order()
+    results = [None] * len(items)
+    failures = {}  # index -> exception of each failed item
+    unclaimed = iter(range(len(items)))
+    claim = threading.Lock()
+
+    def run_share() -> None:
+        while True:
+            with claim:
+                i = next(unclaimed, None)
+            if i is None:
+                return
+            try:
+                results[i] = func(items[i])
+            except BaseException as exc:  # raised again by the caller
+                failures[i] = exc
+
+    helpers = [
+        threading.Thread(target=run_share, daemon=True) for _ in range(size - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    run_share()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 @dataclass(frozen=True)

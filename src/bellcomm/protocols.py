@@ -53,9 +53,7 @@ import numpy as np
 
 from .angles import RESULTANT_EPS, TWO_PI, normalize_angle, resultant_sign, separation, sgn
 from .errors import ConfigurationError, DegenerateResultantError, DomainError
-from .laws import LawKind
-
-HALF_PI = 0.5 * math.pi
+from .laws import HALF_PI, LawKind, check_delta
 
 # Trials per sampling chunk, and the length of each per-thread buffer.
 # One Philox counter block is four doubles, so chunk starts stay
@@ -103,11 +101,6 @@ class ProtocolSpec:
                 )
 
 
-def check_delta(delta: float) -> None:
-    if not 0.0 <= delta <= HALF_PI:
-        raise ConfigurationError(f"delta must lie in [0, pi/2], got {delta!r}")
-
-
 def check_k_bits(k: int) -> None:
     if not 1 <= k <= MAX_K_BITS:
         raise ConfigurationError(f"k must lie in [1, {MAX_K_BITS}], got {k!r}")
@@ -131,9 +124,10 @@ class TrialRecord:
 
 # Each thread's buffers, CHUNK items each, reused by every chunk the
 # thread runs: a fresh 512 KiB array per chunk is handed back to the OS
-# when the chunk ends and faulted in again by the next.  The sampler's
-# worker threads are kept for the process (montecarlo._fan_out), so
-# their buffers, like the calling thread's, are faulted in once.
+# when the chunk ends and faulted in again by the next.  A fan-out's
+# helper threads (montecarlo._fan_out) end with it, so their buffers
+# last as long as that fan-out; the calling thread's last for the
+# process.
 _buffers = threading.local()
 
 

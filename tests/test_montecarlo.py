@@ -348,47 +348,49 @@ def test_mc_matches_law_at_moderate_n():
 
 class TestPoolSize:
     """The fan-out runs items on at most one thread per chunk or grid
-    point: the caller and min(workers, items) - 1 kept workers."""
+    point: the caller and min(workers, items) - 1 helpers it starts."""
 
     @pytest.fixture
     def helpers(self, monkeypatch):
-        # records how many kept workers each fan-out asks for and posts
-        # nothing, so the caller runs every item itself
-        requested = []
-        monkeypatch.setattr(
-            montecarlo, "_enlist", lambda run_share, n: requested.append(n)
-        )
-        return requested
+        # the number of helper threads each fan-out starts, in order: a
+        # fan-out's helpers all run the same share function, its own
+        targets = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            targets.append(thread._target)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return lambda: [targets.count(t) for t in dict.fromkeys(targets)]
 
     def test_estimate_capped_at_chunk_count(self, helpers):
         n = 2 * CHUNK + 5
         capped = estimate_correlation(PLAIN, 0.2, 1.7, n, 9, workers=64)
-        assert helpers == [2]
+        assert helpers() == [2]
         assert capped == estimate_correlation(PLAIN, 0.2, 1.7, n, 9)
 
-    def test_estimate_below_worker_count_keeps_workers(self, helpers):
+    def test_estimate_below_worker_count_starts_helpers(self, helpers):
         estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9, workers=2)
-        assert helpers == [1]
+        assert helpers() == [1]
 
     def test_single_chunk_runs_inline(self, helpers):
         est = estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2, workers=8)
-        assert helpers == []
+        assert helpers() == []
         assert est == estimate_correlation(QUANTUM, 0.0, 1.0, CHUNK, 2)
 
     def test_sweep_capped_at_point_count(self, helpers):
         capped = sweep_curve(TWOSHARE, 3, 512, 3, workers=64)
-        assert helpers == [2]
+        assert helpers() == [2]
         assert capped == sweep_curve(TWOSHARE, 3, 512, 3)
 
     @pytest.mark.parametrize("workers", [1, 0, -3])
     def test_one_or_fewer_workers_runs_inline(self, helpers, workers):
         sweep_curve(PLAIN, 4, 64, 1, workers=workers)
         estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers=workers)
-        assert helpers == []
+        assert helpers() == []
 
     def test_at_most_size_threads_run_items_at_once(self):
-        # more kept workers than the next fan-out may use
-        montecarlo._fan_out(lambda i: i, range(6), 6)
         lock = threading.Lock()
         running, peak, threads = [0], [0], set()
 
@@ -408,29 +410,25 @@ class TestPoolSize:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_threads_are_kept_for_the_process():
-    # a fresh process, so no earlier fan-out has started a worker; a
-    # child forked from it has no workers, and must start its own
+def test_helpers_end_with_their_fan_out():
+    # a fresh process, so no other test's threads are counted; every
+    # fan-out joins its helpers, so none is left between estimates, and
+    # a child forked after them samples as its parent does
     code = (
         "import os, threading\n"
         "from bellcomm.montecarlo import CHUNK, estimate_correlation\n"
         "from bellcomm.protocols import ProtocolKind, ProtocolSpec\n"
-        "started = []\n"
-        "start = threading.Thread.start\n"
-        "def counted(self):\n"
-        "    started.append(self.name)\n"
-        "    start(self)\n"
-        "threading.Thread.start = counted\n"
         "spec = ProtocolSpec(ProtocolKind.QUANTUM)\n"
         "counts = set()\n"
         "for seed in range(50):\n"
         "    estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, seed, workers=2)\n"
         "    counts.add(threading.active_count())\n"
-        "print(len(started), sorted(counts), flush=True)\n"
+        "print(sorted(counts), flush=True)\n"
+        "est = estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, 7, workers=2)\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
-        "    estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, 0, workers=2)\n"
-        "    print(len(started), threading.active_count(), flush=True)\n"
+        "    got = estimate_correlation(spec, 0.0, 1.0, 3 * CHUNK, 7, workers=2)\n"
+        "    print(got == est, threading.active_count(), flush=True)\n"
         "    os._exit(0)\n"
         "os.waitpid(pid, 0)\n"
     )
@@ -440,18 +438,13 @@ def test_threads_are_kept_for_the_process():
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.split("\n") == ["1 [2]", "2 2", ""]
+    assert out.stdout.split("\n") == ["[1]", "True 1", ""]
 
 
-def test_fan_out_inside_a_worker_runs_inline(monkeypatch):
+def test_fan_out_inside_a_fan_out():
+    # each item fans out again from a helper or from the caller; neither
+    # may wait on a thread that is waiting on it
     want = estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9)
-    enlist, from_worker = montecarlo._enlist, []
-
-    def recording(run_share, n):
-        from_worker.append(getattr(montecarlo._local, "worker", False))
-        enlist(run_share, n)
-
-    monkeypatch.setattr(montecarlo, "_enlist", recording)
 
     def item(i):
         return estimate_correlation(PLAIN, 0.2, 1.7, 3 * CHUNK, 9, workers=2)
@@ -465,7 +458,6 @@ def test_fan_out_inside_a_worker_runs_inline(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert got == [[want] * 4]
-    assert from_worker and not any(from_worker)
 
 
 @pytest.mark.parametrize("slow", [3, 5])
@@ -482,7 +474,7 @@ def test_first_failure_in_item_order_is_raised(workers, slow):
     with pytest.raises(ValueError) as info:
         montecarlo._fan_out(item, range(8), workers)
     assert info.value.args == (3,)
-    # the kept workers are still there for the next fan-out
+    # and the next fan-out runs as if none had failed
     assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
 
 

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import bellcomm.laws
 import bellcomm.montecarlo
 import bellcomm.verify
+from bellcomm.angles import separation
 from bellcomm.chsh import CANONICAL_SETTINGS
 from bellcomm.laws import HALF_PI
 from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
@@ -113,6 +115,72 @@ def test_sign_flip_fails_exactly_that_rows_checks(kind, monkeypatch):
     monkeypatch.setitem(PROTOCOLS, kind, replace(row, products=flipped))
     failed = {r.name for r in small_run() if not r.passed}
     assert failed == FAILS_ON_FLIP[kind]
+
+
+FIXED = PROTOCOLS[ProtocolKind.FIXED_SHIFT].products
+RANDOM = PROTOCOLS[ProtocolKind.RANDOM_SHIFT].products
+
+
+def bob_ignores_the_bit(spec, a, b, n, lam1, lam2):
+    # two-share as if Alice always sent c = +1
+    alice = np.cos(a - lam1) >= 0.0
+    x = np.cos(lam1) + np.cos(lam2)
+    y = np.sin(lam1) + np.sin(lam2)
+    return alice != (math.cos(b) * x + math.sin(b) * y >= 0.0)
+
+
+# wrong definitions of one row's products, each with the checks it must
+# fail and no others.  Wrong definitions that pass all twenty checks at
+# seed 0 are listed in ROADMAP item 1 instead.
+FAILS_ON_DEFECT = {
+    "fixed-shift-alice-off-0.01": (
+        ProtocolKind.FIXED_SHIFT,
+        lambda spec, a, b, n, lam: FIXED(spec, a + 0.01, b, n, lam),
+        {"chsh-fixed-shift-orthogonal"},
+    ),
+    "fixed-shift-alice-off-0.03": (
+        ProtocolKind.FIXED_SHIFT,
+        lambda spec, a, b, n, lam: FIXED(spec, a + 0.03, b, n, lam),
+        {"chsh-fixed-shift-orthogonal", "mc-fixed-shift-curves"},
+    ),
+    "fixed-shift-half-delta": (
+        ProtocolKind.FIXED_SHIFT,
+        lambda spec, a, b, n, lam: FIXED(
+            replace(spec, delta=0.5 * spec.delta), a, b, n, lam
+        ),
+        {"chsh-fixed-shift-orthogonal", "mc-fixed-shift-curves"},
+    ),
+    "random-shift-half-shift": (
+        ProtocolKind.RANDOM_SHIFT,
+        lambda spec, a, b, n, lam, dd: RANDOM(spec, a, b, n, lam, 0.5 * dd),
+        {"mc-random-shift-curve"},
+    ),
+    "two-share-bob-ignores-the-bit": (
+        ProtocolKind.TWO_SHARE,
+        bob_ignores_the_bit,
+        {"mc-two-share-curve"},
+    ),
+    "quantum-threshold-cos-squared-theta": (
+        ProtocolKind.QUANTUM,
+        lambda spec, a, b, n, u, v: v >= math.cos(separation(a, b)) ** 2,
+        {"mc-quantum-curve", "chsh-quantum-reference"},
+    ),
+    "quantum-threshold-cos-half-theta": (
+        ProtocolKind.QUANTUM,
+        lambda spec, a, b, n, u, v: v >= math.cos(0.5 * separation(a, b)),
+        {"mc-quantum-curve", "chsh-quantum-reference"},
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(FAILS_ON_DEFECT))
+def test_wrong_definition_fails_exactly_its_checks(defect, monkeypatch):
+    kind, products, checks = FAILS_ON_DEFECT[defect]
+    monkeypatch.setitem(
+        PROTOCOLS, kind, replace(PROTOCOLS[kind], products=products)
+    )
+    failed = {r.name for r in small_run() if not r.passed}
+    assert failed == checks
 
 
 # the checks that a law or oracle returning nan must fail, and no others;
