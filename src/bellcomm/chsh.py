@@ -42,14 +42,19 @@ class ChshSettings:
         for name in ("a", "a_prime", "b", "b_prime"):
             object.__setattr__(self, name, normalize_angle(getattr(self, name)))
 
-    def separations(self) -> tuple[float, float, float, float]:
-        """Folded angles for the pairs (a,b), (a,b'), (a',b), (a',b')."""
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        """The setting pairs (a,b), (a,b'), (a',b), (a',b'), in the order
+        of S's terms."""
         return (
-            separation(self.a, self.b),
-            separation(self.a, self.b_prime),
-            separation(self.a_prime, self.b),
-            separation(self.a_prime, self.b_prime),
+            (self.a, self.b),
+            (self.a, self.b_prime),
+            (self.a_prime, self.b),
+            (self.a_prime, self.b_prime),
         )
+
+    def separations(self) -> tuple[float, ...]:
+        """Folded angles for the pairs, in the order of pairs()."""
+        return tuple(separation(x, y) for x, y in self.pairs())
 
 
 # Three separations of pi/4 and one of 3*pi/4; these values make every
@@ -134,21 +139,15 @@ def chsh_sampled(
 ) -> ChshResult:
     """Evaluate the functional from four seeded estimates.
 
-    Pair i draws from the child seed of (seed, i), so each pair's
-    estimate is reproducible on its own, and the combined standard error
-    is the root sum of squares of the four pair errors.
+    Pair i of settings.pairs() draws from the child seed of (seed, i),
+    so each pair's estimate is reproducible on its own, and the combined
+    standard error is the root sum of squares of the four pair errors.
     """
-    pairs = (
-        (settings.a, settings.b),
-        (settings.a, settings.b_prime),
-        (settings.a_prime, settings.b),
-        (settings.a_prime, settings.b_prime),
-    )
     estimates: list[CorrelationEstimate] = [
         estimate_correlation(
             spec, x, y, n_per_pair, child_seed(seed, i), workers=workers
         )
-        for i, (x, y) in enumerate(pairs)
+        for i, (x, y) in enumerate(settings.pairs())
     ]
     stderr_s = math.sqrt(sum(e.stderr**2 for e in estimates))
     return _assemble(*(e.mean for e in estimates), stderr_s=stderr_s)

@@ -31,7 +31,7 @@ from .chsh import (
 )
 from .errors import BellcommError, ConfigurationError
 from .laws import LawKind, quantum_cosine_law
-from .montecarlo import CurveSweep, sweep_curve
+from .montecarlo import CurveSweep, sweep_curve, theta_grid
 from .protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
@@ -79,7 +79,7 @@ def write_curve_csv(sweep: CurveSweep, fh) -> None:
 
 def curve_series(sweep: CurveSweep) -> list[Series]:
     """Plot series for a sweep: analytic law, samples, cosine reference."""
-    dense = tuple((j / 256) * math.pi for j in range(257))
+    dense = theta_grid(257)
     series = []
     law = sweep.analytic_reference
     if law is not None:

@@ -111,10 +111,18 @@ def _kronrod21(
     return total, abserr
 
 
-def _rescaled(theta: float) -> float:
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"separation must lie in [0, pi], got {theta!r}")
-    return theta / math.pi
+def _integral(f: Callable[[float], float], hi: float, kinks, epsabs) -> float:
+    """Integral of f over [0, hi] by _kronrod21, split at each of the
+    kinks that lies strictly inside the interval."""
+    inner = sorted({x for x in kinks if 0.0 < x < hi})
+    return _kronrod21(f, [0.0, *inner, hi], epsabs)[0]
+
+
+def _rescaled(x: float, name: str = "separation") -> float:
+    """x / pi, for an angle x in [0, pi]; name says what x is."""
+    if not 0.0 <= x <= math.pi:
+        raise DomainError(f"{name} must lie in [0, pi], got {x!r}")
+    return x / math.pi
 
 
 def check_delta(delta: float) -> None:
@@ -221,16 +229,16 @@ def shift_average_quadrature(theta: float) -> float:
     quadrature routine explicitly.  Must reproduce shift_averaged_law.
     """
     _rescaled(theta)
-    crossings = {
+    crossings = (
         2.0 * theta,
         math.pi - 2.0 * theta,
         2.0 * theta - math.pi,
         2.0 * math.pi - 2.0 * theta,
-    }
-    kinks = sorted(d for d in crossings if 0.0 < d < HALF_PI)
-    value, _ = _kronrod21(
+    )
+    value = _integral(
         lambda d: fixed_shift_law(theta, d),
-        [0.0, *kinks, HALF_PI],
+        HALF_PI,
+        crossings,
         0.25 * QUAD_TOL * HALF_PI,
     )
     return value * 2.0 / math.pi
@@ -243,8 +251,7 @@ def mean_sign_vs_reference(t: float) -> float:
     projection of w on b exceeds cos(t) is the arc |w - b| < t of length
     2t, so the mean is (2t - (2*pi - 2t)) / (2*pi) = 2t/pi - 1.
     """
-    if not 0.0 <= t <= math.pi:
-        raise DomainError(f"reference angle must lie in [0, pi], got {t!r}")
+    _rescaled(t, "reference angle")
     return 2.0 * t / math.pi - 1.0
 
 
@@ -254,13 +261,12 @@ def mean_sign_vs_reference_quad(t: float) -> float:
     Integrates sgn(cos(x) - cos(t)) / (2*pi) over the full circle, with
     the two sign changes at x = +-t handed to the routine.
     """
-    if not 0.0 <= t <= math.pi:
-        raise DomainError(f"reference angle must lie in [0, pi], got {t!r}")
+    _rescaled(t, "reference angle")
     ref = math.cos(t)
-    points = sorted({t, 2.0 * math.pi - t} - {0.0, 2.0 * math.pi})
-    value, _ = _kronrod21(
+    value = _integral(
         lambda x: float(sgn(math.cos(x) - ref)),
-        [0.0, *points, 2.0 * math.pi],
+        2.0 * math.pi,
+        (t, 2.0 * math.pi - t),
         QUAD_TOL,
     )
     return value / (2.0 * math.pi)
@@ -273,12 +279,11 @@ def two_share_integral(r: float) -> float:
     splitting at the sign change tau = pi/2 and the kink tau = r.  Must
     reproduce shift_averaged_law(r).
     """
-    if not 0.0 <= r <= math.pi:
-        raise DomainError(f"r must lie in [0, pi], got {r!r}")
-    points = sorted({HALF_PI, r} - {0.0, math.pi})
-    value, _ = _kronrod21(
+    _rescaled(r, "r")
+    value = _integral(
         lambda tau: float(sgn(math.cos(tau))) * abs(tau - r),
-        [0.0, *points, math.pi],
+        math.pi,
+        (HALF_PI, r),
         0.25 * QUAD_TOL * math.pi**2,
     )
     return value * 4.0 / math.pi**2

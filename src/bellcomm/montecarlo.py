@@ -48,6 +48,11 @@ Each row's kernel returns the mask of the trials whose product is +1,
 so a chunk of count trials sums to 2 * (number of +1 trials) - count:
 an exact integer count, which makes every estimate bit-identical for
 any worker count.  Only sample_products turns masks into int +-1.
+
+sample_products and estimate_correlation refuse a bad count, seed or
+setting in one place, _check_run, before any draw.  Every uniform
+separation grid in the package, the sweeps', verify's and the plotted
+laws', is theta_grid's.
 """
 
 from __future__ import annotations
@@ -124,6 +129,16 @@ def _chunk_mask(spec, a, b, seed, start, count):
     return row.products(spec, a, b, count, *shares)
 
 
+def _check_run(a: float, b: float, n: int, seed: int) -> float:
+    """The separation of a and b, once n, seed and the settings are
+    checked: a non-finite setting raises DomainError, before any trial
+    is drawn."""
+    if n < 1:
+        raise ConfigurationError(f"n must be at least 1, got {n!r}")
+    _check_seed(seed)
+    return separation(a, b)
+
+
 def sample_products(
     spec: ProtocolSpec, a: float, b: float, n: int, seed: int
 ) -> np.ndarray:
@@ -131,10 +146,7 @@ def sample_products(
     prefix-stable in n.  The estimates count the kernels' masks
     instead, so only this function builds the +-1 array.  Non-finite
     settings raise DomainError before any trial is drawn."""
-    if n < 1:
-        raise ConfigurationError(f"n must be at least 1, got {n!r}")
-    _check_seed(seed)
-    separation(a, b)
+    _check_run(a, b, n, seed)
     products = np.concatenate([
         _chunk_mask(spec, a, b, seed, start, min(CHUNK, n - start))
         for start in range(0, n, CHUNK)
@@ -215,10 +227,7 @@ def estimate_correlation(
     the chunk sums are exact integers, counted from the kernels' masks.
     Non-finite settings raise DomainError before any trial is drawn.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be at least 1, got {n!r}")
-    _check_seed(seed)
-    theta = separation(a, b)
+    theta = _check_run(a, b, n, seed)
 
     def chunk_sum(start: int) -> int:
         count = min(CHUNK, n - start)
@@ -250,6 +259,13 @@ def law_for_protocol(spec: ProtocolSpec) -> CorrelationLaw | None:
     return None if kind is None else CorrelationLaw(kind, delta=spec.delta)
 
 
+def theta_grid(points: int) -> tuple[float, ...]:
+    """points separations evenly spaced from 0 to pi, both included."""
+    if points < 2:
+        raise ConfigurationError(f"grid needs at least 2 points, got {points!r}")
+    return tuple((j / (points - 1)) * math.pi for j in range(points))
+
+
 def sweep_curve(
     spec: ProtocolSpec,
     grid_points: int,
@@ -259,18 +275,12 @@ def sweep_curve(
 ) -> CurveSweep:
     """Estimate the correlation curve on a uniform separation grid.
 
-    Point j sits at theta = (j / (grid_points - 1)) * pi with Alice's
+    Point j sits at theta = theta_grid(grid_points)[j] with Alice's
     setting fixed at 0 and Bob's at theta, and draws its trials from the
     child seed of (seed, j), so every point is independent of the others
     and of the worker count.
     """
-    if grid_points < 2:
-        raise ConfigurationError(
-            f"grid needs at least 2 points, got {grid_points!r}"
-        )
-    grid = tuple(
-        (j / (grid_points - 1)) * math.pi for j in range(grid_points)
-    )
+    grid = theta_grid(grid_points)
 
     def point(j: int) -> CorrelationEstimate:
         return estimate_correlation(

@@ -17,7 +17,9 @@ for bit, for the same shares.
 The shared-direction protocols are written once, as the two-share
 protocol: plain, fixed-shift and random-shift are two-share with the
 second share lam + delta, in the scalar trials and in the vector
-products alike.  Their vector products run no trig on the full arrays.
+products alike.  Each of their scalar trials is the two-share trial's
+record with the shares and bits that protocol records put in its
+place.  Their vector products run no trig on the full arrays.
 Every sign flips only at the ends of an arc, as the shares, or their
 midpoint and half-difference, cross them.  With one shift for every
 trial (plain, fixed-shift) the product is a function of the share
@@ -27,8 +29,10 @@ compare against the arc ends in two_share_products.  The few trials
 near an end are redone by _exact_plus, the scalar two-share trial's own
 formulas over arrays, which also decide every degenerate raise.
 Settings or shares too large for the compares to resolve send every
-trial to that redo.  quantum_products is one compare of Bob's draw
-against the scalar trial's threshold.
+trial to that redo.  The adaptive and quantum products come from their
+trials: adaptive's product does not depend on the share, so one scalar
+trial fills the mask, and quantum_products is one compare of Bob's draw
+against the threshold the scalar trial reads.
 
 The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
@@ -45,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -79,8 +83,8 @@ class ProtocolSpec:
     """Tagged protocol choice with its parameters.
 
     A protocol carries the one parameter its PROTOCOLS row names (delta
-    for fixed-shift, k_bits for adaptive) and no other; the row's check
-    validates the value.
+    for fixed-shift, k_bits for adaptive) and no other; that parameter's
+    check validates the value.
     """
 
     kind: ProtocolKind
@@ -88,13 +92,13 @@ class ProtocolSpec:
     k_bits: int | None = None
 
     def __post_init__(self) -> None:
-        row = PROTOCOLS[self.kind]
-        for name in ("delta", "k_bits"):
+        param = PROTOCOLS[self.kind].param
+        for name, check in (("delta", check_delta), ("k_bits", check_k_bits)):
             value = getattr(self, name)
-            if name == row.param:
+            if name == param:
                 if value is None:
                     raise ConfigurationError(f"{self.kind.value} requires {name}")
-                row.check(value)
+                check(value)
             elif value is not None:
                 raise ConfigurationError(
                     f"{self.kind.value} carries no {name} parameter"
@@ -282,16 +286,14 @@ def bob_output_fixed(b: float, lam: float, c: int, delta: float) -> int:
 
 
 def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord:
-    """One trial of the fixed-shift protocol.
+    """One trial of the fixed-shift protocol: the two-share trial at the
+    second share lam + delta, which both sides derive from the one share
+    they record.
 
     Degenerate resultants propagate as DegenerateResultantError.
     """
-    alpha = alice_output(a, lam)
-    c = comm_bit_fixed(a, lam, delta)
-    beta = bob_output_fixed(b, lam, c, delta)
-    return TrialRecord(
-        a=a, b=b, shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta
-    )
+    check_delta(delta)
+    return replace(run_trial_twoshare(a, b, lam, lam + delta), shares=(lam,))
 
 
 def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
@@ -396,10 +398,7 @@ def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
     the constant +1.  A constant bit carries no information, so none is
     recorded.
     """
-    rec = run_trial_fixed(a, b, lam, 0.0)
-    return TrialRecord(
-        a=a, b=b, shares=(lam,), comm_bits=(), alpha=rec.alpha, beta=rec.beta
-    )
+    return replace(run_trial_fixed(a, b, lam, 0.0), comm_bits=())
 
 
 def run_trial_random_shift(
@@ -410,16 +409,7 @@ def run_trial_random_shift(
     The drawn shift is a share known to both sides, so it is recorded
     alongside the angular share.
     """
-    check_delta(delta_draw)
-    rec = run_trial_fixed(a, b, lam, delta_draw)
-    return TrialRecord(
-        a=a,
-        b=b,
-        shares=(lam, delta_draw),
-        comm_bits=rec.comm_bits,
-        alpha=rec.alpha,
-        beta=rec.beta,
-    )
+    return replace(run_trial_fixed(a, b, lam, delta_draw), shares=(lam, delta_draw))
 
 
 def comm_bit_twoshare(a: float, lam1: float, lam2: float) -> int:
@@ -552,11 +542,14 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
 
 def adaptive_products(a: float, b: float, k: int, count: int) -> np.ndarray:
     """Products of count adaptive trials, as the mask of those whose
-    product is +1: the deterministic step of the rebuilt separation,
-    +1 from pi/2 on; the share cancels out, so none is needed."""
-    a_q = quantized_direction(sector_index(a, k), k)
-    # the scalar trial's compare, negated, so a NaN b steps as it does
-    return np.full(count, not separation(a_q, b) < HALF_PI)
+    product is +1: the scalar trial's product, which the share does not
+    change, so one trial at share 0 gives every trial's."""
+    return np.full(count, run_trial_adaptive(a, b, k, 0.0).product > 0)
+
+
+def _anticorrelation_threshold(a: float, b: float) -> float:
+    """cos(theta/2)**2, the chance that Bob's outcome is minus Alice's."""
+    return math.cos(0.5 * separation(a, b)) ** 2
 
 
 def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
@@ -567,10 +560,8 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
     mean of the product is sin(theta/2)**2 - cos(theta/2)**2 = -cos(theta).
     No shares, no communication.
     """
-    theta = separation(a, b)
-    threshold = math.cos(0.5 * theta) ** 2
     alpha = 1 if u < 0.5 else -1
-    beta = -alpha if v < threshold else alpha
+    beta = -alpha if v < _anticorrelation_threshold(a, b) else alpha
     return TrialRecord(
         a=a, b=b, shares=(), comm_bits=(), alpha=alpha, beta=beta
     )
@@ -583,8 +574,7 @@ def quantum_products(a: float, b: float, v) -> np.ndarray:
     alpha * (-alpha) = -1 where v falls below cos(theta/2)**2 and
     alpha * alpha = +1 elsewhere, so Alice's coin cancels and one
     compare of v against the same threshold decides it."""
-    threshold = math.cos(0.5 * separation(a, b)) ** 2
-    return v >= threshold
+    return v >= _anticorrelation_threshold(a, b)
 
 
 @dataclass(frozen=True)
@@ -601,8 +591,7 @@ class ProtocolRow:
     one scalar trial on the shares that trial_flags name on the command
     line, in order.  law is the kind of closed-form law the estimates
     converge to, parameterized by the spec's delta, or None.  param names
-    the ProtocolSpec field the protocol carries, if any, and check
-    validates its value.
+    the ProtocolSpec field the protocol carries, if any.
     """
 
     planes: tuple[float | None, ...]
@@ -611,7 +600,6 @@ class ProtocolRow:
     trial_flags: tuple[str, ...]
     law: LawKind | None
     param: str | None = None
-    check: Callable[..., None] | None = None
 
 
 PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
@@ -630,7 +618,6 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         trial_flags=("--lambda",),
         law=LawKind.FIXED_SHIFT,
         param="delta",
-        check=check_delta,
     ),
     ProtocolKind.RANDOM_SHIFT: ProtocolRow(
         planes=(TWO_PI, HALF_PI),
@@ -653,7 +640,6 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         trial_flags=("--lambda",),
         law=None,
         param="k_bits",
-        check=check_k_bits,
     ),
     ProtocolKind.QUANTUM: ProtocolRow(
         # raw uniforms: a scale of 1.0 would cost a multiply per draw.

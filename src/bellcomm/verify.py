@@ -84,10 +84,6 @@ class CheckResult:
         return text
 
 
-def _theta_grid(points: int) -> list[float]:
-    return [(j / (points - 1)) * math.pi for j in range(points)]
-
-
 def _worst(values) -> tuple[int, float]:
     """Index and value of the first largest value; argmax ranks a nan
     above every number, so any nan makes the result nan."""
@@ -131,14 +127,14 @@ def _endpoint_and_bound_gaps():
     for law in laws:
         yield abs(law.evaluate(0.0) + 1.0)
         yield abs(law.evaluate(math.pi) - 1.0)
-        yield from (abs(law.evaluate(t)) - 1.0 for t in _theta_grid(1001))
+        yield from (abs(law.evaluate(t)) - 1.0 for t in montecarlo.theta_grid(1001))
 
 
 def _check_superquantum_crossing() -> CheckResult:
     margins = [
         _worst(
             abs(fixed_shift_law(theta, delta)) - abs(quantum_cosine_law(theta))
-            for theta in _theta_grid(1001)
+            for theta in montecarlo.theta_grid(1001)
         )[1]
         for delta in SHIFT_GRID[1:]
     ]
@@ -158,7 +154,7 @@ def _check_averaged_law_curvature() -> CheckResult:
     h = math.pi / 512
     target = 8.0 / math.pi**2
     gaps = []
-    for theta in _theta_grid(257)[2:-2]:
+    for theta in montecarlo.theta_grid(257)[2:-2]:
         if abs(theta - math.pi / 2) < 2.5 * h:
             continue
         second = (
@@ -171,7 +167,7 @@ def _check_averaged_law_curvature() -> CheckResult:
     worst = _worst(gaps)[1]
     gap_to_cosine = _worst(
         abs(shift_averaged_law(theta) - quantum_cosine_law(theta))
-        for theta in _theta_grid(1001)
+        for theta in montecarlo.theta_grid(1001)
     )[1]
     passed = worst <= 1e-6 and gap_to_cosine > 0.01
     return CheckResult(
@@ -215,20 +211,8 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         child = montecarlo.child_seed(seed, index)
         return chsh_sampled(spec, CANONICAL_SETTINGS, n, child, workers=workers).s
 
-    def chsh_near(name, kind, index, bound) -> CheckResult:
-        return _largest_gap(
-            name, CHSH_TOL, [abs(chsh_s(ProtocolSpec(kind), index) + bound)]
-        )
-
-    def chsh_orthogonal() -> CheckResult:
-        gap = 4.0 + chsh_s(ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101)
-        return CheckResult(
-            "chsh-fixed-shift-orthogonal",
-            0.0 <= gap <= 0.01,
-            gap,
-            0.01,
-            "distance below the algebraic bound",
-        )
+    def chsh_near(name, spec, index, bound, tol, detail) -> CheckResult:
+        return _largest_gap(name, tol, [abs(chsh_s(spec, index) + bound)], detail)
 
     def chsh_adaptive() -> CheckResult:
         s = chsh_s(ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3), 104, 1000)
@@ -251,22 +235,22 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         lambda: _largest_gap("five-branch-point-symmetry", 1e-12, (
             abs(fixed_shift_law(math.pi - t, d) + fixed_shift_law(t, d))
             for d in SHIFT_GRID
-            for t in _theta_grid(1001)
+            for t in montecarlo.theta_grid(1001)
         )),
         lambda: _largest_gap(
             "law-endpoints-and-bounds", 1e-12, _endpoint_and_bound_gaps()
         ),
         lambda: _largest_gap("shift-average-identity", 1e-8, (
             abs(shift_average_quadrature(t) - shift_averaged_law(t))
-            for t in _theta_grid(181)
+            for t in montecarlo.theta_grid(181)
         )),
         lambda: _largest_gap("sign-mean-oracle", 1e-6, (
             abs(mean_sign_vs_reference_quad(t) - mean_sign_vs_reference(t))
-            for t in _theta_grid(100)
+            for t in montecarlo.theta_grid(100)
         )),
         lambda: _largest_gap("folded-integral-oracle", 1e-8, (
             abs(two_share_integral(t) - shift_averaged_law(t))
-            for t in _theta_grid(100)
+            for t in montecarlo.theta_grid(100)
         )),
         _check_superquantum_crossing,
         _check_averaged_law_curvature,
@@ -300,11 +284,19 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
                 for d in SHIFT_GRID
             )
         ), "abs_s must not decrease along the shift grid"),
-        chsh_orthogonal,
-        lambda: chsh_near(
-            "chsh-quantum-reference", ProtocolKind.QUANTUM, 102, TSIRELSON_BOUND
+        # S is never below -4, so |S + 4| is the distance below the bound
+        *(
+            partial(chsh_near, *check)
+            for check in (
+                ("chsh-fixed-shift-orthogonal",
+                 ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101, 4.0,
+                 0.01, "distance below the algebraic bound"),
+                ("chsh-quantum-reference", ProtocolSpec(ProtocolKind.QUANTUM), 102,
+                 TSIRELSON_BOUND, CHSH_TOL, ""),
+                ("chsh-plain-local", ProtocolSpec(ProtocolKind.PLAIN), 103, 2.0,
+                 CHSH_TOL, ""),
+            )
         ),
-        lambda: chsh_near("chsh-plain-local", ProtocolKind.PLAIN, 103, 2.0),
         chsh_adaptive,
     )
     return [check() for check in checks]

@@ -134,11 +134,22 @@ class TestSampled:
         assert r1.s == r8.s
 
     def test_pairs_use_child_seeds(self):
+        # four distinct separations, so a pair-order slip shows; at the
+        # canonical settings three pairs share theta = pi/4
         spec = ProtocolSpec(ProtocolKind.PLAIN)
-        r = chsh_sampled(spec, n_per_pair=1000, seed=4)
-        s = CANONICAL_SETTINGS
-        direct = estimate_correlation(spec, s.a, s.b, 1000, child_seed(4, 0))
-        assert r.e_ab == direct.mean
+        settings = ChshSettings(a=0.3, a_prime=1.9, b=0.8, b_prime=2.6)
+        r = chsh_sampled(spec, settings, n_per_pair=1000, seed=4)
+        assert settings.pairs() == (
+            (settings.a, settings.b),
+            (settings.a, settings.b_prime),
+            (settings.a_prime, settings.b),
+            (settings.a_prime, settings.b_prime),
+        )
+        direct = [
+            estimate_correlation(spec, x, y, 1000, child_seed(4, i)).mean
+            for i, (x, y) in enumerate(settings.pairs())
+        ]
+        assert [r.e_ab, r.e_abp, r.e_apb, r.e_apbp] == direct
 
     def test_stderr_combines_in_quadrature(self):
         spec = ProtocolSpec(ProtocolKind.QUANTUM)

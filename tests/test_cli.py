@@ -94,6 +94,78 @@ GOLDEN_VERIFY = (
     "all 20 checks passed\n"
 )
 
+# one trial of each row at a = 0.3, b = 2 and fixed shares: the shares
+# and the bits each record carries (plain sends none, random-shift
+# records its drawn shift as a second share)
+GOLDEN_TRIAL = {
+    "plain": (
+        ["--lambda", "0.7"],
+        "protocol: plain\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: (0.69999999999999996)\n"
+        "comm bits: ()\n"
+        "alpha: +1\n"
+        "beta: -1\n"
+        "product: -1\n",
+    ),
+    "fixed-shift": (
+        ["--delta", "0.9", "--lambda", "1.5"],
+        "protocol: fixed-shift\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: (1.5)\n"
+        "comm bits: (-1)\n"
+        "alpha: +1\n"
+        "beta: +1\n"
+        "product: +1\n",
+    ),
+    "random-shift": (
+        ["--lambda", "1.5", "--delta", "0.9"],
+        "protocol: random-shift\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: (1.5, 0.90000000000000002)\n"
+        "comm bits: (-1)\n"
+        "alpha: +1\n"
+        "beta: +1\n"
+        "product: +1\n",
+    ),
+    "two-share": (
+        ["--lambda", "1.5", "--lambda2", "2.4"],
+        "protocol: two-share\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: (1.5, 2.3999999999999999)\n"
+        "comm bits: (-1)\n"
+        "alpha: +1\n"
+        "beta: +1\n"
+        "product: +1\n",
+    ),
+    "adaptive": (
+        ["--k", "3", "--lambda", "0.7"],
+        "protocol: adaptive\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: (0.69999999999999996)\n"
+        "comm bits: (-1, -1, -1)\n"
+        "alpha: +1\n"
+        "beta: +1\n"
+        "product: +1\n",
+    ),
+    "quantum": (
+        ["--u", "0.7", "--v", "0.1"],
+        "protocol: quantum\n"
+        "a: 0.29999999999999999\n"
+        "b: 2\n"
+        "shares: ()\n"
+        "comm bits: ()\n"
+        "alpha: -1\n"
+        "beta: +1\n"
+        "product: -1\n",
+    ),
+}
+
 
 
 def read_curve_csv(path: Path) -> list[dict]:
@@ -614,6 +686,13 @@ def test_trial_random_shift_uses_delta_as_draw(capsys):
     )
     assert code == 0
     assert "shares: (0.69999999999999996, 0.90000000000000002)" in out
+
+
+def test_golden_trial_per_row(capsys):
+    assert list(GOLDEN_TRIAL) == [kind.value for kind in ProtocolKind]
+    for name, (shares, golden) in GOLDEN_TRIAL.items():
+        argv = ["trial", "--protocol", name, "--a", "0.3", "--b", "2.0", *shares]
+        assert run(capsys, argv) == (0, golden, ""), name
 
 
 def test_degrees_flag_matches_radians(capsys):

@@ -11,6 +11,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from bellcomm import montecarlo
+from bellcomm.angles import separation
 from bellcomm.errors import (
     ConfigurationError,
     DegenerateResultantError,
@@ -305,6 +306,16 @@ class TestSweep:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ConfigurationError):
             sweep_curve(PLAIN, 1, 64, 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 52])
+    def test_adaptive_curve_is_a_step(self, k):
+        # at a = 0 Alice announces the sector centre pi / 2**k, and every
+        # trial's product steps from -1 to +1 where Bob's setting is pi/2
+        # from that centre
+        sweep = sweep_curve(ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=k), 61, 100, 0)
+        for theta, est in zip(sweep.grid, sweep.estimates):
+            want = -1.0 if separation(math.pi / 2**k, theta) < HALF_PI else 1.0
+            assert (est.mean, est.stderr) == (want, 0.0), theta
 
     def test_max_abs_deviation_needs_reference(self):
         sweep = sweep_curve(ADAPTIVE, 3, 64, 0)

@@ -89,7 +89,6 @@ def test_every_kind_has_exactly_one_row():
     assert list(PROTOCOLS) == list(ProtocolKind)
     for kind, row in PROTOCOLS.items():
         assert row.param in (None, "delta", "k_bits")
-        assert (row.check is None) == (row.param is None)
         # one CLI flag per share of the scalar trial
         shares = list(inspect.signature(row.trial).parameters)[3:]
         assert len(shares) == len(row.trial_flags), kind

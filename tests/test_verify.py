@@ -12,28 +12,12 @@ from bellcomm.chsh import CANONICAL_SETTINGS
 from bellcomm.laws import HALF_PI
 from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 from bellcomm.verify import CHSH_TOL, MC_TOL, CheckResult, run_all_checks
+from test_cli import GOLDEN_VERIFY
 
+# the check names, in the order verify prints them, read from the golden
+# stdout so that the tests pin each name in one place
 EXPECTED_ORDER = [
-    "step-law-matches-five-branch",
-    "five-branch-continuity",
-    "five-branch-point-symmetry",
-    "law-endpoints-and-bounds",
-    "shift-average-identity",
-    "sign-mean-oracle",
-    "folded-integral-oracle",
-    "superquantum-crossing",
-    "averaged-law-curvature",
-    "mc-fixed-shift-curves",
-    "mc-two-share-curve",
-    "mc-random-shift-curve",
-    "mc-plain-curve",
-    "mc-quantum-curve",
-    "chsh-analytic-values",
-    "chsh-monotone-in-shift",
-    "chsh-fixed-shift-orthogonal",
-    "chsh-quantum-reference",
-    "chsh-plain-local",
-    "chsh-adaptive-exact",
+    line.split()[1].rstrip(":") for line in GOLDEN_VERIFY.splitlines()[:-1]
 ]
 
 
