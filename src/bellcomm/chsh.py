@@ -3,13 +3,14 @@
 S = E(a, b) + E(a, b') + E(a', b) - E(a', b').  |S| is compared against
 the local bound 2, the Tsirelson bound 2*sqrt(2), and the algebraic
 bound 4; both classification thresholds are closed on the lower side,
-since the inequalities themselves are non-strict.
+since the inequalities themselves are non-strict.  ChshResult derives S,
+|S| and the class from its four correlations, so they cannot disagree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .angles import normalize_angle, separation
@@ -39,8 +40,8 @@ class ChshSettings:
     b_prime: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, normalize_angle(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, normalize_angle(getattr(self, f.name)))
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """The setting pairs (a,b), (a,b'), (a',b), (a',b'), in the order
@@ -90,36 +91,23 @@ def classify(abs_s: float) -> ChshClass:
 
 @dataclass(frozen=True)
 class ChshResult:
-    """Four correlations, the functional, and its classification."""
+    """Four correlations, and the functional S, |S| and classification
+    that __post_init__ derives from them."""
 
     e_ab: float
     e_abp: float
     e_apb: float
     e_apbp: float
-    s: float
-    abs_s: float
-    classification: ChshClass
+    s: float = field(init=False)
+    abs_s: float = field(init=False)
+    classification: ChshClass = field(init=False)
     stderr_s: float | None = None
 
-
-def _assemble(
-    e_ab: float,
-    e_abp: float,
-    e_apb: float,
-    e_apbp: float,
-    stderr_s: float | None,
-) -> ChshResult:
-    s = e_ab + e_abp + e_apb - e_apbp
-    return ChshResult(
-        e_ab=e_ab,
-        e_abp=e_abp,
-        e_apb=e_apb,
-        e_apbp=e_apbp,
-        s=s,
-        abs_s=abs(s),
-        classification=classify(abs(s)),
-        stderr_s=stderr_s,
-    )
+    def __post_init__(self) -> None:
+        s = self.e_ab + self.e_abp + self.e_apb - self.e_apbp
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "abs_s", abs(s))
+        object.__setattr__(self, "classification", classify(abs(s)))
 
 
 def chsh_analytic(
@@ -127,7 +115,7 @@ def chsh_analytic(
 ) -> ChshResult:
     """Evaluate the functional from a closed-form law."""
     values = [law.evaluate(theta) for theta in settings.separations()]
-    return _assemble(*values, stderr_s=None)
+    return ChshResult(*values)
 
 
 def chsh_sampled(
@@ -150,4 +138,4 @@ def chsh_sampled(
         for i, (x, y) in enumerate(settings.pairs())
     ]
     stderr_s = math.sqrt(sum(e.stderr**2 for e in estimates))
-    return _assemble(*(e.mean for e in estimates), stderr_s=stderr_s)
+    return ChshResult(*(e.mean for e in estimates), stderr_s=stderr_s)

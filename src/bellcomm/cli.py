@@ -29,10 +29,10 @@ from .chsh import (
     ChshSettings,
     chsh_sampled,
 )
-from .errors import BellcommError, ConfigurationError
+from .errors import BellcommError, ConfigurationError, DomainError
 from .laws import LawKind, quantum_cosine_law
-from .montecarlo import CurveSweep, sweep_curve, theta_grid
-from .protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
+from .montecarlo import CurveSweep, _check_seed, sweep_curve, theta_grid
+from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
 
@@ -49,6 +49,8 @@ _VALUE_FLAGS = ("--delta", "--k", "--lambda", "--lambda2", "--u", "--v")
 _PARAM_FLAGS = {"delta": "--delta", "k_bits": "--k"}
 # trial shares that are uniform draws, not angles
 _UNIFORM_FLAGS = ("--u", "--v")
+# adaptive's bits per trial when --k is not given
+DEFAULT_K_BITS = 3
 
 
 def _g17(x: float) -> str:
@@ -247,10 +249,11 @@ def cmd_trial(args) -> int:
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
+    """An integer seed, in the range montecarlo._check_seed allows."""
+    try:
+        return _check_seed(int(text))
+    except (ValueError, DomainError):
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
 
 
 def _count_type(minimum: int, what: str):
@@ -325,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--k",
                 type=int,
                 default=None,
-                help="bits per trial for the adaptive protocol (default 3,"
-                " at most 52)",
+                help="bits per trial for the adaptive protocol (default"
+                f" {DEFAULT_K_BITS}, at most {MAX_K_BITS})",
             )
             # every command that takes a protocol takes angles; verify
             # takes neither
@@ -377,7 +380,8 @@ def _protocol_from_args(args) -> ProtocolSpec:
 
     It takes the flag of its parameter and, for the trial command, the
     flags of its shares; random-shift's --delta is a share, drawn per
-    trial, not a parameter.
+    trial, not a parameter.  A missing --delta is ProtocolSpec's to
+    refuse; a missing --k is DEFAULT_K_BITS.
     """
     kind = ProtocolKind(args.protocol)
     row = PROTOCOLS[kind]
@@ -387,12 +391,10 @@ def _protocol_from_args(args) -> ProtocolSpec:
     for flag in _VALUE_FLAGS:
         if getattr(args, flag[2:], None) is not None and flag not in taken:
             raise ConfigurationError(f"{kind.value} takes no {flag}")
-    if row.param == "delta":
-        if args.delta is None:
-            raise ConfigurationError(f"{kind.value} requires --delta")
+    if row.param == "delta" and args.delta is not None:
         return ProtocolSpec(kind, delta=_angle(args.delta, args.degrees))
     if row.param == "k_bits":
-        return ProtocolSpec(kind, k_bits=3 if args.k is None else args.k)
+        return ProtocolSpec(kind, k_bits=DEFAULT_K_BITS if args.k is None else args.k)
     return ProtocolSpec(kind)
 
 

@@ -58,6 +58,7 @@ laws', is theta_grid's.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -75,9 +76,15 @@ _local = threading.local()
 
 
 def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
+    """The seed as an int.  A non-integral seed (1.5, 1.0, "3") is
+    refused, not truncated onto an integer seed's stream."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return seed
+    return value
 
 
 def uniforms(
@@ -112,8 +119,7 @@ def uniforms(
 
 def child_seed(seed: int, index: int) -> int:
     """Stable 64-bit seed for sub-experiment `index` of a parent seed."""
-    _check_seed(seed)
-    ss = np.random.SeedSequence(entropy=(int(seed), int(index)))
+    ss = np.random.SeedSequence(entropy=(_check_seed(seed), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -106,7 +107,12 @@ class ProtocolSpec:
 
 
 def check_k_bits(k: int) -> None:
-    if not 1 <= k <= MAX_K_BITS:
+    """k must be an integer in [1, MAX_K_BITS]; 3.0 fails as 2.5 does."""
+    try:
+        value = operator.index(k)
+    except TypeError:
+        value = 0
+    if not 1 <= value <= MAX_K_BITS:
         raise ConfigurationError(f"k must lie in [1, {MAX_K_BITS}], got {k!r}")
 
 
@@ -157,7 +163,9 @@ def thread_buffer(key: int | str, count: int, dtype=np.float64) -> np.ndarray:
 
 
 def alice_output(a: float, lam: float) -> int:
-    """Alice's outcome sgn(cos(a - lam))."""
+    """Alice's outcome sgn(cos(a - lam)), the one statement of that sign:
+    the two-share bit multiplies two of them, and adaptive's Bob mirrors
+    it along the sector centre he rebuilds."""
     return sgn(math.cos(a - lam))
 
 
@@ -272,19 +280,6 @@ def _exact_plus(a: float, b: float, lam1, lam2) -> np.ndarray:
     return _plus(s1, math.cos(b) * wx + math.sin(b) * wy >= 0.0)
 
 
-def comm_bit_fixed(a: float, lam: float, delta: float) -> int:
-    """The bit Alice sends: the two-share bit for the share and the
-    shifted share lam + delta."""
-    check_delta(delta)
-    return comm_bit_twoshare(a, lam, lam + delta)
-
-
-def bob_output_fixed(b: float, lam: float, c: int, delta: float) -> int:
-    """Bob's outcome from the share, the received bit, and the known
-    shift: the two-share outcome for the share and the shifted share."""
-    return bob_output_twoshare(b, lam, c, lam + delta)
-
-
 def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord:
     """One trial of the fixed-shift protocol: the two-share trial at the
     second share lam + delta, which both sides derive from the one share
@@ -376,10 +371,10 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
             if start >= stop:
                 continue
             x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
-            c = comm_bit_fixed(a, x, delta)
+            c = comm_bit_twoshare(a, x, x + delta)
             if c < 0 and delta <= SMALL_SHIFT:
                 continue
-            product = alice_output(a, x) * bob_output_fixed(b, x, c, delta)
+            product = alice_output(a, x) * bob_output_twoshare(b, x, c, x + delta)
             value = _PLUS if product > 0 else _MINUS
             # the last entry stays _REDO; a run past it wraps to bin 0
             lo = start % _BINS
@@ -414,7 +409,7 @@ def run_trial_random_shift(
 
 def comm_bit_twoshare(a: float, lam1: float, lam2: float) -> int:
     """The bit Alice sends when the parties hold two independent shares."""
-    return sgn(math.cos(a - lam1)) * sgn(math.cos(a - lam2))
+    return alice_output(a, lam1) * alice_output(a, lam2)
 
 
 def bob_output_twoshare(b: float, lam1: float, c: int, lam2: float) -> int:
@@ -520,7 +515,7 @@ def bob_output_adaptive(b: float, bits: tuple[int, ...], lam: float) -> int:
         index = (index << 1) | (1 if bit > 0 else 0)
     a_q = quantized_direction(index, len(bits))
     step = -1 if separation(a_q, b) < HALF_PI else 1
-    return sgn(math.cos(a_q - lam)) * step
+    return alice_output(a_q, lam) * step
 
 
 def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
@@ -533,7 +528,7 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
     check_k_bits(k)
     bits = comm_bits_adaptive(a, k)
     a_q = quantized_direction(sector_index(a, k), k)
-    alpha = sgn(math.cos(a_q - lam))
+    alpha = alice_output(a_q, lam)
     beta = bob_output_adaptive(b, bits, lam)
     return TrialRecord(
         a=a, b=b, shares=(lam,), comm_bits=bits, alpha=alpha, beta=beta

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from bellcomm.chsh import (
     LOCAL_BOUND,
     TSIRELSON_BOUND,
     ChshClass,
+    ChshResult,
     ChshSettings,
     chsh_analytic,
     chsh_sampled,
@@ -118,6 +120,45 @@ class TestAnalytic:
         assert values == sorted(values)
         assert values[0] == 2.0
         assert values[-1] == 4.0
+
+
+class TestDerivedResult:
+    """ChshResult derives s, abs_s and classification from its four
+    correlations, so no constructor or replace can make them disagree."""
+
+    @staticmethod
+    def assert_derived(r):
+        s = r.e_ab + r.e_abp + r.e_apb - r.e_apbp
+        assert (r.s, r.abs_s, r.classification) == (s, abs(s), classify(abs(s)))
+
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4))
+    def test_fields_match_the_correlations(self, values):
+        self.assert_derived(ChshResult(*values))
+
+    def test_replace_recomputes_s(self):
+        r = chsh_analytic(SHIFT_HALF)
+        assert r.classification is ChshClass.SUPERQUANTUM
+        moved = replace(r, e_ab=-r.e_ab)
+        self.assert_derived(moved)
+        assert moved.s == r.s - 2 * r.e_ab
+        assert moved.classification is ChshClass.LOCAL
+        assert replace(moved, e_ab=r.e_ab) == r
+
+    def test_field_order_and_stderr_kept(self):
+        assert [f.name for f in fields(ChshResult)] == [
+            "e_ab", "e_abp", "e_apb", "e_apbp",
+            "s", "abs_s", "classification", "stderr_s",
+        ]
+        r = ChshResult(0.5, 0.5, 0.5, -0.5, stderr_s=0.25)
+        assert (r.s, r.stderr_s) == (2.0, 0.25)
+        assert "s=2.0, abs_s=2.0, classification=<ChshClass.LOCAL" in repr(r)
+
+    def test_above_algebraic_bound_raises(self):
+        with pytest.raises(InvariantViolationError):
+            ChshResult(1.0, 1.0, 1.0, -1.5)
+        r = ChshResult(1.0, 1.0, 1.0, -1.0)
+        with pytest.raises(InvariantViolationError):
+            replace(r, e_apbp=-1.5)
 
 
 class TestSampled:

@@ -12,7 +12,7 @@ from bellcomm.cli import build_parser, main
 from bellcomm.errors import DegenerateResultantError
 from bellcomm.laws import CorrelationLaw, LawKind
 from bellcomm.montecarlo import sweep_curve
-from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
+from bellcomm.protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 
 GOLDEN_PLAIN_CSV = (
     "theta,E_analytic,E_mc,stderr,n,protocol,delta,seed\n"
@@ -461,6 +461,42 @@ def test_adaptive_accepts_fifty_two_bits(capsys):
     assert code == 0
     bits = next(line for line in out.splitlines() if line.startswith("comm bits"))
     assert bits.count(",") == 51
+
+
+def test_k_help_reads_the_constants(capsys):
+    code, out, _ = run(capsys, ["chsh", "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    assert f"(default {cli.DEFAULT_K_BITS}, at most {MAX_K_BITS})" in text
+
+
+def test_adaptive_default_is_three_bits(capsys):
+    argv = ["chsh", "--protocol", "adaptive", "--n", "1000"]
+    default = run(capsys, argv)
+    assert default[0] == 0
+    assert default == run(capsys, argv + ["--k", "3"])
+
+
+def test_missing_delta_is_refused_by_the_spec(capsys):
+    code, out, err = run(
+        capsys, ["curve", "--protocol", "fixed-shift", "--grid", "3", "--n", "8"]
+    )
+    assert (code, out, err) == (2, "", "error: fixed-shift requires delta\n")
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", str(2**64)])
+def test_bad_seed_names_the_seed(capsys, seed):
+    code, out, err = run(capsys, ["curve", "--protocol", "plain", "--seed", seed])
+    assert (code, out) == (2, "")
+    assert f"argument --seed: invalid seed '{seed}'" in err
+    assert "_seed_type" not in err
+
+
+def test_largest_seed_accepted(capsys):
+    argv = ["curve", "--protocol", "plain", "--grid", "2", "--n", "4"]
+    code, out, _ = run(capsys, argv + ["--seed", str(2**64 - 1)])
+    assert code == 0
+    assert out.splitlines()[1].endswith(f",{2**64 - 1}")
 
 
 def test_trial_draw_at_zero_is_accepted(capsys):

@@ -74,6 +74,23 @@ class TestUniforms:
         with pytest.raises(DomainError):
             uniforms(2**64, 0, 0, 4)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.7, 1.0, "3", None])
+    def test_non_integral_seed_rejected(self, seed):
+        # int() would truncate 1.5 and 1.7 to seed 1's stream
+        with pytest.raises(DomainError):
+            uniforms(seed, 0, 0, 8)
+        with pytest.raises(DomainError):
+            child_seed(seed, 0)
+        with pytest.raises(DomainError):
+            estimate_correlation(PLAIN, 0, 1, 1000, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(uniforms(np.uint64(5), 0, 0, 8), uniforms(5, 0, 0, 8))
+        assert child_seed(np.int64(5), 2) == child_seed(5, 2)
+        assert estimate_correlation(PLAIN, 0, 1, 1000, np.uint64(5)) == (
+            estimate_correlation(PLAIN, 0, 1, 1000, 5)
+        )
+
     def test_range(self):
         u = uniforms(7, 3, 0, 1000)
         assert float(u.min()) >= 0.0

@@ -21,9 +21,7 @@ from bellcomm.protocols import (
     ProtocolSpec,
     alice_output,
     bob_output_adaptive,
-    bob_output_fixed,
     bob_output_twoshare,
-    comm_bit_fixed,
     comm_bit_twoshare,
     comm_bits_adaptive,
     quantized_direction,
@@ -75,6 +73,21 @@ class TestProtocolSpec:
                 ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=k)
             with pytest.raises(ConfigurationError):
                 run_trial_adaptive(0.0, 1.0, k, 0.5)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_non_integral_k_bits_rejected(self, k):
+        # 3.0 would pass a range check and fail later in 1 << k
+        if k is not None:
+            with pytest.raises(ConfigurationError):
+                ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=k)
+        with pytest.raises(ConfigurationError):
+            run_trial_adaptive(0.0, 1.0, k, 0.5)
+
+    def test_numpy_integer_k_bits_accepted(self):
+        spec = ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=np.int64(3))
+        assert run_trial_adaptive(0.0, 1.0, spec.k_bits, 0.5) == (
+            run_trial_adaptive(0.0, 1.0, 3, 0.5)
+        )
 
     def test_stray_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -154,7 +167,7 @@ def test_mask_survives_the_next_call_on_the_thread(kind):
 
 def test_bob_helpers_never_see_alice_setting():
     # the locality split: no Bob-side function takes the setting a
-    for fn in (bob_output_fixed, bob_output_twoshare, bob_output_adaptive):
+    for fn in (bob_output_twoshare, bob_output_adaptive):
         assert "a" not in inspect.signature(fn).parameters
 
 
@@ -166,15 +179,15 @@ def test_alice_output_frozen():
 
 
 def test_comm_bit_fixed_frozen():
-    assert comm_bit_fixed(0.0, 0.0, math.pi / 2) == 1
-    assert comm_bit_fixed(0.0, 3 * (math.pi / 8), math.pi / 2) == -1
+    assert run_trial_fixed(0.0, 0.0, 0.0, math.pi / 2).comm_bits == (1,)
+    assert run_trial_fixed(0.0, 0.0, 3 * (math.pi / 8), math.pi / 2).comm_bits == (-1,)
 
 
 def test_comm_bit_fixed_rejects_bad_delta():
     with pytest.raises(ConfigurationError):
-        comm_bit_fixed(0.0, 0.0, -0.5)
+        run_trial_fixed(0.0, 0.0, 0.0, -0.5)
     with pytest.raises(ConfigurationError):
-        comm_bit_fixed(0.0, 0.0, 3.0)
+        run_trial_fixed(0.0, 0.0, 0.0, 3.0)
 
 
 def test_run_trial_fixed_frozen():
@@ -259,7 +272,7 @@ def test_fixed_trial_alpha_is_alice_output(a, b, delta):
     except DegenerateResultantError:
         assume(False)
     assert rec.alpha == alice_output(a, lam)
-    assert rec.comm_bits == (comm_bit_fixed(a, lam, delta),)
+    assert rec.comm_bits == (comm_bit_twoshare(a, lam, lam + delta),)
 
 
 class TestAdaptive:
@@ -453,7 +466,7 @@ class TestTwoCosineKernel:
         a, b, k = 0.0, 0.4, 100
         lam = TWO_PI * np.random.default_rng(3).random(1 << 12)
         lam[k] = HALF_PI - 0.5 * delta
-        assert comm_bit_fixed(a, lam[k], delta) == -1
+        assert comm_bit_twoshare(a, lam[k], lam[k] + delta) == -1
         if degenerate:
             with pytest.raises(DegenerateResultantError):
                 run_trial_fixed(a, b, lam[k], delta)
@@ -584,7 +597,7 @@ class TestArcCompareKernel:
         # a - lam rounds in steps of spacing(a); a smaller shift is lost
         flips = delta > 2 * np.spacing(a)
         if flips:
-            assert -1 in [comm_bit_fixed(a, x, delta) for x in lam]
+            assert -1 in [comm_bit_twoshare(a, x, x + delta) for x in lam]
         got, want = self._fixed(a, b, lam, delta)
         assert got == want
         assert (want == "raises") == (flips and delta == 1e-13)
