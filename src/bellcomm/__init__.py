@@ -7,115 +7,4 @@ package simulates those protocols trial by trial, evaluates their
 closed-form correlation laws, and scores both against the CHSH bounds.
 """
 
-from .angles import heaviside, normalize_angle, resultant_sign, separation, sgn
-from .chsh import (
-    ALGEBRAIC_BOUND,
-    CANONICAL_SETTINGS,
-    LOCAL_BOUND,
-    TSIRELSON_BOUND,
-    ChshClass,
-    ChshResult,
-    ChshSettings,
-    chsh_analytic,
-    chsh_sampled,
-    classify,
-)
-from .errors import (
-    BellcommError,
-    BoundaryAmbiguityError,
-    ConfigurationError,
-    DegenerateResultantError,
-    DomainError,
-    InvariantViolationError,
-    NumericError,
-)
-from .laws import (
-    CorrelationLaw,
-    LawKind,
-    fixed_shift_law,
-    linear_law,
-    mean_sign_vs_reference,
-    mean_sign_vs_reference_quad,
-    orthogonal_step_law,
-    quantum_cosine_law,
-    shift_average_quadrature,
-    shift_averaged_law,
-    two_share_integral,
-)
-from .montecarlo import (
-    CorrelationEstimate,
-    CurveSweep,
-    estimate_correlation,
-    law_for_protocol,
-    max_abs_deviation,
-    sample_products,
-    sweep_curve,
-)
-from .protocols import (
-    ProtocolKind,
-    ProtocolSpec,
-    TrialRecord,
-    run_trial_adaptive,
-    run_trial_fixed,
-    run_trial_plain,
-    run_trial_quantum,
-    run_trial_random_shift,
-    run_trial_twoshare,
-)
-from .verify import CheckResult, run_all_checks
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGEBRAIC_BOUND",
-    "CANONICAL_SETTINGS",
-    "LOCAL_BOUND",
-    "TSIRELSON_BOUND",
-    "BellcommError",
-    "BoundaryAmbiguityError",
-    "CheckResult",
-    "ChshClass",
-    "ChshResult",
-    "ChshSettings",
-    "ConfigurationError",
-    "CorrelationEstimate",
-    "CorrelationLaw",
-    "CurveSweep",
-    "DegenerateResultantError",
-    "DomainError",
-    "InvariantViolationError",
-    "LawKind",
-    "NumericError",
-    "ProtocolKind",
-    "ProtocolSpec",
-    "TrialRecord",
-    "chsh_analytic",
-    "chsh_sampled",
-    "classify",
-    "estimate_correlation",
-    "fixed_shift_law",
-    "heaviside",
-    "law_for_protocol",
-    "linear_law",
-    "max_abs_deviation",
-    "mean_sign_vs_reference",
-    "mean_sign_vs_reference_quad",
-    "normalize_angle",
-    "orthogonal_step_law",
-    "quantum_cosine_law",
-    "resultant_sign",
-    "run_all_checks",
-    "run_trial_adaptive",
-    "run_trial_fixed",
-    "run_trial_plain",
-    "run_trial_quantum",
-    "run_trial_random_shift",
-    "run_trial_twoshare",
-    "sample_products",
-    "separation",
-    "sgn",
-    "shift_average_quadrature",
-    "shift_averaged_law",
-    "sweep_curve",
-    "two_share_integral",
-]

@@ -7,7 +7,6 @@ a plotting library.
 
 from __future__ import annotations
 
-import html
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ def _y_pix(value: float) -> float:
 
 def _escape(text: str) -> str:
     # text nodes need only &, < and > escaped; quotes stay as they are
-    return html.escape(text, quote=False)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _polyline(series: Series) -> str:

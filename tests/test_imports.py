@@ -2,8 +2,9 @@
 
 Nothing in the package needs scipy: the quadrature oracles and the whole
 verify command run with it blocked.  The SVG writer escapes text with
-html.escape instead of xml.sax.saxutils, which would pull in urllib,
-http.client and the email parser.  The sampler's threads are plain
+three str.replace calls, not html.escape, which loads html.entities, nor
+xml.sax.saxutils, which would pull in urllib, http.client and the email
+parser.  The sampler's threads are plain
 threading ones: concurrent.futures would bring logging and traceback.
 """
 
@@ -47,7 +48,7 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
         "import sys\n"
         "import bellcomm.cli\n"
         "for name in ('scipy', 'xml.sax', 'urllib.request',\n"
-        "             'concurrent.futures', 'logging'):\n"
+        "             'concurrent.futures', 'logging', 'html'):\n"
         "    print(name, name in sys.modules)\n"
     )
     assert out.split("\n") == [
@@ -56,8 +57,68 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
         "urllib.request False",
         "concurrent.futures False",
         "logging False",
+        "html False",
         "",
     ]
+
+
+def test_laws_import_loads_no_numpy():
+    out = run_fresh(
+        "import sys\n"
+        "import bellcomm.laws\n"
+        "print('numpy' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellcomm'))\n"
+    )
+    assert out.split("\n") == [
+        "False",
+        "['bellcomm', 'bellcomm.angles', 'bellcomm.errors', 'bellcomm.laws']",
+        "",
+    ]
+
+
+def test_montecarlo_import_loads_no_command_modules():
+    out = run_fresh(
+        "import sys\n"
+        "import bellcomm.montecarlo\n"
+        "for name in ('bellcomm.chsh', 'bellcomm.verify', 'bellcomm.svgplot',\n"
+        "             'bellcomm.cli'):\n"
+        "    print(name, name in sys.modules)\n"
+    )
+    assert out.split("\n") == [
+        "bellcomm.chsh False",
+        "bellcomm.verify False",
+        "bellcomm.svgplot False",
+        "bellcomm.cli False",
+        "",
+    ]
+
+
+def run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """Run python -m bellcomm with args in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "bellcomm", *args],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+def test_module_entry_point_matches_main(capsys):
+    args = ["trial", "--protocol", "two-share", "--a", "0", "--b", "0",
+            "--lambda", "0.5236", "--lambda2", "1.0472"]
+    proc = run_module(args)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert proc.stdout
+
+
+def test_module_entry_point_exit_code():
+    proc = run_module(["verify", "--degrees"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 ORACLE_GAPS = [
