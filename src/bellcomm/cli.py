@@ -4,8 +4,9 @@ Each cmd_* takes the parsed arguments and builds what it runs from them:
 the protocol through _protocol_from_args, which refuses the value flags
 the protocol does not take, and for chsh the settings.  Only curve, chsh
 and verify draw, so only they take --seed and --workers.  Angles are
-radians unless --degrees is given.  Exit codes: 0 success, 1
-verification or bound failure, 2 usage error, 3 I/O error.
+radians unless --degrees is given.  Exit codes: 0 success, 1 a failed
+check or a run the protocol cannot complete (a degenerate trial), 2
+usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ EXIT_IO = 3
 
 CSV_HEADER = ("theta", "E_analytic", "E_mc", "stderr", "n", "protocol", "delta", "seed")
 
-# flags a protocol row may take; each is stored under its own name
-_VALUE_FLAGS = ("--delta", "--k", "--lambda", "--lambda2", "--u", "--v")
-# the flag that sets each ProtocolSpec parameter
-_PARAM_FLAGS = {"delta": "--delta", "k_bits": "--k"}
-# trial shares that are uniform draws, not angles
-_UNIFORM_FLAGS = ("--u", "--v")
 # adaptive's bits per trial when --k is not given
 DEFAULT_K_BITS = 3
 
@@ -298,6 +293,29 @@ def _uniform_type(text: str) -> float:
     return value
 
 
+# the value flags a protocol row may take, each stored under its own
+# name: its parser, the ProtocolSpec field it sets (None for a trial
+# share), that field's value when the flag is absent, and its help
+_VALUE_FLAGS = {
+    "--delta": (_angle_type, "delta", None, "shift angle for fixed-shift;"
+                " drawn shift for a random-shift trial"),
+    "--k": (int, "k_bits", DEFAULT_K_BITS, "bits per trial for the adaptive"
+            f" protocol (default {DEFAULT_K_BITS}, at most {MAX_K_BITS})"),
+    "--lambda": (_angle_type, None, None, None),
+    "--lambda2": (_angle_type, None, None, None),
+    "--u": (_uniform_type, None, None, None),
+    "--v": (_uniform_type, None, None, None),
+}
+
+
+def _add_value_flags(parser, shares: bool) -> None:
+    """Add the value flags that set a ProtocolSpec field, or the trial
+    shares if shares."""
+    for flag, (parse, field, _, help_text) in _VALUE_FLAGS.items():
+        if (field is None) == shares:
+            parser.add_argument(flag, type=parse, help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellcomm",
@@ -317,20 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 choices=[k.value for k in PROTOCOLS],
             )
-            p.add_argument(
-                "--delta",
-                type=_angle_type,
-                default=None,
-                help="shift angle for fixed-shift; drawn shift for a"
-                " random-shift trial",
-            )
-            p.add_argument(
-                "--k",
-                type=int,
-                default=None,
-                help="bits per trial for the adaptive protocol (default"
-                f" {DEFAULT_K_BITS}, at most {MAX_K_BITS})",
-            )
+            _add_value_flags(p, shares=False)
             # every command that takes a protocol takes angles; verify
             # takes neither
             p.add_argument(
@@ -364,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(trial, sampled=False)
     trial.add_argument("--a", type=_angle_type, required=True)
     trial.add_argument("--b", type=_angle_type, required=True)
-    trial.add_argument("--lambda", type=_angle_type, default=None)
-    trial.add_argument("--lambda2", type=_angle_type, default=None)
-    trial.add_argument("--u", type=_uniform_type, default=None)
-    trial.add_argument("--v", type=_uniform_type, default=None)
+    _add_value_flags(trial, shares=True)
     return parser
 
 
@@ -375,37 +377,41 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _value(args, flag: str):
+    """The value given for a value flag, or None; --degrees converts
+    exactly the flags parsed as angles."""
+    value = getattr(args, flag[2:], None)
+    angle = value is not None and _VALUE_FLAGS[flag][0] is _angle_type
+    return _angle(value, args.degrees) if angle else value
+
+
 def _protocol_from_args(args) -> ProtocolSpec:
     """The chosen protocol; a value flag it does not take is a usage error.
 
-    It takes the flag of its parameter and, for the trial command, the
-    flags of its shares; random-shift's --delta is a share, drawn per
-    trial, not a parameter.  A missing --delta is ProtocolSpec's to
-    refuse; a missing --k is DEFAULT_K_BITS.
+    It takes the flag that sets its parameter and, for the trial command,
+    the flags of its shares; random-shift's --delta is a share, drawn per
+    trial, not a parameter.  An absent parameter flag gives the table's
+    value, which ProtocolSpec refuses if it is None.
     """
     kind = ProtocolKind(args.protocol)
     row = PROTOCOLS[kind]
-    taken = set(row.trial_flags) if args.command == "trial" else set()
-    if row.param is not None:
-        taken.add(_PARAM_FLAGS[row.param])
-    for flag in _VALUE_FLAGS:
-        if getattr(args, flag[2:], None) is not None and flag not in taken:
+    taken = row.trial_flags if args.command == "trial" else ()
+    params = {}
+    for flag, (_, field, absent, _) in _VALUE_FLAGS.items():
+        value = _value(args, flag)
+        if field is not None and field == row.param:
+            params[field] = absent if value is None else value
+        elif value is not None and flag not in taken:
             raise ConfigurationError(f"{kind.value} takes no {flag}")
-    if row.param == "delta" and args.delta is not None:
-        return ProtocolSpec(kind, delta=_angle(args.delta, args.degrees))
-    if row.param == "k_bits":
-        return ProtocolSpec(kind, k_bits=DEFAULT_K_BITS if args.k is None else args.k)
-    return ProtocolSpec(kind)
+    return ProtocolSpec(kind, **params)
 
 
 def _trial_shares(args, spec: ProtocolSpec) -> tuple[float, ...]:
     shares = []
     for flag in PROTOCOLS[spec.kind].trial_flags:
-        value = getattr(args, flag[2:])
+        value = _value(args, flag)
         if value is None:
             raise ConfigurationError(f"{spec.kind.value} requires {flag}")
-        if flag not in _UNIFORM_FLAGS:
-            value = _angle(value, args.degrees)
         shares.append(value)
     return tuple(shares)
 

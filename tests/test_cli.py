@@ -435,6 +435,52 @@ class TestUsageErrors:
         assert out == ""
 
 
+# a valid value for each protocol value flag, and the flag that sets
+# each ProtocolSpec parameter
+FLAG_VALUES = {"--delta": "0.5", "--k": "3", "--lambda": "0.7",
+               "--lambda2": "1.1", "--u": "0.3", "--v": "0.9"}
+PARAM_FLAG = {"delta": "--delta", "k_bits": "--k"}
+MATRIX_ARGS = {
+    "curve": ["--grid", "2", "--n", "4"],
+    "chsh": ["--n", "4"],
+    "trial": ["--a", "0.3", "--b", "2.0"],
+}
+
+
+@pytest.mark.parametrize("command", list(MATRIX_ARGS))
+@pytest.mark.parametrize("kind", [kind.value for kind in PROTOCOLS])
+def test_each_row_takes_its_own_value_flags_and_no_other(capsys, command, kind):
+    row = PROTOCOLS[ProtocolKind(kind)]
+    own = list(row.trial_flags) if command == "trial" else []
+    if row.param is not None and PARAM_FLAG[row.param] not in own:
+        own.append(PARAM_FLAG[row.param])
+    argv = [command, "--protocol", kind, *MATRIX_ARGS[command]]
+    for flag in own:
+        argv += [flag, FLAG_VALUES[flag]]
+    assert run(capsys, argv)[0] == 0
+    # curve and chsh have no share flags in their parsers
+    offered = FLAG_VALUES if command == "trial" else PARAM_FLAG.values()
+    for flag in offered:
+        if flag not in own:
+            assert run(capsys, argv + [flag, FLAG_VALUES[flag]]) == (
+                2, "", f"error: {kind} takes no {flag}\n"
+            ), flag
+
+
+def test_degenerate_trial_exits_one(capsys):
+    # Bob's resultant vanishes for antipodal shares: not a usage error,
+    # a run the protocol cannot complete
+    code, out, err = run(
+        capsys,
+        ["trial", "--protocol", "two-share", "--a", "0", "--b", "1",
+         "--lambda", repr(math.pi / 2), "--lambda2", repr(-math.pi / 2)],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: resultant of ")
+    assert err.endswith(" has near-zero norm\n")
+    assert err.count("\n") == 1
+
+
 def test_protocol_choices_come_from_the_table():
     sub = next(
         a for a in build_parser()._actions if a.dest == "command"
@@ -731,18 +777,21 @@ def test_golden_trial_per_row(capsys):
         assert run(capsys, argv) == (0, golden, ""), name
 
 
-def test_degrees_flag_matches_radians(capsys):
-    deg = run(
-        capsys,
-        ["trial", "--protocol", "plain", "--a", "90", "--b", "45",
-         "--lambda", "30", "--degrees"],
-    )
-    rad = run(
-        capsys,
-        ["trial", "--protocol", "plain", "--a", repr(math.radians(90)),
-         "--b", repr(math.radians(45)), "--lambda", repr(math.radians(30))],
-    )
-    assert deg == rad
+# the flags --degrees converts; --k, --u and --v are passed as given
+ANGLE_FLAGS = ("--a", "--b", "--delta", "--lambda", "--lambda2")
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN_TRIAL))
+def test_degrees_flag_matches_radians(capsys, protocol):
+    # the golden shares read as degrees; random-shift's --delta is a share
+    argv = ["trial", "--protocol", protocol, "--a", "90", "--b", "45",
+            *GOLDEN_TRIAL[protocol][0]]
+    radians = argv[:1] + [
+        repr(math.radians(float(value))) if flag in ANGLE_FLAGS else value
+        for flag, value in zip(argv, argv[1:])
+    ]
+    deg = run(capsys, argv + ["--degrees"])
+    assert deg == run(capsys, radians)
     assert deg[0] == 0
 
 
