@@ -251,8 +251,8 @@ def _seed_type(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
 
 
-def _count_type(minimum: int, what: str):
-    """An argparse type: an integer count of at least minimum."""
+def _count_type(minimum: int, what: str, maximum: float = math.inf):
+    """An argparse type: an integer count in [minimum, maximum]."""
 
     def parse(text: str) -> int:
         try:
@@ -261,12 +261,15 @@ def _count_type(minimum: int, what: str):
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{what} must be at most {maximum}")
         return value
 
     return parse
 
 
-_workers_type = _count_type(1, "worker count")
+# each worker is a thread, with chunk-long buffers of its own
+_workers_type = _count_type(1, "worker count", 64)
 _trials_type = _count_type(1, "trial count")
 _grid_type = _count_type(2, "grid point count")
 

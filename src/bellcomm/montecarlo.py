@@ -170,28 +170,35 @@ def _fan_out(func, items: range, workers: int) -> list:
     threads started for this call and joined before it returns; each
     takes the next unclaimed item until none is left.  The exception of
     the first failed item in item order is raised once every item has
-    run.  Nothing is shared between calls, so fan-outs may run at once
-    on several threads, or inside an item of another.  size <= 1 runs
-    inline.
+    run.  An interrupt, any BaseException that is not an Exception
+    (KeyboardInterrupt, SystemExit), stops the fan-out instead: no
+    thread claims another item, and it is raised once the helpers have
+    joined.  Nothing is shared between calls, so fan-outs may run at
+    once on several threads, or inside an item of another.  size <= 1
+    runs inline.
     """
     size = min(workers, len(items))
     if size <= 1:
         return [func(item) for item in items]
     results = [None] * len(items)
     failures = {}  # index -> exception of each failed item
+    interrupts = []
     unclaimed = iter(range(len(items)))
     claim = threading.Lock()
 
     def run_share() -> None:
-        while True:
-            with claim:
-                i = next(unclaimed, None)
-            if i is None:
-                return
-            try:
-                results[i] = func(items[i])
-            except BaseException as exc:  # raised again by the caller
-                failures[i] = exc
+        try:
+            while not interrupts:
+                with claim:
+                    i = next(unclaimed, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = func(items[i])
+                except Exception as exc:  # raised again by the caller
+                    failures[i] = exc
+        except BaseException as exc:  # raised again by the caller
+            interrupts.append(exc)
 
     helpers = [
         threading.Thread(target=run_share, daemon=True) for _ in range(size - 1)
@@ -201,6 +208,8 @@ def _fan_out(func, items: range, workers: int) -> list:
     run_share()
     for helper in helpers:
         helper.join()
+    if interrupts:
+        raise interrupts[0]
     if failures:
         raise failures[min(failures)]
     return results

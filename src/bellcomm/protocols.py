@@ -17,9 +17,11 @@ for bit, for the same shares.
 The shared-direction protocols are written once, as the two-share
 protocol: plain, fixed-shift and random-shift are two-share with the
 second share lam + delta, in the scalar trials and in the vector
-products alike.  Each of their scalar trials is the two-share trial's
-record with the shares and bits that protocol records put in its
-place.  Their vector products run no trig on the full arrays.
+products alike.  Each of their scalar trials builds its own record
+from the two-share trial's outcome (_twoshare_outcome, the one place
+Alice's outcome, her bit and Bob's outcome are put together), with the
+shares and bits that protocol records.  Their vector products run no
+trig on the full arrays.
 Every sign flips only at the ends of an arc, as the shares, or their
 midpoint and half-difference, cross them.  With one shift for every
 trial (plain, fixed-shift) the product is a function of the share
@@ -50,7 +52,7 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -181,11 +183,12 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 # for bit -1, with h the half-difference of the two shares (delta/2 for
 # a shifted share).  Near a zero of its factor of h the projection may
 # be near zero for every m, so two_share_products redoes the trials with
-# h within SMALL_SHIFT of such a zero, and _bin_table leaves flipped-bit
-# runs at a shift of at most SMALL_SHIFT to the redo.  For the rest, a
-# trial further than ARC_SLACK from every arc end of m has a projection
-# of at least (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about 4e-14, ten
-# times what the four-trig reference can round away.
+# h within SMALL_SHIFT of such a zero; SMALL_SHIFT is less than one bin
+# of _bin_table, which puts every flipped-bit share at such a shift in a
+# redo bin (see _bin_table).  For the rest, a trial further than
+# ARC_SLACK from every arc end of m has a projection of at least
+# (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about 4e-14, ten times what the
+# four-trig reference can round away.
 SMALL_SHIFT = 1e-3
 # The most arc ends _on_arc walks; shares drawn in [0, 2 pi) need at most five.
 _MAX_ENDS = 64
@@ -288,7 +291,8 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
     Degenerate resultants propagate as DegenerateResultantError.
     """
     check_delta(delta)
-    return replace(run_trial_twoshare(a, b, lam, lam + delta), shares=(lam,))
+    alpha, c, beta = _twoshare_outcome(a, b, lam, lam + delta)
+    return TrialRecord(a=a, b=b, shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
 def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
@@ -351,9 +355,14 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
     further than the slack from every end, where each sign is the one
     the reference formulas give.  No sign flips within a run of bins
     between two ends, so one scalar trial at the run's middle share
-    gives the product of every share in it; flipped-bit runs at a shift
-    of at most SMALL_SHIFT stay _REDO.  A slack of pi/4 or more makes
-    every bin _REDO.  The build costs O(ends), not O(bins).
+    gives the product of every share in it.  Alice's bit is flipped
+    only between her arc end about a and the same end about a - delta,
+    at most delta wide, and a run holds a whole bin only when it is
+    wider than 2 pi / _BINS plus four slacks, about 1.53e-3.  So at a
+    shift of at most SMALL_SHIFT, where a flipped-bit projection may be
+    too small to sign, no run has a flipped bit and every such share is
+    in a _REDO bin.  A slack of pi/4 or more makes every bin _REDO.
+    The build costs O(ends), not O(bins).
     """
     tol = _slack(a, b, (0.0, TWO_PI))
     table = np.full(_BINS + 1, _REDO, dtype=np.int8)
@@ -371,11 +380,8 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
             if start >= stop:
                 continue
             x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
-            c = comm_bit_twoshare(a, x, x + delta)
-            if c < 0 and delta <= SMALL_SHIFT:
-                continue
-            product = alice_output(a, x) * bob_output_twoshare(b, x, c, x + delta)
-            value = _PLUS if product > 0 else _MINUS
+            alpha, _, beta = _twoshare_outcome(a, b, x, x + delta)
+            value = _PLUS if alpha * beta > 0 else _MINUS
             # the last entry stays _REDO; a run past it wraps to bin 0
             lo = start % _BINS
             hi = lo + (stop - start)
@@ -387,13 +393,13 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
-    """One trial of the no-communication protocol.
-
-    Identical outcomes to run_trial_fixed at delta = 0, where the bit is
-    the constant +1.  A constant bit carries no information, so none is
-    recorded.
+    """One trial of the no-communication protocol: the two-share trial
+    with lam as both shares, so run_trial_fixed's outcomes at delta = 0,
+    where the bit is the constant +1.  A constant bit carries no
+    information, so none is recorded.
     """
-    return replace(run_trial_fixed(a, b, lam, 0.0), comm_bits=())
+    alpha, _, beta = _twoshare_outcome(a, b, lam, lam)
+    return TrialRecord(a=a, b=b, shares=(lam,), comm_bits=(), alpha=alpha, beta=beta)
 
 
 def run_trial_random_shift(
@@ -404,7 +410,11 @@ def run_trial_random_shift(
     The drawn shift is a share known to both sides, so it is recorded
     alongside the angular share.
     """
-    return replace(run_trial_fixed(a, b, lam, delta_draw), shares=(lam, delta_draw))
+    check_delta(delta_draw)
+    alpha, c, beta = _twoshare_outcome(a, b, lam, lam + delta_draw)
+    return TrialRecord(
+        a=a, b=b, shares=(lam, delta_draw), comm_bits=(c,), alpha=alpha, beta=beta
+    )
 
 
 def comm_bit_twoshare(a: float, lam1: float, lam2: float) -> int:
@@ -423,13 +433,25 @@ def bob_output_twoshare(b: float, lam1: float, c: int, lam2: float) -> int:
     return -resultant_sign(b, lam1, c, lam2)
 
 
+def _twoshare_outcome(
+    a: float, b: float, lam1: float, lam2: float
+) -> tuple[int, int, int]:
+    """(alpha, c, beta) of the two-share trial at shares lam1, lam2: the
+    one place Alice's outcome, her bit and Bob's outcome are put
+    together, for every shared-direction trial and for _bin_table.
+
+    Degenerate resultants propagate as DegenerateResultantError.
+    """
+    alpha = alice_output(a, lam1)
+    c = comm_bit_twoshare(a, lam1, lam2)
+    return alpha, c, bob_output_twoshare(b, lam1, c, lam2)
+
+
 def run_trial_twoshare(
     a: float, b: float, lam1: float, lam2: float
 ) -> TrialRecord:
     """One trial of the two-share protocol."""
-    alpha = alice_output(a, lam1)
-    c = comm_bit_twoshare(a, lam1, lam2)
-    beta = bob_output_twoshare(b, lam1, c, lam2)
+    alpha, c, beta = _twoshare_outcome(a, b, lam1, lam2)
     return TrialRecord(
         a=a, b=b, shares=(lam1, lam2), comm_bits=(c,), alpha=alpha, beta=beta
     )

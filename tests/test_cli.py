@@ -371,12 +371,15 @@ class TestUsageErrors:
          "--lambda", "0", "--delta", "inf", "--degrees"],
         ["chsh", "--protocol", "plain", "--a", "x"],
     ]
-    # at least one worker
+    # at least one worker and at most 64
     CASES += [
         ["curve", "--protocol", "plain", "--workers", "0"],
         ["chsh", "--protocol", "plain", "--workers", "-3"],
         ["verify", "--workers", "-1"],
         ["curve", "--protocol", "plain", "--workers", "two"],
+        ["curve", "--protocol", "plain", "--workers", "65"],
+        ["chsh", "--protocol", "plain", "--n", "10", "--workers", "65"],
+        ["verify", "--workers", "65"],
     ]
     # verify takes no angle, so no --degrees
     CASES += [["verify", "--degrees"]]
@@ -536,6 +539,12 @@ def test_bad_seed_names_the_seed(capsys, seed):
     assert (code, out) == (2, "")
     assert f"argument --seed: invalid seed '{seed}'" in err
     assert "_seed_type" not in err
+
+
+def test_worker_count_is_at_most_64(capsys):
+    argv = ["chsh", "--protocol", "plain", "--n", "10", "--workers"]
+    assert run(capsys, argv + ["64"])[0] == 0
+    assert "worker count must be at most 64" in run(capsys, argv + ["65"])[2]
 
 
 def test_largest_seed_accepted(capsys):

@@ -506,6 +506,27 @@ def test_first_failure_in_item_order_is_raised(workers, slow):
     assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_stops_the_fan_out(workers):
+    # a KeyboardInterrupt in item 2, on whichever thread runs it: no
+    # thread claims another item, so past item 2 runs at most the one
+    # another thread holds, and it is raised once the helpers have joined
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i == 2:
+            raise KeyboardInterrupt
+        time.sleep(0.02)
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        montecarlo._fan_out(item, range(40), workers)
+    assert threading.active_count() == threads
+    assert sorted(ran) == list(range(len(ran))) and 3 <= len(ran) <= 2 + workers
+    assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
+
+
 def test_every_item_runs_once_under_contention():
     # more threads than cores, switching as often as the interpreter
     # allows: a lost update of the next index would run an item twice

@@ -1,7 +1,8 @@
-import functools
 import inspect
+import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ def _spec(kind):
     return ProtocolSpec(kind, **({row.param: params[row.param]} if row.param else {}))
 
 
+def _draw(spec, n, seed):
+    """n shares per plane of spec's row, from default_rng(seed + plane)
+    scaled as the sampler scales them."""
+    return [
+        np.random.default_rng(seed + plane).random(n) * (scale or 1.0)
+        for plane, scale in enumerate(PROTOCOLS[spec.kind].planes)
+    ]
+
+
+def _scalar(spec, a, b, shares):
+    """The scalar trial products of shares, as a list."""
+    row = PROTOCOLS[spec.kind]
+    return [row.trial(spec, a, b, *t).product for t in zip(*shares)]
+
+
 def _held_buffers():
     """This thread's buffers, share planes and kernel scratch alike."""
     return list(getattr(protocols._buffers, "held", {}).values())
@@ -163,6 +179,23 @@ def test_mask_survives_the_next_call_on_the_thread(kind):
     assert np.array_equal(call(1), kept)
     if row.planes:
         assert not np.array_equal(second, kept)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+def test_products_above_a_chunk(kind):
+    # above CHUNK items thread_buffer hands the kernels fresh arrays; the
+    # products are still those of a chunk at a time, and the scalar
+    # trials' (adaptive draws no share, and its trial's one drops out)
+    row, spec, n = PROTOCOLS[kind], _spec(kind), 2 * CHUNK + 3
+    shares = _draw(spec, n, 31)
+    got = row.products(spec, 0.4, 1.3, n, *shares)
+    pieces = [row.products(spec, 0.4, 1.3, min(CHUNK, n - i),
+                           *(x[i:i + CHUNK] for x in shares))
+              for i in range(0, n, CHUNK)]
+    assert np.array_equal(got, np.concatenate(pieces))
+    at = np.r_[np.random.default_rng(31).choice(2 * CHUNK, 300), 2 * CHUNK:n]
+    picked = [x[at] for x in shares] or [np.zeros(at.size)]
+    assert _signs(got[at]) == _scalar(spec, 0.4, 1.3, picked)
 
 
 def test_bob_helpers_never_see_alice_setting():
@@ -218,12 +251,9 @@ def test_degenerate_resultant_surfaces_to_caller():
 
 @given(angles, angles, angles)
 def test_plain_equals_fixed_at_zero_shift(a, b, lam):
-    plain = run_trial_plain(a, b, lam)
     fixed = run_trial_fixed(a, b, lam, 0.0)
-    assert plain.alpha == fixed.alpha
-    assert plain.beta == fixed.beta
-    assert plain.comm_bits == ()
     assert fixed.comm_bits == (1,)
+    assert run_trial_plain(a, b, lam) == replace(fixed, comm_bits=())
 
 
 @given(angles, angles, angles, shifts)
@@ -232,9 +262,7 @@ def test_random_shift_trial_matches_fixed_at_drawn_shift(a, b, lam, dd):
         fixed = run_trial_fixed(a, b, lam, dd)
     except DegenerateResultantError:
         assume(False)
-    rec = run_trial_random_shift(a, b, lam, dd)
-    assert rec.product == fixed.product
-    assert rec.shares == (lam, dd)
+    assert run_trial_random_shift(a, b, lam, dd) == replace(fixed, shares=(lam, dd))
 
 
 def test_random_shift_validates_draw():
@@ -422,10 +450,7 @@ class TestTwoCosineKernel:
             for plane, scale in enumerate(row.planes)
         ]
         got = row.products(spec, a, b, self.N, *shares)
-        want = [
-            row.trial(spec, a, b, *trial).product for trial in zip(*shares)
-        ]
-        assert _signs(got) == want
+        assert _signs(got) == _scalar(spec, a, b, shares)
 
     def test_sign_where_the_two_roundings_disagree(self):
         # b-hat is within ulps of perpendicular to the share; the identity
@@ -477,18 +502,23 @@ class TestTwoCosineKernel:
             assert got[k] == run_trial_fixed(a, b, lam[k], delta).product
 
 
-def _products_or_raise(products, trial, *shares):
-    """The vector products and the scalar trial products as lists, or
-    the string "raises" where DegenerateResultantError came instead."""
+def _products_or_raise(spec, a, b, *shares):
+    """spec's row's vector products and its scalar trial products on
+    shares, as lists, or the string "raises" where
+    DegenerateResultantError came instead."""
     try:
-        got = _signs(products(*shares))
+        got = _signs(PROTOCOLS[spec.kind].products(spec, a, b, len(shares[0]), *shares))
     except DegenerateResultantError:
         got = "raises"
     try:
-        want = [trial(*t).product for t in zip(*shares)]
+        want = _scalar(spec, a, b, shares)
     except DegenerateResultantError:
         want = "raises"
     return got, want
+
+
+RANDOM = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
+TWO_SHARE = ProtocolSpec(ProtocolKind.TWO_SHARE)
 
 
 def _around(points, scale):
@@ -498,38 +528,6 @@ def _around(points, scale):
     ulps = p[:, None] + np.arange(-50, 51) * np.spacing(p)[:, None]
     band = p[:, None] + np.linspace(-1.0, 1.0, 201) * (8 * np.finfo(float).eps * scale)
     return np.concatenate([ulps.ravel(), band.ravel()])
-
-
-@functools.cache
-def _drawn(spec, a, b, n, seed):
-    """n shares per plane of spec's row, from default_rng(seed + plane)
-    scaled as the sampler scales them, and their scalar trial products.
-    The scalar loop is the slow part of these tests, so it runs once per
-    argument tuple; the shares are read-only, as every test shares them.
-    """
-    row = PROTOCOLS[spec.kind]
-    shares = tuple(
-        scale * np.random.default_rng(seed + plane).random(n)
-        for plane, scale in enumerate(row.planes)
-    )
-    for x in shares:
-        x.flags.writeable = False
-    return shares, tuple(row.trial(spec, a, b, *t).product for t in zip(*shares))
-
-
-def _reference(spec, a, b, shares, drawn):
-    """The scalar trial products of shares, as a list: drawn's products
-    where every plane holds drawn's share bit for bit, and the trial run
-    again on the trials a test has moved."""
-    row = PROTOCOLS[spec.kind]
-    base, products = drawn
-    want = list(products)
-    moved = np.logical_or.reduce(
-        [x.view(np.int64) != y.view(np.int64) for x, y in zip(shares, base)]
-    )
-    for i in np.flatnonzero(moved):
-        want[i] = row.trial(spec, a, b, *(x[i] for x in shares)).product
-    return want
 
 
 class TestArcCompareKernel:
@@ -544,11 +542,8 @@ class TestArcCompareKernel:
 
     @staticmethod
     def _fixed(a, b, lam, delta):
-        return _products_or_raise(
-            lambda x: fixed_products(a, b, x, delta),
-            lambda x: run_trial_fixed(a, b, x, delta),
-            lam,
-        )
+        spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
+        return _products_or_raise(spec, a, b, lam)
 
     @pytest.mark.parametrize("delta", SHIFTS)
     @pytest.mark.parametrize("b", SETTINGS)
@@ -616,11 +611,7 @@ class TestArcCompareKernel:
         )
         lam = (ends - dd * rng.choice([0.0, 0.5, 1.0, rng.random()], n)) % TWO_PI
         lam += rng.integers(-50, 51, n) * np.spacing(lam)
-        got, want = _products_or_raise(
-            lambda x, d: fixed_products(a, b, x, d),
-            lambda x, d: run_trial_random_shift(a, b, x, d),
-            lam, dd,
-        )
+        got, want = _products_or_raise(RANDOM, a, b, lam, dd)
         assert got == want
 
     def test_random_shift_raises_at_a_degenerate_draw(self):
@@ -648,11 +639,7 @@ class TestArcCompareKernel:
                 continue
             keep.append(i)
         assert keep, "every pair is degenerate"
-        return _products_or_raise(
-            lambda x, y: two_share_products(a, b, x, y),
-            lambda x, y: run_trial_twoshare(a, b, x, y),
-            lam1[keep], lam2[keep],
-        )
+        return _products_or_raise(TWO_SHARE, a, b, lam1[keep], lam2[keep])
 
     @pytest.mark.parametrize("b", SETTINGS)
     @pytest.mark.parametrize("a", SETTINGS)
@@ -759,14 +746,13 @@ class TestArcCompareKernel:
         given, edits the list of angle planes in place first."""
         row = PROTOCOLS[spec.kind]
         n = 1 << 12
-        drawn = _drawn(spec, a, b, n, 0)
-        shares = [x.copy() for x in drawn[0]]
+        shares = _draw(spec, n, 0)
         if place is not None:
             place([x for x, scale in zip(shares, row.planes) if scale == TWO_PI])
         start = time.perf_counter()
         got = _signs(row.products(spec, a, b, n, *shares))
         elapsed = time.perf_counter() - start
-        return got, _reference(spec, a, b, shares, drawn), elapsed
+        return got, _scalar(spec, a, b, shares), elapsed
 
     @pytest.mark.parametrize(
         "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
@@ -801,16 +787,31 @@ class TestArcCompareKernel:
         assert got == want
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("a, b", [(0.3, 1.1), (-4.0, 2.0)])
+    def test_shares_past_the_walk_bound(self, a, b):
+        # shares spanning [0, 63 pi] fit the window _on_arc walks, under
+        # _MAX_ENDS pi wide, but the walk starts an end below the window
+        # and passes _MAX_ENDS ends inside it: every trial is redone
+        span = (0.0, 63 * math.pi)
+        rng = np.random.default_rng(37)
+        lam1 = np.concatenate([span, span[1] * rng.random(2000)])
+        lam2 = TWO_PI * rng.random(lam1.size)
+        tol = protocols._slack(a, b, span)
+        assert protocols._on_arc(lam1, span, a, tol)[1].all()
+        got, want = self._two_share(a, b, lam1, lam2)
+        assert got == want
+        for delta in (0.0, math.pi / 5):
+            got, want = self._fixed(a, b, lam1, delta)
+            assert got == want
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_two_share_far_shares_of_opposite_sign_in_one_trial(self, sign):
         # lam2 - lam1 of the first trial overflows; from a slack of pi/4
         # every trial must take the exact formulas before any difference
         # of shares is formed
         got, want = _products_or_raise(
-            lambda x, y: two_share_products(0.3, 1.1, x, y),
-            lambda x, y: run_trial_twoshare(0.3, 1.1, x, y),
-            np.array([sign * 1.7e308, 0.2]),
-            np.array([-sign * 1.7e308, 0.4]),
+            TWO_SHARE, 0.3, 1.1,
+            np.array([sign * 1.7e308, 0.2]), np.array([-sign * 1.7e308, 0.4]),
         )
         assert got == want
 
@@ -821,8 +822,7 @@ class TestArcCompareKernel:
         def place(planes):
             planes[0][7::512] = big
 
-        spec = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
-        got, want, _ = self._sampled(spec, 0.3, 1.1, place)
+        got, want, _ = self._sampled(RANDOM, 0.3, 1.1, place)
         assert got == want
 
     @pytest.mark.parametrize(
@@ -846,15 +846,6 @@ class TestArcCompareKernel:
           for d in (0.0, 1e-4, math.pi / 5, HALF_PI)),
     ]
 
-    @staticmethod
-    def _row(spec, a, b, lam):
-        row = PROTOCOLS[spec.kind]
-        return _products_or_raise(
-            lambda x: row.products(spec, a, b, len(x), x),
-            lambda x: row.trial(spec, a, b, x),
-            lam,
-        )
-
     @pytest.mark.parametrize(
         "spec", ONE_SHARE, ids=lambda spec: f"{spec.kind.value}-{spec.delta}"
     )
@@ -875,7 +866,7 @@ class TestArcCompareKernel:
         lam = np.concatenate([[0.0, np.nextafter(TWO_PI, 0.0)], lam])
         # all in [0, 2 pi), so the table decides
         lam = lam[(lam >= 0.0) & (lam < TWO_PI)]
-        got, want = self._row(spec, a, b, lam)
+        got, want = _products_or_raise(spec, a, b, lam)
         assert got == want
 
     @pytest.mark.parametrize(
@@ -888,12 +879,28 @@ class TestArcCompareKernel:
         def no_table(*args):
             raise AssertionError("a table was looked up")
 
-        drawn = _drawn(spec, 0.3, 1.1, CHUNK, 23)
-        lam = drawn[0][0].copy()
+        [lam] = _draw(spec, CHUNK, 23)
         lam[4321] = stray
         monkeypatch.setattr(protocols, "_bin_table", no_table)
         got = _signs(PROTOCOLS[spec.kind].products(spec, 0.3, 1.1, CHUNK, lam))
-        assert got == _reference(spec, 0.3, 1.1, [lam], drawn)
+        assert got == _scalar(spec, 0.3, 1.1, [lam])
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-4, protocols.SMALL_SHIFT])
+    def test_flipped_bit_shares_at_a_small_shift_are_redone(self, delta):
+        # a run of bins takes one trial's product, whatever its bit; at a
+        # shift of at most SMALL_SHIFT a flipped-bit projection may be
+        # too small to sign, so every bin that Alice's flipped-bit arc
+        # [end - delta, end] touches must be _REDO.  The arc is narrower
+        # than one bin, and a run holds whole bins only
+        assert protocols.SMALL_SHIFT < TWO_PI / protocols._BINS
+        for a, b in itertools.product(np.linspace(-7, 7, 15), np.linspace(-4, 4, 7)):
+            table = protocols._bin_table(a, b, delta)
+            for end in (a + HALF_PI, a - HALF_PI):
+                mid = (end - 0.5 * delta) % TWO_PI
+                assert comm_bit_twoshare(a, mid, mid + delta) == -1
+                lo = (end - delta) % TWO_PI * protocols._BIN_SCALE
+                bins = np.arange(int(lo), int(lo + delta * protocols._BIN_SCALE) + 1)
+                assert (table[bins % protocols._BINS] == protocols._REDO).all()
 
     def test_bin_table_is_cached_and_read_only(self):
         table = protocols._bin_table(0.3, 1.1, math.pi / 5)

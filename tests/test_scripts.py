@@ -31,7 +31,7 @@ def test_bad_seed_is_a_usage_error(name, seed, capsys):
 
 
 @pytest.mark.parametrize("name", ["chsh_summary", "reproduce_figures"])
-@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+@pytest.mark.parametrize("workers", ["0", "-3", "x", "65"])
 def test_bad_workers_is_a_usage_error(name, workers, capsys):
     with pytest.raises(SystemExit) as exc:
         load(name).main(["--workers", workers])
@@ -39,6 +39,8 @@ def test_bad_workers_is_a_usage_error(name, workers, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--workers" in captured.err
+    if workers == "65":
+        assert "worker count must be at most 64" in captured.err
 
 
 @pytest.mark.parametrize(
