@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Callable
 
 from .angles import normalize_angle, separation
 from .errors import DomainError, InvariantViolationError
-from .laws import CorrelationLaw
 from .montecarlo import CorrelationEstimate, child_seed, estimate_correlation
 from .protocols import ProtocolSpec
 
@@ -111,10 +111,11 @@ class ChshResult:
 
 
 def chsh_analytic(
-    law: CorrelationLaw, settings: ChshSettings = CANONICAL_SETTINGS
+    law: Callable[[float], float], settings: ChshSettings = CANONICAL_SETTINGS
 ) -> ChshResult:
-    """Evaluate the functional from a closed-form law."""
-    values = [law.evaluate(theta) for theta in settings.separations()]
+    """Evaluate the functional from a closed-form law, a function of the
+    separation theta."""
+    values = [law(theta) for theta in settings.separations()]
     return ChshResult(*values)
 
 

@@ -31,7 +31,7 @@ from .chsh import (
     chsh_sampled,
 )
 from .errors import BellcommError, ConfigurationError, DomainError
-from .laws import LawKind, quantum_cosine_law
+from .laws import quantum_cosine_law
 from .montecarlo import CurveSweep, _check_seed, sweep_curve, theta_grid
 from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
@@ -63,7 +63,7 @@ def write_curve_csv(sweep: CurveSweep, fh) -> None:
         writer.writerow(
             (
                 _g17(theta),
-                _g17(law.evaluate(theta)) if law is not None else "",
+                _g17(law(theta)) if law is not None else "",
                 _g17(est.mean),
                 _g17(est.stderr),
                 est.n,
@@ -84,7 +84,7 @@ def curve_series(sweep: CurveSweep) -> list[Series]:
             Series(
                 "analytic law",
                 dense,
-                tuple(law.evaluate(t) for t in dense),
+                tuple(law(t) for t in dense),
                 "#1f77b4",
             )
         )
@@ -96,7 +96,7 @@ def curve_series(sweep: CurveSweep) -> list[Series]:
             "#d62728",
         )
     )
-    if law is None or law.kind is not LawKind.QUANTUM_COSINE:
+    if law is not quantum_cosine_law:
         series.append(
             Series(
                 "cosine reference",

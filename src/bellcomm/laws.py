@@ -3,7 +3,10 @@
 Every law maps a separation theta in [0, pi] to a correlation in [-1, 1]
 under the anticorrelation convention E(0) = -1, E(pi) = +1.  Internally
 the laws work in the rescaled variable t = theta / pi, which keeps the
-arithmetic exact at dyadic separations such as pi/4 and 3*pi/4.
+arithmetic exact at dyadic separations such as pi/4 and 3*pi/4.  A law
+is just that function of theta; the fixed-shift law takes its shift as
+a second argument, which functools.partial binds where one function of
+theta is wanted.
 
 The closed forms need only the standard library, and so do the three
 quadrature oracles: each hands every kink of its integrand to an in-module
@@ -15,8 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .angles import heaviside, sgn
@@ -288,35 +289,3 @@ def two_share_integral(r: float) -> float:
     )
     return value * 4.0 / math.pi**2
 
-
-class LawKind(Enum):
-    LINEAR = "linear"
-    QUANTUM_COSINE = "quantum-cosine"
-    FIXED_SHIFT = "fixed-shift"
-    SHIFT_AVERAGED = "shift-averaged"
-
-
-@dataclass(frozen=True)
-class CorrelationLaw:
-    """A closed-form law, optionally parameterized by a shift delta."""
-
-    kind: LawKind
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is LawKind.FIXED_SHIFT:
-            if self.delta is None:
-                raise ConfigurationError("the fixed-shift law requires delta")
-            check_delta(self.delta)
-        elif self.delta is not None:
-            raise ConfigurationError(f"{self.kind.value} law carries no delta")
-
-    def evaluate(self, theta: float) -> float:
-        if self.kind is LawKind.LINEAR:
-            return linear_law(theta)
-        if self.kind is LawKind.QUANTUM_COSINE:
-            return quantum_cosine_law(theta)
-        if self.kind is LawKind.FIXED_SHIFT:
-            assert self.delta is not None
-            return fixed_shift_law(theta, self.delta)
-        return shift_averaged_law(theta)

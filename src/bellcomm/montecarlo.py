@@ -50,7 +50,8 @@ an exact integer count, which makes every estimate bit-identical for
 any worker count.  Only sample_products turns masks into int +-1.
 
 sample_products and estimate_correlation refuse a bad count, seed or
-setting in one place, _check_run, before any draw.  Every uniform
+setting in one place, _check_run, before any draw; a count or seed
+that is not an integer is bad, as 1e5 or 61.0 is.  Every uniform
 separation grid in the package, the sweeps', verify's and the plotted
 laws', is theta_grid's.
 """
@@ -61,13 +62,14 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .angles import separation
 from .errors import ConfigurationError, DomainError
-from .laws import CorrelationLaw
 from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
 
 
@@ -75,13 +77,19 @@ from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
 _local = threading.local()
 
 
-def _check_seed(seed: int) -> int:
-    """The seed as an int.  A non-integral seed (1.5, 1.0, "3") is
-    refused, not truncated onto an integer seed's stream."""
+def _as_index(value) -> int:
+    """value as an int, or -1 if it is not an integer: a non-integral
+    seed or count (1.5, 1.0, 1e5, "3") is refused, not truncated."""
     try:
-        value = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        value = -1
+        return -1
+
+
+def _check_seed(seed: int) -> int:
+    """The seed as an int; a non-integral seed is refused, not
+    truncated onto an integer seed's stream."""
+    value = _as_index(seed)
     if not 0 <= value < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return value
@@ -139,8 +147,8 @@ def _check_run(a: float, b: float, n: int, seed: int) -> float:
     """The separation of a and b, once n, seed and the settings are
     checked: a non-finite setting raises DomainError, before any trial
     is drawn."""
-    if n < 1:
-        raise ConfigurationError(f"n must be at least 1, got {n!r}")
+    if _as_index(n) < 1:
+        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
     _check_seed(seed)
     return separation(a, b)
 
@@ -257,27 +265,36 @@ def estimate_correlation(
     )
 
 
+def law_for_protocol(spec: ProtocolSpec) -> Callable[[float], float] | None:
+    """The closed-form law a protocol's estimates converge to, as a
+    function of theta with the spec's parameter bound, or None."""
+    row = PROTOCOLS[spec.kind]
+    if row.law is None or row.param is None:
+        return row.law
+    return partial(row.law, **{row.param: getattr(spec, row.param)})
+
+
 @dataclass(frozen=True)
 class CurveSweep:
-    """Correlation estimates over a theta grid, plus the matching law."""
+    """Correlation estimates over a theta grid.  The matching law is
+    derived from the protocol, not stored, so it always follows it."""
 
     protocol: ProtocolSpec
     grid: tuple[float, ...]
     estimates: tuple[CorrelationEstimate, ...]
-    analytic_reference: CorrelationLaw | None
     seed: int
 
-
-def law_for_protocol(spec: ProtocolSpec) -> CorrelationLaw | None:
-    """The closed-form law a protocol's estimates converge to, if any."""
-    kind = PROTOCOLS[spec.kind].law
-    return None if kind is None else CorrelationLaw(kind, delta=spec.delta)
+    @property
+    def analytic_reference(self) -> Callable[[float], float] | None:
+        return law_for_protocol(self.protocol)
 
 
 def theta_grid(points: int) -> tuple[float, ...]:
     """points separations evenly spaced from 0 to pi, both included."""
-    if points < 2:
-        raise ConfigurationError(f"grid needs at least 2 points, got {points!r}")
+    if _as_index(points) < 2:
+        raise ConfigurationError(
+            f"grid points must be an integer of at least 2, got {points!r}"
+        )
     return tuple((j / (points - 1)) * math.pi for j in range(points))
 
 
@@ -307,19 +324,18 @@ def sweep_curve(
         protocol=spec,
         grid=grid,
         estimates=estimates,
-        analytic_reference=law_for_protocol(spec),
         seed=seed,
     )
 
 
 def max_abs_deviation(sweep: CurveSweep) -> float:
     """Largest gap between the sweep's estimates and its analytic law."""
-    if sweep.analytic_reference is None:
+    law = sweep.analytic_reference
+    if law is None:
         raise ConfigurationError(
             "sweep has no analytic reference to compare against"
         )
-    law = sweep.analytic_reference
     return max(
-        abs(est.mean - law.evaluate(theta))
+        abs(est.mean - law(theta))
         for theta, est in zip(sweep.grid, sweep.estimates)
     )

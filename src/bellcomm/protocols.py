@@ -60,7 +60,14 @@ import numpy as np
 
 from .angles import RESULTANT_EPS, TWO_PI, normalize_angle, resultant_sign, separation, sgn
 from .errors import ConfigurationError, DegenerateResultantError, DomainError
-from .laws import HALF_PI, LawKind, check_delta
+from .laws import (
+    HALF_PI,
+    check_delta,
+    fixed_shift_law,
+    linear_law,
+    quantum_cosine_law,
+    shift_averaged_law,
+)
 
 # Trials per sampling chunk, and the length of each per-thread buffer.
 # One Philox counter block is four doubles, so chunk starts stay
@@ -606,16 +613,17 @@ class ProtocolRow:
     view of the shares or of a thread_buffer, and the shares are left
     as they were.  trial(spec, a, b, *shares) runs
     one scalar trial on the shares that trial_flags name on the command
-    line, in order.  law is the kind of closed-form law the estimates
-    converge to, parameterized by the spec's delta, or None.  param names
-    the ProtocolSpec field the protocol carries, if any.
+    line, in order.  law is the closed-form law the estimates converge
+    to, a function of theta and, if the row has a param, of that
+    parameter as a keyword, or None.  param names the ProtocolSpec field
+    the protocol carries, if any.
     """
 
     planes: tuple[float | None, ...]
     products: Callable[..., np.ndarray]
     trial: Callable[..., TrialRecord]
     trial_flags: tuple[str, ...]
-    law: LawKind | None
+    law: Callable[..., float] | None
     param: str | None = None
 
 
@@ -626,14 +634,14 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         products=lambda spec, a, b, n, lam: fixed_products(a, b, lam, 0.0),
         trial=lambda spec, a, b, lam: run_trial_plain(a, b, lam),
         trial_flags=("--lambda",),
-        law=LawKind.LINEAR,
+        law=linear_law,
     ),
     ProtocolKind.FIXED_SHIFT: ProtocolRow(
         planes=(TWO_PI,),
         products=lambda spec, a, b, n, lam: fixed_products(a, b, lam, spec.delta),
         trial=lambda spec, a, b, lam: run_trial_fixed(a, b, lam, spec.delta),
         trial_flags=("--lambda",),
-        law=LawKind.FIXED_SHIFT,
+        law=fixed_shift_law,
         param="delta",
     ),
     ProtocolKind.RANDOM_SHIFT: ProtocolRow(
@@ -641,14 +649,14 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         products=lambda spec, a, b, n, lam, dd: fixed_products(a, b, lam, dd),
         trial=lambda spec, a, b, lam, dd: run_trial_random_shift(a, b, lam, dd),
         trial_flags=("--lambda", "--delta"),
-        law=LawKind.SHIFT_AVERAGED,
+        law=shift_averaged_law,
     ),
     ProtocolKind.TWO_SHARE: ProtocolRow(
         planes=(TWO_PI, TWO_PI),
         products=lambda spec, a, b, n, l1, l2: two_share_products(a, b, l1, l2),
         trial=lambda spec, a, b, l1, l2: run_trial_twoshare(a, b, l1, l2),
         trial_flags=("--lambda", "--lambda2"),
-        law=LawKind.SHIFT_AVERAGED,
+        law=shift_averaged_law,
     ),
     ProtocolKind.ADAPTIVE: ProtocolRow(
         planes=(),
@@ -666,6 +674,6 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
         products=lambda spec, a, b, n, u, v: quantum_products(a, b, v),
         trial=lambda spec, a, b, u, v: run_trial_quantum(a, b, u, v),
         trial_flags=("--u", "--v"),
-        law=LawKind.QUANTUM_COSINE,
+        law=quantum_cosine_law,
     ),
 }

@@ -6,8 +6,11 @@ in one loop.  Most entries take one of three shapes, each written once:
 the largest gap over a grid, between two closed forms or a law and its
 quadrature oracle; a 13-point Monte Carlo sweep against its law; and a
 sampled CHSH value against a bound.  All three decide by _largest_gap,
-under which a NaN gap fails.  Each sampled check states its own law,
-independent of the protocol table's.  The sampled CHSH checks read the
+under which a NaN gap fails, as does a package error raised while the
+gaps are formed, so a broken law or oracle prints FAIL rather than
+stopping the run.  Every law is a plain function of theta, with the
+fixed-shift law's delta bound by functools.partial, and each check
+states its own, independent of the protocol table's.  The sampled CHSH checks read the
 signed S, which is negative at CANONICAL_SETTINGS for every law, so
 they also catch products of the wrong sign.
 
@@ -33,10 +36,9 @@ from .chsh import (
     chsh_analytic,
     chsh_sampled,
 )
+from .errors import BellcommError
 from .laws import (
     HALF_PI,
-    CorrelationLaw,
-    LawKind,
     fixed_shift_law,
     linear_law,
     mean_sign_vs_reference,
@@ -95,8 +97,14 @@ def _worst(values) -> tuple[int, float]:
 def _largest_gap(name, tol, gaps, detail="", where=None) -> CheckResult:
     """Pass when no gap exceeds tol.  The deviation is the largest gap,
     or 0 if none is positive; a nan gap makes it nan, which fails.  The
-    detail is where's name for the worst gap's point, if where is given."""
-    at, worst = _worst(gaps)
+    detail is where's name for the worst gap's point, if where is given.
+    A BellcommError raised while the gaps are formed fails the check
+    too, with a nan deviation and the error as its detail."""
+    try:
+        at, worst = _worst(gaps)
+    except BellcommError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return CheckResult(name, False, math.nan, tol, error)
     deviation = worst if math.isnan(worst) else max(0.0, worst)
     detail = detail if where is None else where[at]
     return CheckResult(name, deviation <= tol, deviation, tol, detail)
@@ -119,15 +127,13 @@ def _branch_gaps():
 def _endpoint_and_bound_gaps():
     """How far each law misses -1 at 0 and +1 at pi, and how far it
     leaves [-1, 1]."""
-    laws = [
-        CorrelationLaw(LawKind.LINEAR),
-        CorrelationLaw(LawKind.QUANTUM_COSINE),
-        CorrelationLaw(LawKind.SHIFT_AVERAGED),
-    ] + [CorrelationLaw(LawKind.FIXED_SHIFT, delta=d) for d in SHIFT_GRID]
+    laws = [linear_law, quantum_cosine_law, shift_averaged_law] + [
+        partial(fixed_shift_law, delta=d) for d in SHIFT_GRID
+    ]
     for law in laws:
-        yield abs(law.evaluate(0.0) + 1.0)
-        yield abs(law.evaluate(math.pi) - 1.0)
-        yield from (abs(law.evaluate(t)) - 1.0 for t in montecarlo.theta_grid(1001))
+        yield abs(law(0.0) + 1.0)
+        yield abs(law(math.pi) - 1.0)
+        yield from (abs(law(t)) - 1.0 for t in montecarlo.theta_grid(1001))
 
 
 def _check_superquantum_crossing() -> CheckResult:
@@ -271,16 +277,16 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         lambda: _largest_gap("chsh-analytic-values", 1e-12, (
             abs(chsh_analytic(law).abs_s - bound)
             for law, bound in (
-                (CorrelationLaw(LawKind.LINEAR), 2.0),
-                (CorrelationLaw(LawKind.SHIFT_AVERAGED), 3.0),
-                (CorrelationLaw(LawKind.FIXED_SHIFT, delta=HALF_PI), 4.0),
-                (CorrelationLaw(LawKind.QUANTUM_COSINE), TSIRELSON_BOUND),
+                (linear_law, 2.0),
+                (shift_averaged_law, 3.0),
+                (partial(fixed_shift_law, delta=HALF_PI), 4.0),
+                (quantum_cosine_law, TSIRELSON_BOUND),
             )
         )),
         # the largest drop of |S| from one shift to the next
         lambda: _largest_gap("chsh-monotone-in-shift", 0.0, (
             s - t for s, t in pairwise(
-                chsh_analytic(CorrelationLaw(LawKind.FIXED_SHIFT, delta=d)).abs_s
+                chsh_analytic(partial(fixed_shift_law, delta=d)).abs_s
                 for d in SHIFT_GRID
             )
         ), "abs_s must not decrease along the shift grid"),

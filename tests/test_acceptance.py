@@ -8,6 +8,7 @@ repo default) to see the lines for passing tests too.
 
 import math
 import time
+from functools import partial
 
 from bellcomm.chsh import (
     CANONICAL_SETTINGS,
@@ -17,9 +18,8 @@ from bellcomm.chsh import (
 )
 from bellcomm.cli import main
 from bellcomm.laws import (
-    CorrelationLaw,
-    LawKind,
     fixed_shift_law,
+    linear_law,
     mean_sign_vs_reference,
     mean_sign_vs_reference_quad,
     orthogonal_step_law,
@@ -90,9 +90,7 @@ def test_criterion_02_averaged_protocols_match_law():
 
 
 def test_criterion_03_orthogonal_shift_reaches_four():
-    analytic = chsh_analytic(
-        CorrelationLaw(LawKind.FIXED_SHIFT, delta=math.pi / 2)
-    ).abs_s
+    analytic = chsh_analytic(partial(fixed_shift_law, delta=math.pi / 2)).abs_s
     sampled = chsh_sampled(
         ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=math.pi / 2),
         n_per_pair=N_CHSH,
@@ -109,7 +107,7 @@ def test_criterion_03_orthogonal_shift_reaches_four():
 
 
 def test_criterion_04_quantum_reference_sits_at_tsirelson():
-    analytic = chsh_analytic(CorrelationLaw(LawKind.QUANTUM_COSINE)).abs_s
+    analytic = chsh_analytic(quantum_cosine_law).abs_s
     sampled = chsh_sampled(
         ProtocolSpec(ProtocolKind.QUANTUM),
         n_per_pair=N_CHSH,
@@ -129,7 +127,7 @@ def test_criterion_04_quantum_reference_sits_at_tsirelson():
 
 
 def test_criterion_05_plain_protocol_sits_at_local_bound():
-    analytic = chsh_analytic(CorrelationLaw(LawKind.LINEAR)).abs_s
+    analytic = chsh_analytic(linear_law).abs_s
     sampled = chsh_sampled(
         ProtocolSpec(ProtocolKind.PLAIN),
         n_per_pair=N_CHSH,
@@ -249,7 +247,7 @@ def test_criterion_10_adaptive_protocol_is_exactly_algebraic():
 
 
 def test_criterion_11_averaged_law_chsh_is_three():
-    value = chsh_analytic(CorrelationLaw(LawKind.SHIFT_AVERAGED)).abs_s
+    value = chsh_analytic(shift_averaged_law).abs_s
     ok = value == 3.0
     assert report(
         11, ok, f"analytic |S| of the averaged law = {value!r} (need exactly 3.0)"

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -22,11 +23,17 @@ from bellcomm.errors import (
     DomainError,
     InvariantViolationError,
 )
-from bellcomm.laws import CorrelationLaw, LawKind, orthogonal_step_law
+from bellcomm.laws import (
+    fixed_shift_law,
+    linear_law,
+    orthogonal_step_law,
+    quantum_cosine_law,
+    shift_averaged_law,
+)
 from bellcomm.montecarlo import child_seed, estimate_correlation
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 
-SHIFT_HALF = CorrelationLaw(LawKind.FIXED_SHIFT, delta=math.pi / 2)
+SHIFT_HALF = partial(fixed_shift_law, delta=math.pi / 2)
 
 
 def test_canonical_settings_have_exact_separations():
@@ -72,18 +79,18 @@ class TestClassify:
 
 class TestAnalytic:
     def test_linear_law_sits_on_local_bound(self):
-        r = chsh_analytic(CorrelationLaw(LawKind.LINEAR))
+        r = chsh_analytic(linear_law)
         assert r.s == -2.0
         assert r.abs_s == 2.0
         assert r.classification is ChshClass.LOCAL
 
     def test_quantum_law_sits_on_tsirelson_bound(self):
-        r = chsh_analytic(CorrelationLaw(LawKind.QUANTUM_COSINE))
+        r = chsh_analytic(quantum_cosine_law)
         assert r.abs_s == TSIRELSON_BOUND
         assert r.classification is ChshClass.SUPERCLASSICAL
 
     def test_averaged_law_lands_on_three(self):
-        r = chsh_analytic(CorrelationLaw(LawKind.SHIFT_AVERAGED))
+        r = chsh_analytic(shift_averaged_law)
         assert r.s == -3.0
         assert r.classification is ChshClass.SUPERQUANTUM
 
@@ -107,14 +114,12 @@ class TestAnalytic:
 
     @given(st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False))
     def test_shift_family_interpolates_the_bounds(self, delta):
-        r = chsh_analytic(CorrelationLaw(LawKind.FIXED_SHIFT, delta=delta))
+        r = chsh_analytic(partial(fixed_shift_law, delta=delta))
         assert r.abs_s == pytest.approx(2.0 + 4.0 * delta / math.pi, abs=1e-12)
 
     def test_monotone_in_shift(self):
         values = [
-            chsh_analytic(
-                CorrelationLaw(LawKind.FIXED_SHIFT, delta=d)
-            ).abs_s
+            chsh_analytic(partial(fixed_shift_law, delta=d)).abs_s
             for d in (0.0, 0.3, 0.8, 1.2, math.pi / 2)
         ]
         assert values == sorted(values)

@@ -10,7 +10,7 @@ from bellcomm import cli
 from bellcomm.chsh import CANONICAL_SETTINGS, chsh_sampled
 from bellcomm.cli import build_parser, main
 from bellcomm.errors import DegenerateResultantError
-from bellcomm.laws import CorrelationLaw, LawKind
+from bellcomm.laws import fixed_shift_law
 from bellcomm.montecarlo import sweep_curve
 from bellcomm.protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 
@@ -253,13 +253,12 @@ def test_curve_csv_round_trips_bitwise(tmp_path, capsys):
     rows = read_curve_csv(target)
     spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=math.pi / 5)
     sweep = sweep_curve(spec, 7, 2000, 4)
-    law = CorrelationLaw(LawKind.FIXED_SHIFT, delta=math.pi / 5)
     assert len(rows) == 7
     for row, theta, est in zip(rows, sweep.grid, sweep.estimates):
         assert row["theta"] == theta
         assert row["E_mc"] == est.mean
         assert row["stderr"] == est.stderr
-        assert row["E_analytic"] == law.evaluate(theta)
+        assert row["E_analytic"] == fixed_shift_law(theta, math.pi / 5)
         assert row["delta"] == math.pi / 5
         assert row["n"] == 2000 and row["seed"] == 4
         assert row["protocol"] == "fixed-shift"

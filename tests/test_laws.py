@@ -14,8 +14,6 @@ from bellcomm.errors import (
     NumericError,
 )
 from bellcomm.laws import (
-    CorrelationLaw,
-    LawKind,
     fixed_shift_law,
     linear_law,
     mean_sign_vs_reference,
@@ -250,27 +248,3 @@ def test_averaged_law_between_linear_and_step(theta):
     v = shift_averaged_law(theta)
     assert lo - 1e-12 <= v <= hi + 1e-12
 
-
-def test_correlation_law_dispatch():
-    delta = math.pi / 3
-    cases = [
-        (CorrelationLaw(LawKind.LINEAR), linear_law),
-        (CorrelationLaw(LawKind.QUANTUM_COSINE), quantum_cosine_law),
-        (
-            CorrelationLaw(LawKind.FIXED_SHIFT, delta=delta),
-            lambda t: fixed_shift_law(t, delta),
-        ),
-        (CorrelationLaw(LawKind.SHIFT_AVERAGED), shift_averaged_law),
-    ]
-    for law, fn in cases:
-        for theta in (0.0, 0.4, 1.3, 2.9, math.pi):
-            assert law.evaluate(theta) == fn(theta)
-
-
-def test_correlation_law_validates_delta():
-    with pytest.raises(ConfigurationError):
-        CorrelationLaw(LawKind.FIXED_SHIFT)
-    with pytest.raises(ConfigurationError):
-        CorrelationLaw(LawKind.FIXED_SHIFT, delta=2.0)
-    with pytest.raises(ConfigurationError):
-        CorrelationLaw(LawKind.LINEAR, delta=0.1)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ from numpy.random import Generator, Philox
 
 from bellcomm import montecarlo
 from bellcomm.angles import separation
+from bellcomm.chsh import chsh_sampled
 from bellcomm.errors import (
     ConfigurationError,
     DegenerateResultantError,
     DomainError,
 )
-from bellcomm.laws import LawKind
+from bellcomm.laws import linear_law
 from bellcomm.montecarlo import (
     CHUNK,
     child_seed,
@@ -26,6 +28,7 @@ from bellcomm.montecarlo import (
     max_abs_deviation,
     sample_products,
     sweep_curve,
+    theta_grid,
     uniforms,
 )
 from bellcomm.protocols import (
@@ -288,14 +291,26 @@ def test_non_finite_setting_raises_before_sampling(spec, which, bad, monkeypatch
         estimate_correlation(spec, settings["a"], settings["b"], 100, 1)
 
 
-def test_law_for_protocol_mapping():
-    assert law_for_protocol(PLAIN).kind is LawKind.LINEAR
-    assert law_for_protocol(FIXED).kind is LawKind.FIXED_SHIFT
-    assert law_for_protocol(FIXED).delta == FIXED.delta
-    assert law_for_protocol(RANDOM).kind is LawKind.SHIFT_AVERAGED
-    assert law_for_protocol(TWOSHARE).kind is LawKind.SHIFT_AVERAGED
-    assert law_for_protocol(QUANTUM).kind is LawKind.QUANTUM_COSINE
-    assert law_for_protocol(ADAPTIVE) is None
+@pytest.mark.parametrize("count", [1e5, 61.0, "3", None])
+def test_non_integral_count_refused_before_sampling(count, monkeypatch):
+    # a count that is not an integer is a bad count, refused before any
+    # draw, not left to fail inside range
+    def no_chunks(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_chunk_mask", no_chunks)
+    with pytest.raises(ConfigurationError):
+        sample_products(PLAIN, 0.0, 1.0, count, 0)
+    with pytest.raises(ConfigurationError):
+        estimate_correlation(PLAIN, 0.0, 1.0, count, 0)
+    with pytest.raises(ConfigurationError):
+        chsh_sampled(PLAIN, n_per_pair=count)
+    with pytest.raises(ConfigurationError):
+        sweep_curve(PLAIN, 3, count, 0)
+    with pytest.raises(ConfigurationError):
+        sweep_curve(PLAIN, count, 64, 0)
+    with pytest.raises(ConfigurationError):
+        theta_grid(count)
 
 
 class TestSweep:
@@ -334,6 +349,13 @@ class TestSweep:
             want = -1.0 if separation(math.pi / 2**k, theta) < HALF_PI else 1.0
             assert (est.mean, est.stderr) == (want, 0.0), theta
 
+    def test_law_follows_the_protocol(self):
+        # the law is derived from the protocol, so replacing the
+        # protocol replaces it, and equal arguments give equal sweeps
+        sweep = sweep_curve(FIXED, 3, 64, 0)
+        assert replace(sweep, protocol=PLAIN).analytic_reference is linear_law
+        assert sweep == sweep_curve(FIXED, 3, 64, 0)
+
     def test_max_abs_deviation_needs_reference(self):
         sweep = sweep_curve(ADAPTIVE, 3, 64, 0)
         with pytest.raises(ConfigurationError):
@@ -370,7 +392,7 @@ def test_mc_matches_law_at_moderate_n():
         est = estimate_correlation(spec, 0.0, theta, 40_000, 8)
         law = law_for_protocol(spec)
         assert est.mean == pytest.approx(
-            law.evaluate(theta), abs=5.5 * max(est.stderr, 1e-3)
+            law(theta), abs=5.5 * max(est.stderr, 1e-3)
         )
 
 

@@ -13,6 +13,7 @@ from bellcomm import protocols
 from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law
+from bellcomm.montecarlo import law_for_protocol, theta_grid
 from bellcomm.protocols import (
     CHUNK,
     HALF_PI,
@@ -115,6 +116,23 @@ def _spec(kind):
     row = PROTOCOLS[kind]
     params = {"delta": math.pi / 5, "k_bits": 3}
     return ProtocolSpec(kind, **({row.param: params[row.param]} if row.param else {}))
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+def test_law_for_protocol_is_the_rows_law(kind):
+    # None exactly when the row has no law; otherwise the row's law with
+    # the spec's parameter bound, on a grid and at the fixed-shift kinks
+    row = PROTOCOLS[kind]
+    spec = _spec(kind)
+    law = law_for_protocol(spec)
+    assert (law is None) == (row.law is None)
+    if law is None:
+        return
+    bound = {row.param: getattr(spec, row.param)} if row.param else {}
+    d = math.pi / 5
+    kinks = (0.5 * d, 0.5 * (math.pi - d), 0.5 * (math.pi + d), math.pi - 0.5 * d)
+    for theta in theta_grid(181) + kinks:
+        assert law(theta) == row.law(theta, **bound), theta
 
 
 def _draw(spec, n, seed):

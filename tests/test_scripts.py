@@ -85,6 +85,26 @@ def test_chsh_summary_has_one_labelled_row_per_protocol(capsys):
     assert kinds == {kind.value for kind in ProtocolKind}
 
 
+def test_chsh_summary_analytic_column(capsys):
+    # 2 + 4 delta / pi per shift, 3 for both shift-averaged rows, no law
+    # for adaptive and 2 sqrt(2) for quantum
+    assert load("chsh_summary").main(["--n", "2000", "--workers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-2:] == ["analytic", "class"]
+    assert [line.split()[-2] for line in lines[2:]] == [
+        "2.000000",
+        "2.400000",
+        "2.800000",
+        "3.200000",
+        "3.600000",
+        "4.000000",
+        "3.000000",
+        "3.000000",
+        "-",
+        "2.828427",
+    ]
+
+
 def test_reproduce_figures_outdir_below_a_file_is_an_io_error(
     tmp_path, capsys, monkeypatch
 ):

@@ -9,6 +9,7 @@ import bellcomm.montecarlo
 import bellcomm.verify
 from bellcomm.angles import separation
 from bellcomm.chsh import CANONICAL_SETTINGS
+from bellcomm.errors import NumericError
 from bellcomm.laws import HALF_PI
 from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 from bellcomm.verify import CHSH_TOL, MC_TOL, CheckResult, run_all_checks
@@ -168,7 +169,8 @@ def test_wrong_definition_fails_exactly_its_checks(defect, monkeypatch):
 
 
 # the checks that a law or oracle returning nan must fail, and no others;
-# each is patched under its name in bellcomm.verify
+# each is patched under its name in bellcomm.verify.  A nan law makes
+# chsh_analytic raise DomainError, which its check reports as a FAIL
 FAILS_ON_NAN = {
     "orthogonal_step_law": {"step-law-matches-five-branch"},
     "mean_sign_vs_reference": {"sign-mean-oracle"},
@@ -181,17 +183,29 @@ FAILS_ON_NAN = {
         "averaged-law-curvature",
         "mc-two-share-curve",
         "mc-random-shift-curve",
+        "law-endpoints-and-bounds",
+        "chsh-analytic-values",
     },
     "fixed_shift_law": {
         "step-law-matches-five-branch",
         "five-branch-point-symmetry",
         "superquantum-crossing",
         "mc-fixed-shift-curves",
+        "law-endpoints-and-bounds",
+        "chsh-analytic-values",
+        "chsh-monotone-in-shift",
     },
     "quantum_cosine_law": {
         "superquantum-crossing",
         "averaged-law-curvature",
         "mc-quantum-curve",
+        "law-endpoints-and-bounds",
+        "chsh-analytic-values",
+    },
+    "linear_law": {
+        "law-endpoints-and-bounds",
+        "chsh-analytic-values",
+        "mc-plain-curve",
     },
 }
 
@@ -208,6 +222,21 @@ def test_nan_fails_exactly_its_checks(name, monkeypatch):
     # fail on its gap to the cosine alone
     for check in failed - {"averaged-law-curvature"}:
         assert math.isnan(results[check].deviation), check
+
+
+def test_package_error_in_a_check_is_its_fail(monkeypatch):
+    # an oracle that misses its tolerance raises NumericError; that check
+    # fails with the error as its detail, and the other checks still run
+    def unresolved(*args):
+        raise NumericError("quadrature error estimate too large")
+
+    monkeypatch.setattr(bellcomm.verify, "two_share_integral", unresolved)
+    results = small_run()
+    assert [r.name for r in results] == EXPECTED_ORDER
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["folded-integral-oracle"]
+    assert math.isnan(failed[0].deviation)
+    assert failed[0].detail == "NumericError: quadrature error estimate too large"
 
 
 def test_false_alarm_bound_of_one_run(monkeypatch):
