@@ -32,7 +32,7 @@ from .chsh import (
 )
 from .errors import BellcommError, ConfigurationError, DomainError
 from .laws import quantum_cosine_law
-from .montecarlo import CurveSweep, _check_seed, sweep_curve, theta_grid
+from .montecarlo import MAX_WORKERS, CurveSweep, _check_seed, sweep_curve, theta_grid
 from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
@@ -268,8 +268,7 @@ def _count_type(minimum: int, what: str, maximum: float = math.inf):
     return parse
 
 
-# each worker is a thread, with chunk-long buffers of its own
-_workers_type = _count_type(1, "worker count", 64)
+_workers_type = _count_type(1, "worker count", MAX_WORKERS)
 _trials_type = _count_type(1, "trial count")
 _grid_type = _count_type(2, "grid point count")
 

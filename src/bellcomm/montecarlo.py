@@ -49,9 +49,13 @@ so a chunk of count trials sums to 2 * (number of +1 trials) - count:
 an exact integer count, which makes every estimate bit-identical for
 any worker count.  Only sample_products turns masks into int +-1.
 
-sample_products and estimate_correlation refuse a bad count, seed or
-setting in one place, _check_run, before any draw; a count or seed
-that is not an integer is bad, as 1e5 or 61.0 is.  Every uniform
+sample_products and estimate_correlation refuse a bad count, seed,
+worker count or setting in one place, _check_run, before any draw; a
+count, seed or worker count that is not an integer is bad, as 1e5,
+61.0 or "2" is.  A worker count must lie in 1 to MAX_WORKERS (64), as
+the CLI's --workers does, since each worker is a thread with buffers
+of its own; sweep_curve checks it with the same _check_workers before
+its first point, so no refused count starts a thread.  Every uniform
 separation grid in the package, the sweeps', verify's and the plotted
 laws', is theta_grid's.
 """
@@ -76,6 +80,9 @@ from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
 # Per thread: the re-keyed Generator of uniforms.
 _local = threading.local()
 
+# each worker is a thread, with chunk-long buffers of its own
+MAX_WORKERS = 64
+
 
 def _as_index(value) -> int:
     """value as an int, or -1 if it is not an integer: a non-integral
@@ -93,6 +100,15 @@ def _check_seed(seed: int) -> int:
     if not 0 <= value < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return value
+
+
+def _check_workers(workers: int) -> None:
+    """Refuse a worker count that is not an integer in [1, MAX_WORKERS],
+    before any thread starts."""
+    if not 1 <= _as_index(workers) <= MAX_WORKERS:
+        raise ConfigurationError(
+            f"workers must be an integer from 1 to {MAX_WORKERS}, got {workers!r}"
+        )
 
 
 def uniforms(
@@ -143,13 +159,14 @@ def _chunk_mask(spec, a, b, seed, start, count):
     return row.products(spec, a, b, count, *shares)
 
 
-def _check_run(a: float, b: float, n: int, seed: int) -> float:
-    """The separation of a and b, once n, seed and the settings are
-    checked: a non-finite setting raises DomainError, before any trial
-    is drawn."""
+def _check_run(a: float, b: float, n: int, seed: int, workers: int = 1) -> float:
+    """The separation of a and b, once n, seed, workers and the settings
+    are checked: a non-finite setting raises DomainError, before any
+    trial is drawn."""
     if _as_index(n) < 1:
         raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
     _check_seed(seed)
+    _check_workers(workers)
     return separation(a, b)
 
 
@@ -250,7 +267,7 @@ def estimate_correlation(
     the chunk sums are exact integers, counted from the kernels' masks.
     Non-finite settings raise DomainError before any trial is drawn.
     """
-    theta = _check_run(a, b, n, seed)
+    theta = _check_run(a, b, n, seed, workers)
 
     def chunk_sum(start: int) -> int:
         count = min(CHUNK, n - start)
@@ -312,6 +329,7 @@ def sweep_curve(
     child seed of (seed, j), so every point is independent of the others
     and of the worker count.
     """
+    _check_workers(workers)
     grid = theta_grid(grid_points)
 
     def point(j: int) -> CorrelationEstimate:

@@ -1,18 +1,22 @@
 """Named self-checks: analytic identities plus fixed-budget statistical checks.
 
-run_all_checks builds one ordered table of the twenty checks, each a
-call with no arguments that returns its CheckResult, and runs the table
-in one loop.  Most entries take one of three shapes, each written once:
-the largest gap over a grid, between two closed forms or a law and its
+run_all_checks builds one ordered table of the twenty checks, one row
+(name, tolerance, rule) each, and runs it in one loop that builds
+every CheckResult.  rule(tolerance) returns (passed, deviation,
+detail).  A BellcommError raised anywhere in a rule, by a law, an
+oracle, a sweep or a CHSH run, is that check's FAIL, with a nan
+deviation and the error as its detail, and the other checks still run;
+so a broken law, oracle or sampler prints FAIL rather than stopping
+the run.  Most rules take one of three shapes, each written once: the
+largest gap over a grid, between two closed forms or a law and its
 quadrature oracle; a 13-point Monte Carlo sweep against its law; and a
 sampled CHSH value against a bound.  All three decide by _largest_gap,
-under which a NaN gap fails, as does a package error raised while the
-gaps are formed, so a broken law or oracle prints FAIL rather than
-stopping the run.  Every law is a plain function of theta, with the
-fixed-shift law's delta bound by functools.partial, and each check
-states its own, independent of the protocol table's.  The sampled CHSH checks read the
-signed S, which is negative at CANONICAL_SETTINGS for every law, so
-they also catch products of the wrong sign.
+under which a NaN gap fails.  Every law is a plain function of theta,
+with the fixed-shift law's delta bound by functools.partial, and each
+check states its own, independent of the protocol table's.  The
+sampled CHSH checks read the signed S, which is negative at
+CANONICAL_SETTINGS for every law, so they also catch products of the
+wrong sign.
 
 Each check reports its observed deviation and tolerance, so a failure
 message carries the number that broke it.  The sampled checks run a
@@ -94,20 +98,14 @@ def _worst(values) -> tuple[int, float]:
     return at, float(gaps[at])
 
 
-def _largest_gap(name, tol, gaps, detail="", where=None) -> CheckResult:
-    """Pass when no gap exceeds tol.  The deviation is the largest gap,
-    or 0 if none is positive; a nan gap makes it nan, which fails.  The
-    detail is where's name for the worst gap's point, if where is given.
-    A BellcommError raised while the gaps are formed fails the check
-    too, with a nan deviation and the error as its detail."""
-    try:
-        at, worst = _worst(gaps)
-    except BellcommError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return CheckResult(name, False, math.nan, tol, error)
+def _largest_gap(tol, gaps, detail="", where=None):
+    """The gap rule: pass when no gap exceeds tol.  The deviation is the
+    largest gap, or 0 if none is positive; a nan gap makes it nan, which
+    fails.  The detail is where's name for the worst gap's point, if
+    where is given."""
+    at, worst = _worst(gaps)
     deviation = worst if math.isnan(worst) else max(0.0, worst)
-    detail = detail if where is None else where[at]
-    return CheckResult(name, deviation <= tol, deviation, tol, detail)
+    return deviation <= tol, deviation, detail if where is None else where[at]
 
 
 def _branch_values(t: float, d: float) -> tuple[float, ...]:
@@ -136,7 +134,7 @@ def _endpoint_and_bound_gaps():
         yield from (abs(law(t)) - 1.0 for t in montecarlo.theta_grid(1001))
 
 
-def _check_superquantum_crossing() -> CheckResult:
+def _check_superquantum_crossing(tol):
     margins = [
         _worst(
             abs(fixed_shift_law(theta, delta)) - abs(quantum_cosine_law(theta))
@@ -144,17 +142,13 @@ def _check_superquantum_crossing() -> CheckResult:
         )[1]
         for delta in SHIFT_GRID[1:]
     ]
-    margin_floor = math.nan if any(map(math.isnan, margins)) else min(margins)
-    return CheckResult(
-        "superquantum-crossing",
-        margin_floor >= 1e-9,
-        margin_floor,
-        1e-9,
-        "smallest best margin over the shift grid; must stay above tolerance",
-    )
+    # np.min, unlike min, is nan if any margin is
+    margin_floor = float(np.min(margins))
+    detail = "smallest best margin over the shift grid; must stay above tolerance"
+    return margin_floor >= tol, margin_floor, detail
 
 
-def _check_averaged_law_curvature() -> CheckResult:
+def _check_averaged_law_curvature(tol):
     # constant curvature +-8/pi^2 on each side of pi/2, and visibly not
     # the cosine
     h = math.pi / 512
@@ -175,25 +169,28 @@ def _check_averaged_law_curvature() -> CheckResult:
         abs(shift_averaged_law(theta) - quantum_cosine_law(theta))
         for theta in montecarlo.theta_grid(1001)
     )[1]
-    passed = worst <= 1e-6 and gap_to_cosine > 0.01
-    return CheckResult(
-        "averaged-law-curvature",
-        passed,
-        worst,
-        1e-6,
-        f"max gap to cosine {gap_to_cosine:.4f}, must exceed 0.01",
-    )
+    passed = worst <= tol and gap_to_cosine > 0.01
+    return passed, worst, f"max gap to cosine {gap_to_cosine:.4f}, must exceed 0.01"
 
 
 def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     """Run every identity and statistical check; order is stable.
 
+    Each row is (name, tolerance, rule), and rule(tolerance) returns
+    (passed, deviation, detail).  One loop runs the rows and builds
+    every CheckResult; a BellcommError raised anywhere in a rule, by a
+    law, an oracle, a sweep or a CHSH run, fails that row's check with
+    a nan deviation and the error as its detail, and the next row runs.
+    A bad seed or worker count raises before the first row instead.
+
     Child seeds 0-5 and 11-14 of seed drive the curve sweeps, 101-104
-    the CHSH runs.  The table is built per call, so a tracer that
+    the CHSH runs.  The rows are built per call, so a tracer that
     rebinds the oracles or samplers sees every call.
     """
+    montecarlo._check_seed(seed)
+    montecarlo._check_workers(workers)
 
-    def curves(name, *sweeps) -> CheckResult:
+    def curves(sweeps, tol):
         """The largest |E_mc - law| over 13-point sweeps, each given as
         (kind, law, child-seed index, delta or None)."""
         gaps, where = [], []
@@ -209,7 +206,7 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
             for theta, est in zip(sweep.grid, sweep.estimates):
                 gaps.append(abs(est.mean - law(theta)))
                 where.append(f"max at theta={theta:.4f}{suffix}")
-        return _largest_gap(name, MC_TOL, gaps, where=where)
+        return _largest_gap(tol, gaps, where=where)
 
     def chsh_s(spec, index, n=CHSH_N) -> float:
         """Signed S at CANONICAL_SETTINGS, where every law gives S < 0,
@@ -217,55 +214,50 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         child = montecarlo.child_seed(seed, index)
         return chsh_sampled(spec, CANONICAL_SETTINGS, n, child, workers=workers).s
 
-    def chsh_near(name, spec, index, bound, tol, detail) -> CheckResult:
-        return _largest_gap(name, tol, [abs(chsh_s(spec, index) + bound)], detail)
+    def chsh_near(spec, index, bound, tol, detail=""):
+        return _largest_gap(tol, [abs(chsh_s(spec, index) + bound)], detail)
 
-    def chsh_adaptive() -> CheckResult:
-        s = chsh_s(ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3), 104, 1000)
+    def chsh_adaptive(tol):
+        spec = ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3)
+        deviation = abs(chsh_s(spec, 104, 1000) + 4.0)
         bits = len(run_trial_adaptive(HALF_PI, math.pi / 4, 3, 0.0).comm_bits)
-        return CheckResult(
-            "chsh-adaptive-exact",
-            s == -4.0 and bits == 3,
-            abs(s + 4.0),
-            0.0,
-            f"{bits} bits per trial",
-        )
+        return deviation <= tol and bits == 3, deviation, f"{bits} bits per trial"
 
-    checks = (
+    rows = (
         # midpoints of 10^4 cells; every point sits well inside a branch
-        lambda: _largest_gap("step-law-matches-five-branch", 1e-12, (
+        ("step-law-matches-five-branch", 1e-12, lambda tol: _largest_gap(tol, (
             abs(orthogonal_step_law(t) - fixed_shift_law(t, HALF_PI))
             for t in (((j + 0.5) / 10_000) * math.pi for j in range(10_000))
-        )),
-        lambda: _largest_gap("five-branch-continuity", 1e-12, _branch_gaps()),
-        lambda: _largest_gap("five-branch-point-symmetry", 1e-12, (
+        ))),
+        ("five-branch-continuity", 1e-12,
+         lambda tol: _largest_gap(tol, _branch_gaps())),
+        ("five-branch-point-symmetry", 1e-12, lambda tol: _largest_gap(tol, (
             abs(fixed_shift_law(math.pi - t, d) + fixed_shift_law(t, d))
             for d in SHIFT_GRID
             for t in montecarlo.theta_grid(1001)
-        )),
-        lambda: _largest_gap(
-            "law-endpoints-and-bounds", 1e-12, _endpoint_and_bound_gaps()
-        ),
-        lambda: _largest_gap("shift-average-identity", 1e-8, (
+        ))),
+        ("law-endpoints-and-bounds", 1e-12,
+         lambda tol: _largest_gap(tol, _endpoint_and_bound_gaps())),
+        ("shift-average-identity", 1e-8, lambda tol: _largest_gap(tol, (
             abs(shift_average_quadrature(t) - shift_averaged_law(t))
             for t in montecarlo.theta_grid(181)
-        )),
-        lambda: _largest_gap("sign-mean-oracle", 1e-6, (
+        ))),
+        ("sign-mean-oracle", 1e-6, lambda tol: _largest_gap(tol, (
             abs(mean_sign_vs_reference_quad(t) - mean_sign_vs_reference(t))
             for t in montecarlo.theta_grid(100)
-        )),
-        lambda: _largest_gap("folded-integral-oracle", 1e-8, (
+        ))),
+        ("folded-integral-oracle", 1e-8, lambda tol: _largest_gap(tol, (
             abs(two_share_integral(t) - shift_averaged_law(t))
             for t in montecarlo.theta_grid(100)
-        )),
-        _check_superquantum_crossing,
-        _check_averaged_law_curvature,
-        lambda: curves("mc-fixed-shift-curves", *(
+        ))),
+        ("superquantum-crossing", 1e-9, _check_superquantum_crossing),
+        ("averaged-law-curvature", 1e-6, _check_averaged_law_curvature),
+        ("mc-fixed-shift-curves", MC_TOL, partial(curves, [
             (ProtocolKind.FIXED_SHIFT, partial(fixed_shift_law, delta=d), i, d)
             for i, d in enumerate(SHIFT_GRID)
-        )),
+        ])),
         *(
-            partial(curves, name, (kind, law, index, None))
+            (name, MC_TOL, partial(curves, [(kind, law, index, None)]))
             for name, kind, law, index in (
                 ("mc-two-share-curve", ProtocolKind.TWO_SHARE, shift_averaged_law, 11),
                 ("mc-random-shift-curve", ProtocolKind.RANDOM_SHIFT,
@@ -274,7 +266,7 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
                 ("mc-quantum-curve", ProtocolKind.QUANTUM, quantum_cosine_law, 14),
             )
         ),
-        lambda: _largest_gap("chsh-analytic-values", 1e-12, (
+        ("chsh-analytic-values", 1e-12, lambda tol: _largest_gap(tol, (
             abs(chsh_analytic(law).abs_s - bound)
             for law, bound in (
                 (linear_law, 2.0),
@@ -282,27 +274,32 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
                 (partial(fixed_shift_law, delta=HALF_PI), 4.0),
                 (quantum_cosine_law, TSIRELSON_BOUND),
             )
-        )),
+        ))),
         # the largest drop of |S| from one shift to the next
-        lambda: _largest_gap("chsh-monotone-in-shift", 0.0, (
+        ("chsh-monotone-in-shift", 0.0, lambda tol: _largest_gap(tol, (
             s - t for s, t in pairwise(
                 chsh_analytic(partial(fixed_shift_law, delta=d)).abs_s
                 for d in SHIFT_GRID
             )
-        ), "abs_s must not decrease along the shift grid"),
+        ), "abs_s must not decrease along the shift grid")),
         # S is never below -4, so |S + 4| is the distance below the bound
-        *(
-            partial(chsh_near, *check)
-            for check in (
-                ("chsh-fixed-shift-orthogonal",
-                 ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101, 4.0,
-                 0.01, "distance below the algebraic bound"),
-                ("chsh-quantum-reference", ProtocolSpec(ProtocolKind.QUANTUM), 102,
-                 TSIRELSON_BOUND, CHSH_TOL, ""),
-                ("chsh-plain-local", ProtocolSpec(ProtocolKind.PLAIN), 103, 2.0,
-                 CHSH_TOL, ""),
-            )
-        ),
-        chsh_adaptive,
+        ("chsh-fixed-shift-orthogonal", 0.01, partial(
+            chsh_near, ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI), 101,
+            4.0, detail="distance below the algebraic bound",
+        )),
+        ("chsh-quantum-reference", CHSH_TOL, partial(
+            chsh_near, ProtocolSpec(ProtocolKind.QUANTUM), 102, TSIRELSON_BOUND
+        )),
+        ("chsh-plain-local", CHSH_TOL,
+         partial(chsh_near, ProtocolSpec(ProtocolKind.PLAIN), 103, 2.0)),
+        ("chsh-adaptive-exact", 0.0, chsh_adaptive),
     )
-    return [check() for check in checks]
+    results = []
+    for name, tol, rule in rows:
+        try:
+            passed, deviation, detail = rule(tol)
+        except BellcommError as exc:
+            passed, deviation = False, math.nan
+            detail = f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, deviation, tol, detail))
+    return results

@@ -434,10 +434,34 @@ class TestPoolSize:
         assert helpers() == [2]
         assert capped == sweep_curve(TWOSHARE, 3, 512, 3)
 
-    @pytest.mark.parametrize("workers", [1, 0, -3])
+    @pytest.mark.parametrize("workers", [1])
     def test_one_or_fewer_workers_runs_inline(self, helpers, workers):
         sweep_curve(PLAIN, 4, 64, 1, workers=workers)
         estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers=workers)
+        assert helpers() == []
+
+    @pytest.mark.parametrize(
+        "workers", [2.5, 2.0, "2", 0, -3, montecarlo.MAX_WORKERS + 1]
+    )
+    def test_refused_worker_count_starts_nothing(
+        self, helpers, workers, monkeypatch
+    ):
+        # a worker count that is not an integer in [1, MAX_WORKERS] is
+        # refused before any draw and before any thread starts; 65 is
+        # never given the chance to start 64 helpers
+        draws = []
+        monkeypatch.setattr(
+            montecarlo, "uniforms", lambda *args, **kwargs: draws.append(args)
+        )
+        runs = (
+            lambda: estimate_correlation(PLAIN, 0.0, 1.0, 3 * CHUNK, 1, workers),
+            lambda: sweep_curve(PLAIN, 4, 64, 1, workers=workers),
+            lambda: chsh_sampled(PLAIN, n_per_pair=64, workers=workers),
+        )
+        for run in runs:
+            with pytest.raises(ConfigurationError, match="workers must be"):
+                run()
+        assert draws == []
         assert helpers() == []
 
     def test_at_most_size_threads_run_items_at_once(self):

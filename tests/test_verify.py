@@ -9,7 +9,12 @@ import bellcomm.montecarlo
 import bellcomm.verify
 from bellcomm.angles import separation
 from bellcomm.chsh import CANONICAL_SETTINGS
-from bellcomm.errors import NumericError
+from bellcomm.errors import (
+    ConfigurationError,
+    DegenerateResultantError,
+    DomainError,
+    NumericError,
+)
 from bellcomm.laws import HALF_PI
 from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
 from bellcomm.verify import CHSH_TOL, MC_TOL, CheckResult, run_all_checks
@@ -237,6 +242,85 @@ def test_package_error_in_a_check_is_its_fail(monkeypatch):
     assert [r.name for r in failed] == ["folded-integral-oracle"]
     assert math.isnan(failed[0].deviation)
     assert failed[0].detail == "NumericError: quadrature error estimate too large"
+
+
+@pytest.mark.parametrize("name", list(FAILS_ON_NAN))
+def test_raising_function_fails_the_same_checks_as_nan(name, monkeypatch):
+    # a law or oracle that raises, wherever it is called from, fails the
+    # checks a nan one fails, each with the error as its detail
+    def unresolved(*args, **kwargs):
+        raise NumericError("quadrature error estimate too large")
+
+    monkeypatch.setattr(bellcomm.verify, name, unresolved)
+    results = small_run()
+    assert [r.name for r in results] == EXPECTED_ORDER
+    failed = [r for r in results if not r.passed]
+    assert {r.name for r in failed} == FAILS_ON_NAN[name]
+    for r in failed:
+        assert math.isnan(r.deviation), r.name
+        assert r.detail == "NumericError: quadrature error estimate too large"
+
+
+def degenerate(*args, **kwargs):
+    raise DegenerateResultantError("resultant norm below eps")
+
+
+def degenerate_two_share_kernel(monkeypatch):
+    row = PROTOCOLS[ProtocolKind.TWO_SHARE]
+    monkeypatch.setitem(
+        PROTOCOLS, ProtocolKind.TWO_SHARE, replace(row, products=degenerate)
+    )
+
+
+def degenerate_quantum_chsh(monkeypatch):
+    chsh_sampled = bellcomm.verify.chsh_sampled
+
+    def spy(spec, *args, **kwargs):
+        run = degenerate if spec.kind is ProtocolKind.QUANTUM else chsh_sampled
+        return run(spec, *args, **kwargs)
+
+    monkeypatch.setattr(bellcomm.verify, "chsh_sampled", spy)
+
+
+@pytest.mark.parametrize(
+    "patch, check",
+    [
+        (degenerate_two_share_kernel, "mc-two-share-curve"),
+        (degenerate_quantum_chsh, "chsh-quantum-reference"),
+    ],
+    ids=["two-share-sweep", "quantum-chsh"],
+)
+def test_sampled_package_error_fails_only_its_check(patch, check, monkeypatch):
+    # a degenerate trial in the two-share kernel, raised again by the
+    # fan-out, fails its curve; one in the quantum CHSH run fails that
+    # run's check; every other check still runs and passes
+    patch(monkeypatch)
+    results = small_run()
+    assert [r.name for r in results] == EXPECTED_ORDER
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [check]
+    assert math.isnan(failed[0].deviation)
+    assert failed[0].detail == "DegenerateResultantError: resultant norm below eps"
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"seed": -1}, DomainError),
+        ({"seed": 1.5}, DomainError),
+        ({"workers": 0}, ConfigurationError),
+    ],
+    ids=["negative-seed", "fractional-seed", "no-workers"],
+)
+def test_bad_argument_raises_before_any_draw(kwargs, error, monkeypatch):
+    # a bad seed or worker count is the caller's error, not twenty FAILs
+    draws = []
+    monkeypatch.setattr(
+        bellcomm.montecarlo, "uniforms", lambda *args, **kw: draws.append(args)
+    )
+    with pytest.raises(error):
+        run_all_checks(**kwargs)
+    assert draws == []
 
 
 def test_false_alarm_bound_of_one_run(monkeypatch):
