@@ -19,7 +19,7 @@ from bellcomm.cli import (
     parse_args,
     run_guarded,
 )
-from bellcomm.montecarlo import child_seed, law_for_protocol
+from bellcomm.montecarlo import child_seed
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.verify import SHIFT_GRID
 
@@ -51,8 +51,7 @@ def print_table(args) -> int:
     for i, spec in enumerate(specs()):
         r = chsh_sampled(spec, n_per_pair=args.n,
                          seed=child_seed(args.seed, i), workers=args.workers)
-        law = law_for_protocol(spec)
-        analytic = f"{chsh_analytic(law).abs_s:.6f}" if law else "-"
+        analytic = f"{chsh_analytic(spec.law).abs_s:.6f}" if spec.law else "-"
         print(f"{label(spec):<22} {r.abs_s:>12.6f} {r.stderr_s:>9.6f} "
               f"{analytic:>13}  {r.classification.value}")
     return 0

@@ -53,7 +53,7 @@ def emit(spec, stem, title, seed, args):
         sweep = sweep_curve(spec, args.grid, args.n, seed, workers=args.workers)
         write_curve_csv(sweep, csv_fh)
         svg_fh.write(render_plot(curve_series(sweep), title))
-    if sweep.analytic_reference is not None:
+    if spec.law is not None:
         gap = f"max |MC - law| = {max_abs_deviation(sweep):.4f}"
     else:
         gap = "no analytic reference"

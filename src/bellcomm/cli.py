@@ -55,7 +55,7 @@ def _g17(x: float) -> str:
 def write_curve_csv(sweep: CurveSweep, fh) -> None:
     """Serialize a sweep; floats carry 17 significant digits so the file
     round-trips bit for bit."""
-    law = sweep.analytic_reference
+    law = sweep.protocol.law
     delta = sweep.protocol.delta
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -78,7 +78,7 @@ def curve_series(sweep: CurveSweep) -> list[Series]:
     """Plot series for a sweep: analytic law, samples, cosine reference."""
     dense = theta_grid(257)
     series = []
-    law = sweep.analytic_reference
+    law = sweep.protocol.law
     if law is not None:
         series.append(
             Series(
@@ -226,15 +226,11 @@ def cmd_verify(args) -> int:
 
 def cmd_trial(args) -> int:
     spec = _protocol_from_args(args)
-    record = PROTOCOLS[spec.kind].trial(
-        spec,
-        _angle(args.a, args.degrees),
-        _angle(args.b, args.degrees),
-        *_trial_shares(args, spec),
-    )
+    a, b = _angle(args.a, args.degrees), _angle(args.b, args.degrees)
+    record = PROTOCOLS[spec.kind].trial(spec, a, b, *_trial_shares(args, spec))
     print(f"protocol: {spec.kind.value}")
-    print(f"a: {_g17(record.a)}")
-    print(f"b: {_g17(record.b)}")
+    print(f"a: {_g17(a)}")
+    print(f"b: {_g17(b)}")
     print(f"shares: ({', '.join(_g17(s) for s in record.shares)})")
     print(f"comm bits: ({', '.join(f'{bit:+d}' for bit in record.comm_bits)})")
     print(f"alpha: {record.alpha:+d}")

@@ -54,10 +54,13 @@ worker count or setting in one place, _check_run, before any draw; a
 count, seed or worker count that is not an integer is bad, as 1e5,
 61.0 or "2" is.  A worker count must lie in 1 to MAX_WORKERS (64), as
 the CLI's --workers does, since each worker is a thread with buffers
-of its own; sweep_curve checks it with the same _check_workers before
-its first point, so no refused count starts a thread.  Every uniform
+of its own.  sweep_curve checks its per-point count, seed and worker
+count with _check_run's own checks (_check_budget) before its first
+point, so a refused sweep starts no thread and draws nothing; child_seed
+refuses an index that is not a non-negative integer.  Every uniform
 separation grid in the package, the sweeps', verify's and the plotted
-laws', is theta_grid's.
+laws', is theta_grid's.  A sweep or estimate holds only what its run
+decided; the law it is compared with is its protocol's, ProtocolSpec.law.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -142,8 +143,15 @@ def uniforms(
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Stable 64-bit seed for sub-experiment `index` of a parent seed."""
-    ss = np.random.SeedSequence(entropy=(_check_seed(seed), int(index)))
+    """Stable 64-bit seed for sub-experiment `index` of a parent seed.
+    The index must be a non-negative integer; 1.5 or "3" is refused,
+    not truncated onto another index's seed."""
+    parent, child = _check_seed(seed), _as_index(index)
+    if child < 0:
+        raise ConfigurationError(
+            f"child index must be a non-negative integer, got {index!r}"
+        )
+    ss = np.random.SeedSequence(entropy=(parent, child))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -159,14 +167,20 @@ def _chunk_mask(spec, a, b, seed, start, count):
     return row.products(spec, a, b, count, *shares)
 
 
-def _check_run(a: float, b: float, n: int, seed: int, workers: int = 1) -> float:
-    """The separation of a and b, once n, seed, workers and the settings
-    are checked: a non-finite setting raises DomainError, before any
-    trial is drawn."""
+def _check_budget(n: int, seed: int, workers: int) -> None:
+    """Refuse a trial count, seed or worker count out of range, before
+    any draw or thread."""
     if _as_index(n) < 1:
         raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
     _check_seed(seed)
     _check_workers(workers)
+
+
+def _check_run(a: float, b: float, n: int, seed: int, workers: int = 1) -> float:
+    """The separation of a and b, once n, seed, workers and the settings
+    are checked: a non-finite setting raises DomainError, before any
+    trial is drawn."""
+    _check_budget(n, seed, workers)
     return separation(a, b)
 
 
@@ -242,10 +256,10 @@ def _fan_out(func, items: range, workers: int) -> list:
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Sample mean of the outcome product for one setting pair."""
+    """Sample mean of the outcome product for one setting pair, at the
+    separation theta of the settings; the settings themselves are the
+    caller's and are not repeated."""
 
-    a: float
-    b: float
     theta: float
     mean: float
     stderr: float
@@ -277,33 +291,19 @@ def estimate_correlation(
     total = sum(_fan_out(chunk_sum, range(0, n, CHUNK), workers))
     mean = total / n
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
-    return CorrelationEstimate(
-        a=a, b=b, theta=theta, mean=mean, stderr=stderr, n=n
-    )
-
-
-def law_for_protocol(spec: ProtocolSpec) -> Callable[[float], float] | None:
-    """The closed-form law a protocol's estimates converge to, as a
-    function of theta with the spec's parameter bound, or None."""
-    row = PROTOCOLS[spec.kind]
-    if row.law is None or row.param is None:
-        return row.law
-    return partial(row.law, **{row.param: getattr(spec, row.param)})
+    return CorrelationEstimate(theta=theta, mean=mean, stderr=stderr, n=n)
 
 
 @dataclass(frozen=True)
 class CurveSweep:
     """Correlation estimates over a theta grid.  The matching law is
-    derived from the protocol, not stored, so it always follows it."""
+    the protocol's own, protocol.law, so the sweep holds no copy that
+    could go stale."""
 
     protocol: ProtocolSpec
     grid: tuple[float, ...]
     estimates: tuple[CorrelationEstimate, ...]
     seed: int
-
-    @property
-    def analytic_reference(self) -> Callable[[float], float] | None:
-        return law_for_protocol(self.protocol)
 
 
 def theta_grid(points: int) -> tuple[float, ...]:
@@ -327,9 +327,10 @@ def sweep_curve(
     Point j sits at theta = theta_grid(grid_points)[j] with Alice's
     setting fixed at 0 and Bob's at theta, and draws its trials from the
     child seed of (seed, j), so every point is independent of the others
-    and of the worker count.
+    and of the worker count.  The count, seed and worker count are
+    checked before the first point, so a refused sweep starts no thread.
     """
-    _check_workers(workers)
+    _check_budget(n_per_point, seed, workers)
     grid = theta_grid(grid_points)
 
     def point(j: int) -> CorrelationEstimate:
@@ -338,17 +339,12 @@ def sweep_curve(
         )
 
     estimates = tuple(_fan_out(point, range(grid_points), workers))
-    return CurveSweep(
-        protocol=spec,
-        grid=grid,
-        estimates=estimates,
-        seed=seed,
-    )
+    return CurveSweep(protocol=spec, grid=grid, estimates=estimates, seed=seed)
 
 
 def max_abs_deviation(sweep: CurveSweep) -> float:
     """Largest gap between the sweep's estimates and its analytic law."""
-    law = sweep.analytic_reference
+    law = sweep.protocol.law
     if law is None:
         raise ConfigurationError(
             "sweep has no analytic reference to compare against"

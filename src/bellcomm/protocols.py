@@ -43,7 +43,8 @@ the same buffers the sampler draws its share planes into.
 PROTOCOLS, at the end, holds one row per ProtocolKind: the parameter the
 protocol carries, the scale of each share plane the sampler draws, its
 products function, its single trial with the CLI flags that supply the
-shares, and its correlation law.
+shares, and its correlation law, which ProtocolSpec.law binds to the
+spec's parameter.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class ProtocolSpec:
 
     A protocol carries the one parameter its PROTOCOLS row names (delta
     for fixed-shift, k_bits for adaptive) and no other; that parameter's
-    check validates the value.
+    check validates the value.  law is the row's law with that
+    parameter bound, the one place a parameter is bound into a law.
     """
 
     kind: ProtocolKind
@@ -114,6 +116,15 @@ class ProtocolSpec:
                     f"{self.kind.value} carries no {name} parameter"
                 )
 
+    @property
+    def law(self) -> Callable[[float], float] | None:
+        """The closed-form law this protocol's estimates converge to, as
+        a function of theta alone, or None if the row has none."""
+        row = PROTOCOLS[self.kind]
+        if row.law is None or row.param is None:
+            return row.law
+        return functools.partial(row.law, **{row.param: getattr(self, row.param)})
+
 
 def check_k_bits(k: int) -> None:
     """k must be an integer in [1, MAX_K_BITS]; 3.0 fails as 2.5 does."""
@@ -127,10 +138,11 @@ def check_k_bits(k: int) -> None:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One experiment: settings, shares, sent bits, and both outcomes."""
+    """What one trial decided: the inputs the protocol treats as shared
+    randomness (none for quantum, whose u and v are each party's own
+    draw), the bits Alice sent, and both outcomes.  The settings are
+    the caller's, so the record does not repeat them."""
 
-    a: float
-    b: float
     shares: tuple[float, ...]
     comm_bits: tuple[int, ...]
     alpha: int
@@ -299,7 +311,7 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
     """
     check_delta(delta)
     alpha, c, beta = _twoshare_outcome(a, b, lam, lam + delta)
-    return TrialRecord(a=a, b=b, shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta)
+    return TrialRecord(shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
 def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
@@ -406,7 +418,7 @@ def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
     information, so none is recorded.
     """
     alpha, _, beta = _twoshare_outcome(a, b, lam, lam)
-    return TrialRecord(a=a, b=b, shares=(lam,), comm_bits=(), alpha=alpha, beta=beta)
+    return TrialRecord(shares=(lam,), comm_bits=(), alpha=alpha, beta=beta)
 
 
 def run_trial_random_shift(
@@ -419,9 +431,7 @@ def run_trial_random_shift(
     """
     check_delta(delta_draw)
     alpha, c, beta = _twoshare_outcome(a, b, lam, lam + delta_draw)
-    return TrialRecord(
-        a=a, b=b, shares=(lam, delta_draw), comm_bits=(c,), alpha=alpha, beta=beta
-    )
+    return TrialRecord(shares=(lam, delta_draw), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
 def comm_bit_twoshare(a: float, lam1: float, lam2: float) -> int:
@@ -459,9 +469,7 @@ def run_trial_twoshare(
 ) -> TrialRecord:
     """One trial of the two-share protocol."""
     alpha, c, beta = _twoshare_outcome(a, b, lam1, lam2)
-    return TrialRecord(
-        a=a, b=b, shares=(lam1, lam2), comm_bits=(c,), alpha=alpha, beta=beta
-    )
+    return TrialRecord(shares=(lam1, lam2), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
 def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
@@ -559,9 +567,7 @@ def run_trial_adaptive(a: float, b: float, k: int, lam: float) -> TrialRecord:
     a_q = quantized_direction(sector_index(a, k), k)
     alpha = alice_output(a_q, lam)
     beta = bob_output_adaptive(b, bits, lam)
-    return TrialRecord(
-        a=a, b=b, shares=(lam,), comm_bits=bits, alpha=alpha, beta=beta
-    )
+    return TrialRecord(shares=(lam,), comm_bits=bits, alpha=alpha, beta=beta)
 
 
 def adaptive_products(a: float, b: float, k: int, count: int) -> np.ndarray:
@@ -586,9 +592,7 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
     """
     alpha = 1 if u < 0.5 else -1
     beta = -alpha if v < _anticorrelation_threshold(a, b) else alpha
-    return TrialRecord(
-        a=a, b=b, shares=(), comm_bits=(), alpha=alpha, beta=beta
-    )
+    return TrialRecord(shares=(), comm_bits=(), alpha=alpha, beta=beta)
 
 
 def quantum_products(a: float, b: float, v) -> np.ndarray:
@@ -615,8 +619,9 @@ class ProtocolRow:
     one scalar trial on the shares that trial_flags name on the command
     line, in order.  law is the closed-form law the estimates converge
     to, a function of theta and, if the row has a param, of that
-    parameter as a keyword, or None.  param names the ProtocolSpec field
-    the protocol carries, if any.
+    parameter as a keyword, or None; ProtocolSpec.law binds the
+    parameter.  param names the ProtocolSpec field the protocol
+    carries, if any.
     """
 
     planes: tuple[float | None, ...]

@@ -108,6 +108,9 @@ def _largest_gap(tol, gaps, detail="", where=None):
     return deviation <= tol, deviation, detail if where is None else where[at]
 
 
+# fixed_shift_law's five branches at (t, d), stated a second time:
+# deriving the law from one statement would slow every law call by half
+# or more, so tests/test_verify.py ties the two statements bit for bit
 def _branch_values(t: float, d: float) -> tuple[float, ...]:
     return (-1.0, 2.0 * t - 1.0 - d, 4.0 * t - 2.0, 2.0 * t - 1.0 + d, 1.0)
 

@@ -24,7 +24,6 @@ from bellcomm.montecarlo import (
     CHUNK,
     child_seed,
     estimate_correlation,
-    law_for_protocol,
     max_abs_deviation,
     sample_products,
     sweep_curve,
@@ -136,6 +135,20 @@ def test_child_seed_stable_and_spread():
     assert child_seed(0, 1) != child_seed(0, 2)
     assert child_seed(0, 1) != child_seed(1, 1)
     assert 0 <= child_seed(123, 456) < 2**64
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, "3", None, -1, -(2**64)])
+def test_child_seed_refuses_a_bad_index(index):
+    # int() would truncate 1.5 onto index 1's seed and parse "3"; a
+    # negative index is refused here, not left to SeedSequence
+    with pytest.raises(ConfigurationError, match="child index"):
+        child_seed(0, index)
+
+
+@pytest.mark.parametrize("index", [0, 1, 61, 2**64, np.int64(3), np.uint64(5)])
+def test_child_seed_keeps_integer_indices(index):
+    sequence = np.random.SeedSequence(entropy=(7, int(index)))
+    assert child_seed(7, index) == int(sequence.generate_state(1, np.uint64)[0])
 
 
 # Every vector kernel must reproduce the scalar trial functions bit for
@@ -353,7 +366,7 @@ class TestSweep:
         # the law is derived from the protocol, so replacing the
         # protocol replaces it, and equal arguments give equal sweeps
         sweep = sweep_curve(FIXED, 3, 64, 0)
-        assert replace(sweep, protocol=PLAIN).analytic_reference is linear_law
+        assert replace(sweep, protocol=PLAIN).protocol.law is linear_law
         assert sweep == sweep_curve(FIXED, 3, 64, 0)
 
     def test_max_abs_deviation_needs_reference(self):
@@ -390,7 +403,7 @@ def test_mc_matches_law_at_moderate_n():
     # runs the full-curve versions
     for spec, theta in ((FIXED, 1.1), (TWOSHARE, 2.0), (QUANTUM, 0.6)):
         est = estimate_correlation(spec, 0.0, theta, 40_000, 8)
-        law = law_for_protocol(spec)
+        law = spec.law
         assert est.mean == pytest.approx(
             law(theta), abs=5.5 * max(est.stderr, 1e-3)
         )
@@ -461,6 +474,27 @@ class TestPoolSize:
         for run in runs:
             with pytest.raises(ConfigurationError, match="workers must be"):
                 run()
+        assert draws == []
+        assert helpers() == []
+
+    @pytest.mark.parametrize(
+        "n, seed", [(0, 0), (1.5, 0), (64, -1), (64, 1.5), (64, 2**64)]
+    )
+    def test_refused_sweep_starts_nothing(self, helpers, n, seed, monkeypatch):
+        # a sweep refuses its per-point count and seed as an estimate
+        # does, before its first point: no helper starts and no point
+        # draws, whatever the worker count
+        draws = []
+        monkeypatch.setattr(
+            montecarlo, "uniforms", lambda *args, **kwargs: draws.append(args)
+        )
+        refused = (ConfigurationError, DomainError)
+        with pytest.raises(refused) as swept:
+            sweep_curve(PLAIN, 61, n, seed, workers=2)
+        with pytest.raises(refused) as estimated:
+            estimate_correlation(PLAIN, 0.0, 1.0, n, seed)
+        # the same refusal as one point's estimate
+        assert repr(swept.value) == repr(estimated.value)
         assert draws == []
         assert helpers() == []
 

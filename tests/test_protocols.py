@@ -13,7 +13,7 @@ from bellcomm import protocols
 from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law
-from bellcomm.montecarlo import law_for_protocol, theta_grid
+from bellcomm.montecarlo import theta_grid
 from bellcomm.protocols import (
     CHUNK,
     HALF_PI,
@@ -119,12 +119,12 @@ def _spec(kind):
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
-def test_law_for_protocol_is_the_rows_law(kind):
+def test_spec_law_is_the_rows_law(kind):
     # None exactly when the row has no law; otherwise the row's law with
     # the spec's parameter bound, on a grid and at the fixed-shift kinks
     row = PROTOCOLS[kind]
     spec = _spec(kind)
-    law = law_for_protocol(spec)
+    law = spec.law
     assert (law is None) == (row.law is None)
     if law is None:
         return
@@ -229,12 +229,12 @@ def test_alice_output_frozen():
     assert alice_output(0.0, math.pi / 2) == 1
 
 
-def test_comm_bit_fixed_frozen():
+def test_run_trial_fixed_comm_bits_frozen():
     assert run_trial_fixed(0.0, 0.0, 0.0, math.pi / 2).comm_bits == (1,)
     assert run_trial_fixed(0.0, 0.0, 3 * (math.pi / 8), math.pi / 2).comm_bits == (-1,)
 
 
-def test_comm_bit_fixed_rejects_bad_delta():
+def test_run_trial_fixed_rejects_bad_delta():
     with pytest.raises(ConfigurationError):
         run_trial_fixed(0.0, 0.0, 0.0, -0.5)
     with pytest.raises(ConfigurationError):
@@ -409,7 +409,6 @@ def test_record_shapes(a, b, lam, delta):
         rec = run_trial_fixed(a, b, lam, delta)
     except DegenerateResultantError:
         assume(False)
-    assert rec.a == a and rec.b == b
     assert isinstance(rec.shares, tuple)
     assert isinstance(rec.comm_bits, tuple)
     assert all(bit in (-1, 1) for bit in rec.comm_bits)
@@ -427,7 +426,7 @@ def test_fixed_trial_mean_is_not_checked_here():
         assert run_trial_fixed(0.0, theta, lam, delta).product == -1
 
 
-class TestTwoCosineKernel:
+class TestTrigFreeKernel:
     """The vector products run no trig on the full arrays: plain and
     fixed-shift look each share's product up in a table of bins of
     [0, 2 pi), built once per setting pair, and random-shift and

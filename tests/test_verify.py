@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -227,6 +228,26 @@ def test_nan_fails_exactly_its_checks(name, monkeypatch):
     # fail on its gap to the cosine alone
     for check in failed - {"averaged-law-curvature"}:
         assert math.isnan(results[check].deviation), check
+
+
+@pytest.mark.parametrize("delta", bellcomm.verify.SHIFT_GRID)
+def test_branch_copy_is_the_fixed_shift_law(delta):
+    # five-branch-continuity reads verify's own statement of the branches,
+    # so a wrong branch in the law cannot fail it; this ties the copy to
+    # fixed_shift_law bit for bit, inside each branch and at its ends,
+    # where the law takes the left branch
+    law, branches = bellcomm.laws.fixed_shift_law, bellcomm.verify._branch_values
+    d = delta / math.pi
+    ends = (0.0, 0.5 * d, 0.5 * (1.0 - d), 0.5 * (1.0 + d), 1.0 - 0.5 * d, 1.0)
+    for i, (lo, hi) in enumerate(pairwise(ends)):
+        for theta in np.linspace(lo * math.pi, hi * math.pi, 41)[1:-1]:
+            t = theta / math.pi
+            if lo < t < hi:
+                assert branches(t, d)[i] == law(theta, delta), (i, theta)
+    for i, end in enumerate(ends[1:-1]):
+        theta = end * math.pi
+        assert theta / math.pi == end
+        assert law(theta, delta) == branches(end, d)[i], (i, end)
 
 
 def test_package_error_in_a_check_is_its_fail(monkeypatch):
