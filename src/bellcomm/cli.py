@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import io
 import math
@@ -54,24 +53,25 @@ def _g17(x: float) -> str:
 
 def write_curve_csv(sweep: CurveSweep, fh) -> None:
     """Serialize a sweep; floats carry 17 significant digits so the file
-    round-trips bit for bit."""
+    round-trips bit for bit.  No field can hold a comma, a quote or a
+    newline, so each row is its fields joined with commas."""
     law = sweep.protocol.law
     delta = sweep.protocol.delta
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    rows = [CSV_HEADER]
     for theta, est in zip(sweep.grid, sweep.estimates):
-        writer.writerow(
+        rows.append(
             (
                 _g17(theta),
                 _g17(law(theta)) if law is not None else "",
                 _g17(est.mean),
                 _g17(est.stderr),
-                est.n,
+                str(est.n),
                 sweep.protocol.kind.value,
                 _g17(delta) if delta is not None else "",
-                sweep.seed,
+                str(sweep.seed),
             )
         )
+    fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def curve_series(sweep: CurveSweep) -> list[Series]:
@@ -113,14 +113,6 @@ def _sweep_title(sweep: CurveSweep) -> str:
     if sweep.protocol.delta is not None:
         name += f" (delta={sweep.protocol.delta:.4f})"
     return f"correlation curve: {name}"
-
-
-def _curve_text(sweep: CurveSweep, suffix: str) -> str:
-    if suffix == "csv":
-        buf = io.StringIO()
-        write_curve_csv(sweep, buf)
-        return buf.getvalue()
-    return render_plot(curve_series(sweep), _sweep_title(sweep))
 
 
 @contextlib.contextmanager
@@ -173,7 +165,10 @@ def cmd_curve(args) -> int:
             protocol, args.grid, args.n, args.seed, workers=args.workers
         )
         for suffix, fh in zip(formats, files or [sys.stdout] * len(formats)):
-            fh.write(_curve_text(sweep, suffix))
+            if suffix == "csv":
+                write_curve_csv(sweep, fh)
+            else:
+                fh.write(render_plot(curve_series(sweep), _sweep_title(sweep)))
     return EXIT_OK
 
 

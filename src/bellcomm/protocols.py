@@ -29,12 +29,13 @@ alone, looked up in a table of bins of [0, 2 pi) built once per
 setting pair; otherwise (random-shift, two-share) each sign is a
 compare against the arc ends in two_share_products.  The few trials
 near an end are redone by _exact_plus, the scalar two-share trial's own
-formulas over arrays, which also decide every degenerate raise.
-Settings or shares too large for the compares to resolve send every
-trial to that redo.  The adaptive and quantum products come from their
-trials: adaptive's product does not depend on the share, so one scalar
-trial fills the mask, and quantum_products is one compare of Bob's draw
-against the threshold the scalar trial reads.
+formulas over arrays, which also decide every degenerate raise.  The
+compares are argued for one bounded domain, settings and shares within
+SPAN of 0, which holds every share the sampler draws: a chunk with any
+setting or share outside it is redone whole.  The adaptive and quantum
+products come from their trials: adaptive's product does not depend on
+the share, so one scalar trial fills the mask, and quantum_products is
+one compare of Bob's draw against the threshold the scalar trial reads.
 
 The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
@@ -190,14 +191,18 @@ def alice_output(a: float, lam: float) -> int:
     return sgn(math.cos(a - lam))
 
 
-# A sign compare within this distance of its arc end, plus the rounding
-# of angles of the size at hand, is redone with the reference formulas.
-# A trial further than this from Bob's arc ends has a factor cos(m - b)
-# or sin(m - b) of at least 0.9 * ARC_SLACK in size.
-ARC_SLACK = 1e-10
-# Rounding of an angle of size x is at most a few EPS * x; the factor
-# leaves room for the arc ends centre + pi/2 + k pi built from it.
-_ROUNDING = 64.0 * np.finfo(float).eps
+# The arc compares run only on chunks whose settings and shares all lie
+# within SPAN of 0, as the sampler's shares, in [0, 5 pi / 2), and
+# settings within a turn of 0 do.  _exact_plus redoes any other chunk
+# whole, so the compares' argument below is made for this domain alone.
+SPAN = 4.0 * math.pi
+# A sign compare within this distance of its arc end is redone with the
+# reference formulas: 1e-10, plus what rounding can move an angle built
+# from two settings and a share, each within SPAN of 0 (a few EPS of
+# 3 * SPAN; the factor 64 leaves room for the arc ends
+# centre + pi/2 + k pi).  A trial further than this from Bob's arc ends
+# has a factor cos(m - b) or sin(m - b) of at least 0.9e-10 in size.
+ARC_SLACK = 1e-10 + 64.0 * np.finfo(float).eps * 3.0 * SPAN
 # Bob's projection is 2 cos h cos(m - b) for bit +1 and 2 sin h sin(m - b)
 # for bit -1, with h the half-difference of the two shares (delta/2 for
 # a shifted share).  Near a zero of its factor of h the projection may
@@ -206,11 +211,9 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 # of _bin_table, which puts every flipped-bit share at such a shift in a
 # redo bin (see _bin_table).  For the rest, a trial further than
 # ARC_SLACK from every arc end of m has a projection of at least
-# (4 / pi**2) * SMALL_SHIFT * ARC_SLACK, about 4e-14, ten times what the
+# (4 / pi**2) * SMALL_SHIFT * 1e-10, about 4e-14, ten times what the
 # four-trig reference can round away.
 SMALL_SHIFT = 1e-3
-# The most arc ends _on_arc walks; shares drawn in [0, 2 pi) need at most five.
-_MAX_ENDS = 64
 
 
 def _window(x) -> tuple[float, float]:
@@ -221,14 +224,14 @@ def _window(x) -> tuple[float, float]:
     return lo, hi
 
 
-def _slack(a: float, b: float, bounds: tuple[float, ...]) -> float:
-    """Distance from an arc end within which a compare may disagree with
-    the reference formulas, for settings a, b and shares within bounds.
-    Settings must be finite; the sum may overflow to inf."""
+def _in_span(a: float, b: float, window: tuple[float, float]) -> bool:
+    """Whether settings a, b and the shares within window all lie within
+    SPAN of 0, where the arc compares may decide.  Settings must be
+    finite."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"settings must be finite, got a={a!r}, b={b!r}")
-    size = abs(a) + abs(b) + max(map(abs, bounds))
-    return ARC_SLACK + _ROUNDING * size
+    lo, hi = window
+    return abs(a) <= SPAN and abs(b) <= SPAN and -SPAN <= lo and hi <= SPAN
 
 
 def _on_arc(x, window, centre: float, tol: float):
@@ -240,31 +243,24 @@ def _on_arc(x, window, centre: float, tol: float):
     per end outside it.  The first array is the sign; the second marks
     the x within tol of an end, whose sign the caller redoes.  tol must
     stay below pi/4, past which the windows about neighbouring ends
-    could overlap and cancel in the parity.  A walk past _MAX_ENDS ends
-    means a window too wide, or ends too coarsely rounded, to walk:
-    then every x is marked.
+    could overlap and cancel in the parity.  The window and centre lie
+    within a few SPAN of 0, so the walk passes a handful of ends.
     """
     lo, hi = window
-    if not hi - lo < _MAX_ENDS * math.pi:
-        return np.zeros(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
     # start an end at least pi below lo; cos(x - centre) >= 0 just above
     # an end with odd k
-    first = math.floor((lo - centre) / math.pi - 0.5)
-    positive = first % 2 == 0
+    k = math.floor((lo - centre) / math.pi - 0.5)
+    positive = k % 2 == 0
     below = above = None
-    for k in range(first, first + _MAX_ENDS):
-        end = centre + HALF_PI + k * math.pi
+    while (end := centre + HALF_PI + k * math.pi) - tol <= hi:
         if end + tol < lo:
             positive = not positive
-        elif end - tol > hi:
-            break
         elif below is None:
             below, above = x >= end - tol, x > end + tol
         else:
             below ^= x >= end - tol
             above ^= x > end + tol
-    else:
-        return np.zeros(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
+        k += 1
     if below is None:
         return np.full(x.shape, positive), np.zeros(x.shape, dtype=bool)
     near = below ^ above
@@ -325,9 +321,9 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     (a, b, delta), and the shares in redo bins take the exact formulas
     (_exact_plus), which also raise DegenerateResultantError for exactly
     the trials run_trial_fixed raises for.  Every chunk the table cannot
-    serve, with a shift per trial (random-shift) or a share outside
-    [0, 2 pi), which the sampler never draws, is two_share_products at
-    the second share lam + delta.
+    serve, with a shift per trial (random-shift), a share outside
+    [0, 2 pi), which the sampler never draws, or a setting outside SPAN,
+    is two_share_products at the second share lam + delta.
     """
     if np.ndim(delta):
         check_delta(float(delta.min()))
@@ -335,7 +331,7 @@ def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
     else:
         check_delta(delta)
         lo, hi = _window(lam)
-        if 0.0 <= lo and hi < TWO_PI:
+        if 0.0 <= lo and hi < TWO_PI and _in_span(a, b, (lo, hi)):
             idx = thread_buffer("idx", len(lam), np.intp)
             # truncation is the floor for shares >= 0
             np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
@@ -369,44 +365,42 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
     The four signs of fixed_products flip only at the ends
     centre + pi/2 + k pi of their arcs, for the centres a, a - delta,
     b - delta/2 and b - delta/2 + pi/2: eight ends in [0, 2 pi).  Every
-    bin within twice the slack of an end is _REDO.  A bin index rounds
-    by far less than the slack, so a share whose bin is not _REDO lies
-    further than the slack from every end, where each sign is the one
-    the reference formulas give.  No sign flips within a run of bins
-    between two ends, so one scalar trial at the run's middle share
-    gives the product of every share in it.  Alice's bit is flipped
-    only between her arc end about a and the same end about a - delta,
-    at most delta wide, and a run holds a whole bin only when it is
-    wider than 2 pi / _BINS plus four slacks, about 1.53e-3.  So at a
-    shift of at most SMALL_SHIFT, where a flipped-bit projection may be
-    too small to sign, no run has a flipped bit and every such share is
-    in a _REDO bin.  A slack of pi/4 or more makes every bin _REDO.
-    The build costs O(ends), not O(bins).
+    bin within twice ARC_SLACK of an end is _REDO.  With a and b within
+    SPAN of 0 a bin index and an end round by far less than the slack,
+    so a share whose bin is not _REDO lies further than the slack from
+    every end, where each sign is the one the reference formulas give.
+    No sign flips within a run of bins between two ends, so one scalar
+    trial at the run's middle share gives the product of every share in
+    it.  Alice's bit is flipped only between her arc end about a and the
+    same end about a - delta, at most delta wide, and a run holds a
+    whole bin only when it is wider than 2 pi / _BINS plus four slacks,
+    about 1.53e-3.  So at a shift of at most SMALL_SHIFT, where a
+    flipped-bit projection may be too small to sign, no run has a
+    flipped bit and every such share is in a _REDO bin.  The build costs
+    O(ends), not O(bins).
     """
-    tol = _slack(a, b, (0.0, TWO_PI))
     table = np.full(_BINS + 1, _REDO, dtype=np.int8)
-    if tol < 0.25 * math.pi:
-        centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
-        ends = sorted(
-            (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
-        )
-        first = [math.floor((e - 2.0 * tol) * _BIN_SCALE) for e in ends]
-        last = [math.floor((e + 2.0 * tol) * _BIN_SCALE) for e in ends]
-        # run i holds the bins after end i's redo bins and before end
-        # i + 1's; the last run wraps past 2 pi round to the first end
-        for start, stop in zip(last, first[1:] + [first[0] + _BINS]):
-            start += 1
-            if start >= stop:
-                continue
-            x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
-            alpha, _, beta = _twoshare_outcome(a, b, x, x + delta)
-            value = _PLUS if alpha * beta > 0 else _MINUS
-            # the last entry stays _REDO; a run past it wraps to bin 0
-            lo = start % _BINS
-            hi = lo + (stop - start)
-            table[lo:min(hi, _BINS)] = value
-            if hi > _BINS:
-                table[: hi - _BINS] = value
+    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
+    ends = sorted(
+        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
+    )
+    first = [math.floor((e - 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
+    last = [math.floor((e + 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
+    # run i holds the bins after end i's redo bins and before end i + 1's;
+    # the last run wraps past 2 pi round to the first end
+    for start, stop in zip(last, first[1:] + [first[0] + _BINS]):
+        start += 1
+        if start >= stop:
+            continue
+        x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
+        alpha, _, beta = _twoshare_outcome(a, b, x, x + delta)
+        value = _PLUS if alpha * beta > 0 else _MINUS
+        # the last entry stays _REDO; a run past it wraps to bin 0
+        lo = start % _BINS
+        hi = lo + (stop - start)
+        table[lo:min(hi, _BINS)] = value
+        if hi > _BINS:
+            table[: hi - _BINS] = value
     table.flags.writeable = False
     return table
 
@@ -483,35 +477,34 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     2 cos(m - b) cos h when c = +1 and 2 sin(m - b) sin h when c = -1,
     so it is >= 0 where the arc compare of m about b agrees with that
     of h about 0, or of m about b + pi/2 with h about pi/2.  Trials
-    within a slack of an arc end of a share or of m, and trials with h
+    within ARC_SLACK of an arc end of a share or of m, and trials with h
     within SMALL_SHIFT of a zero of its factor, are redone whole by
     _exact_plus, which also raises DegenerateResultantError for exactly
     the trials run_trial_twoshare raises for; a trial near one of
     Alice's ends is redone whatever bit the compares gave it.  A
     slack-sized window about h's zeros is not enough: two factors just
     outside a slack multiply to far less than the reference can round.
-    From a slack of pi/4 every trial is redone, before any difference
-    of shares is formed, so nothing overflows.
+    A chunk with a setting or share outside SPAN is redone whole, before
+    any difference of shares is formed, so nothing overflows.
     """
     w1, w2 = _window(lam1), _window(lam2)
-    tol = _slack(a, b, w1 + w2)
-    if tol >= 0.25 * math.pi:
+    # both shares' window, which holds m too, as rounding is monotone
+    window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
+    if not _in_span(a, b, window):
         return _exact_plus(a, b, lam1, lam2)
-    s1, near = _on_arc(lam1, w1, a, tol)
-    s2, near2 = _on_arc(lam2, w2, a, tol)
+    s1, near = _on_arc(lam1, w1, a, ARC_SLACK)
+    s2, near2 = _on_arc(lam2, w2, a, ARC_SLACK)
     near |= near2
     c_pos = s1 == s2
-    # rounding is monotone, so the same operations on the share bounds
-    # bound h, and m lies between the two shares; m reuses h's buffer
+    # m reuses h's buffer
     h = np.subtract(lam2, lam1, out=thread_buffer("m", len(lam1)))
     h *= 0.5
-    h_window = (0.5 * (w2[0] - w1[1]), 0.5 * (w2[1] - w1[0]))
+    h_window = _window(h)
     cos_h, near_cos = _on_arc(h, h_window, 0.0, SMALL_SHIFT)
     sin_h, near_sin = _on_arc(h, h_window, HALF_PI, SMALL_SHIFT)
     m = np.add(lam1, h, out=h)
-    m_window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
-    plus, near_plus = _on_arc(m, m_window, b, tol)
-    minus, near_minus = _on_arc(m, m_window, b + HALF_PI, tol)
+    plus, near_plus = _on_arc(m, window, b, ARC_SLACK)
+    minus, near_minus = _on_arc(m, window, b + HALF_PI, ARC_SLACK)
     np.equal(plus, cos_h, out=plus)
     np.equal(minus, sin_h, out=minus)
     near_plus |= near_cos

@@ -48,7 +48,7 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
         "import sys\n"
         "import bellcomm.cli\n"
         "for name in ('scipy', 'xml.sax', 'urllib.request',\n"
-        "             'concurrent.futures', 'logging', 'html'):\n"
+        "             'concurrent.futures', 'logging', 'html', 'csv'):\n"
         "    print(name, name in sys.modules)\n"
     )
     assert out.split("\n") == [
@@ -58,6 +58,7 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
         "concurrent.futures False",
         "logging False",
         "html False",
+        "csv False",
         "",
     ]
 

@@ -150,6 +150,20 @@ def _scalar(spec, a, b, shares):
     return [row.trial(spec, a, b, *t).product for t in zip(*shares)]
 
 
+def _exact_sizes(monkeypatch):
+    """The number of trials each later _exact_plus call is given, in a
+    list that grows as the calls come."""
+    sizes = []
+    exact = protocols._exact_plus
+
+    def spy(a, b, lam1, lam2):
+        sizes.append(len(lam1))
+        return exact(a, b, lam1, lam2)
+
+    monkeypatch.setattr(protocols, "_exact_plus", spy)
+    return sizes
+
+
 def _held_buffers():
     """This thread's buffers, share planes and kernel scratch alike."""
     return list(getattr(protocols._buffers, "held", {}).values())
@@ -780,10 +794,9 @@ class TestArcCompareKernel:
         + [(1.7e308, -1.7e308)],
     )
     def test_large_settings(self, spec, a, b):
-        # from a setting of about 5e13 the slack reaches pi/4, where the
-        # windows about neighbouring arc ends would overlap and cancel in
-        # the parity: every trial must fall to the exact redo, at once.
-        # The last pair is finite though |a| + |b| overflows
+        # settings far outside SPAN, where an arc end rounds by far more
+        # than any slack: every trial must fall to the exact redo, at
+        # once.  The last pair is finite though |a| + |b| overflows
         got, want, elapsed = self._sampled(spec, a, b)
         assert got == want
         assert elapsed < 0.5
@@ -804,22 +817,42 @@ class TestArcCompareKernel:
         assert got == want
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("a, b", [(0.3, 1.1), (-4.0, 2.0)])
-    def test_shares_past_the_walk_bound(self, a, b):
-        # shares spanning [0, 63 pi] fit the window _on_arc walks, under
-        # _MAX_ENDS pi wide, but the walk starts an end below the window
-        # and passes _MAX_ENDS ends inside it: every trial is redone
-        span = (0.0, 63 * math.pi)
-        rng = np.random.default_rng(37)
-        lam1 = np.concatenate([span, span[1] * rng.random(2000)])
-        lam2 = TWO_PI * rng.random(lam1.size)
-        tol = protocols._slack(a, b, span)
-        assert protocols._on_arc(lam1, span, a, tol)[1].all()
-        got, want = self._two_share(a, b, lam1, lam2)
+    @pytest.mark.parametrize(
+        "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
+    )
+    @pytest.mark.parametrize("where", ["a", "b", "share"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_input_past_the_span(self, spec, where, sign, monkeypatch):
+        # one setting or one share a ulp past SPAN takes the chunk out of
+        # the domain the arc compares are argued for: one _exact_plus
+        # call over the whole chunk, and the scalar trials' products
+        past = sign * np.nextafter(protocols.SPAN, math.inf)
+        a = past if where == "a" else 0.3
+        b = past if where == "b" else 1.1
+
+        def place(planes):
+            if where == "share":
+                planes[0][7] = past
+
+        sizes = _exact_sizes(monkeypatch)
+        got, want, _ = self._sampled(spec, a, b, place)
         assert got == want
-        for delta in (0.0, math.pi / 5):
-            got, want = self._fixed(a, b, lam1, delta)
-            assert got == want
+        assert sizes == [1 << 12]
+
+    @pytest.mark.parametrize(
+        "spec", SHARED_DIRECTION, ids=lambda spec: spec.kind.value
+    )
+    def test_sampled_chunks_stay_in_the_span(self, spec, monkeypatch):
+        # chunks drawn as the sampler draws them, at settings in [0, 2 pi),
+        # reach _exact_plus only for their few trials near an arc end: a
+        # span set too tight would redo every chunk whole, as slowly as
+        # correctly
+        settings = [0.0, 1.3, math.pi, 4.5, np.nextafter(TWO_PI, 0.0)]
+        row = PROTOCOLS[spec.kind]
+        sizes = _exact_sizes(monkeypatch)
+        for seed, (a, b) in enumerate(itertools.product(settings, settings)):
+            row.products(spec, a, b, CHUNK, *_draw(spec, CHUNK, seed))
+        assert max(sizes, default=0) < CHUNK // 8
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_two_share_far_shares_of_opposite_sign_in_one_trial(self, sign):
@@ -868,16 +901,17 @@ class TestArcCompareKernel:
     )
     @pytest.mark.parametrize(
         "a, b",
-        [(0.0, 0.0), (1e6, -4.0), (10 * TWO_PI - HALF_PI, 0.3),
-         (6000 * TWO_PI - HALF_PI, 0.3)],
+        [(0.0, 0.0), (1.5 * math.pi, 0.3), (1e6, -4.0),
+         (10 * TWO_PI - HALF_PI, 0.3), (6000 * TWO_PI - HALF_PI, 0.3)],
     )
     def test_shares_at_bin_edges(self, spec, a, b):
         # every edge of the one-share table's bins, and 3 ulp either
         # side, where a share's bin index rounds; 0 and 2 pi - 1 ulp,
-        # whose index rounds up to the last, redo, entry.  The last two
-        # settings put the arc end a + pi/2 within 1e-12 of 0 and of
-        # 2 pi, where a - lam rounds the reference's sign change to the
-        # other side of 2 pi: the end's redo bins must wrap round
+        # whose index rounds up to the last, redo, entry.  a = 3 pi/2
+        # puts the arc end a + pi/2 at 2 pi, which folds onto 0: the
+        # end's redo bins must wrap round.  The last two settings put
+        # that end within 1e-12 of 0 and of 2 pi from outside SPAN, so
+        # the exact formulas decide them without a table
         edges = np.arange(protocols._BINS + 1) * (TWO_PI / protocols._BINS)
         lam = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
         lam = np.concatenate([[0.0, np.nextafter(TWO_PI, 0.0)], lam])
@@ -891,16 +925,19 @@ class TestArcCompareKernel:
     )
     @pytest.mark.parametrize("stray", [-1e-300, TWO_PI])
     def test_one_stray_share_in_a_chunk(self, spec, stray, monkeypatch):
-        # one share just outside [0, 2 pi) sends the whole chunk to the
-        # exact formulas, without a table
+        # one share just outside [0, 2 pi) sends the whole chunk, without
+        # a table, to two_share_products' compares: the shares stay
+        # within SPAN, so only the trials near an arc end are redone
         def no_table(*args):
             raise AssertionError("a table was looked up")
 
         [lam] = _draw(spec, CHUNK, 23)
         lam[4321] = stray
         monkeypatch.setattr(protocols, "_bin_table", no_table)
+        sizes = _exact_sizes(monkeypatch)
         got = _signs(PROTOCOLS[spec.kind].products(spec, 0.3, 1.1, CHUNK, lam))
         assert got == _scalar(spec, 0.3, 1.1, [lam])
+        assert max(sizes, default=0) < CHUNK // 8
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-4, protocols.SMALL_SHIFT])
     def test_flipped_bit_shares_at_a_small_shift_are_redone(self, delta):
