@@ -21,21 +21,24 @@ products alike.  Each of their scalar trials builds its own record
 from the two-share trial's outcome (_twoshare_outcome, the one place
 Alice's outcome, her bit and Bob's outcome are put together), with the
 shares and bits that protocol records.  Their vector products run no
-trig on the full arrays.
+trig on the full arrays of any chunk the sampler draws.
 Every sign flips only at the ends of an arc, as the shares, or their
 midpoint and half-difference, cross them.  With one shift for every
 trial (plain, fixed-shift) the product is a function of the share
-alone, looked up in a table of bins of [0, 2 pi) built once per
-setting pair; otherwise (random-shift, two-share) each sign is a
-compare against the arc ends in two_share_products.  The few trials
-near an end are redone by _exact_plus, the scalar two-share trial's own
-formulas over arrays, which also decide every degenerate raise.  The
+alone, looked up in fixed_products' table of bins of [0, 2 pi) built
+once per setting pair; otherwise (random_shift_products, whose second
+share is lam + delta, and two-share) each sign is a compare against
+the arc ends in two_share_products.  The few trials near an end are
+redone by _exact_plus, the scalar two-share trial's own formulas over
+arrays, which also decide every degenerate raise.  The table and the
 compares are argued for one bounded domain, settings and shares within
-SPAN of 0, which holds every share the sampler draws: a chunk with any
-setting or share outside it is redone whole.  The adaptive and quantum
-products come from their trials: adaptive's product does not depend on
-the share, so one scalar trial fills the mask, and quantum_products is
-one compare of Bob's draw against the threshold the scalar trial reads.
+SPAN of 0 (and, for the table, shares in [0, 2 pi)), which holds every
+share the sampler draws: each kernel redoes a chunk with any setting
+or share outside its domain whole, trig and all.  The adaptive and
+quantum products come from their trials: adaptive's product does not
+depend on the share, so one scalar trial fills the mask, and
+quantum_products is one compare of Bob's draw against the threshold
+the scalar trial reads.
 
 The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
@@ -310,40 +313,34 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
     return TrialRecord(shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
-def fixed_products(a: float, b: float, lam, delta) -> np.ndarray:
-    """Products of fixed-shift trials over share arrays, as the mask of
-    the trials whose product is +1; delta may be a scalar or an array.
-    Gives run_trial_fixed's product for each share.
+def fixed_products(a: float, b: float, lam, delta: float) -> np.ndarray:
+    """Products of fixed-shift trials over a share array at one shift
+    delta, as the mask of the trials whose product is +1.  Gives
+    run_trial_fixed's product for each share.
 
     One shift for every trial (plain and fixed-shift) makes the product
     a function of lam alone: each share looks its product up in the
     table of its bin of [0, 2 pi) that _bin_table builds once per
     (a, b, delta), and the shares in redo bins take the exact formulas
     (_exact_plus), which also raise DegenerateResultantError for exactly
-    the trials run_trial_fixed raises for.  Every chunk the table cannot
-    serve, with a shift per trial (random-shift), a share outside
-    [0, 2 pi), which the sampler never draws, or a setting outside SPAN,
-    is two_share_products at the second share lam + delta.
+    the trials run_trial_fixed raises for.  A chunk the table cannot
+    serve, with a setting outside SPAN or a share outside [0, 2 pi),
+    which the sampler never draws, is redone whole by _exact_plus.
     """
-    if np.ndim(delta):
-        check_delta(float(delta.min()))
-        check_delta(float(delta.max()))
-    else:
-        check_delta(delta)
-        lo, hi = _window(lam)
-        if 0.0 <= lo and hi < TWO_PI and _in_span(a, b, (lo, hi)):
-            idx = thread_buffer("idx", len(lam), np.intp)
-            # truncation is the floor for shares >= 0
-            np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
-            bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
-            mask = bins == _PLUS
-            redo = np.flatnonzero(bins == _REDO)
-            if redo.size:
-                x = lam[redo]
-                mask[redo] = _exact_plus(a, b, x, x + delta)
-            return mask
-    v = np.add(lam, delta, out=thread_buffer("v", len(lam)))
-    return two_share_products(a, b, lam, v)
+    check_delta(delta)
+    lo, hi = _window(lam)
+    if not (_in_span(a, b, (lo, hi)) and 0.0 <= lo and hi < TWO_PI):
+        return _exact_plus(a, b, lam, lam + delta)
+    idx = thread_buffer("idx", len(lam), np.intp)
+    # truncation is the floor for shares >= 0
+    np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
+    bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
+    mask = bins == _PLUS
+    redo = np.flatnonzero(bins == _REDO)
+    if redo.size:
+        x = lam[redo]
+        mask[redo] = _exact_plus(a, b, x, x + delta)
+    return mask
 
 
 # fixed_products' table for one shared shift: bins of [0, 2 pi), each
@@ -426,6 +423,18 @@ def run_trial_random_shift(
     check_delta(delta_draw)
     alpha, c, beta = _twoshare_outcome(a, b, lam, lam + delta_draw)
     return TrialRecord(shares=(lam, delta_draw), comm_bits=(c,), alpha=alpha, beta=beta)
+
+
+def random_shift_products(a: float, b: float, lam, dd) -> np.ndarray:
+    """Products of random-shift trials over arrays of shares and drawn
+    shifts, as the mask of the trials whose product is +1: the two-share
+    products at the second share lam + dd.  Gives
+    run_trial_random_shift's product for each pair, and refuses the
+    shifts it refuses."""
+    check_delta(float(dd.min()))
+    check_delta(float(dd.max()))
+    v = np.add(lam, dd, out=thread_buffer("v", len(lam)))
+    return two_share_products(a, b, lam, v)
 
 
 def comm_bit_twoshare(a: float, lam1: float, lam2: float) -> int:
@@ -644,7 +653,7 @@ PROTOCOLS: dict[ProtocolKind, ProtocolRow] = {
     ),
     ProtocolKind.RANDOM_SHIFT: ProtocolRow(
         planes=(TWO_PI, HALF_PI),
-        products=lambda spec, a, b, n, lam, dd: fixed_products(a, b, lam, dd),
+        products=lambda spec, a, b, n, lam, dd: random_shift_products(a, b, lam, dd),
         trial=lambda spec, a, b, lam, dd: run_trial_random_shift(a, b, lam, dd),
         trial_flags=("--lambda", "--delta"),
         law=shift_averaged_law,

@@ -778,6 +778,16 @@ def test_trial_random_shift_uses_delta_as_draw(capsys):
     assert "shares: (0.69999999999999996, 0.90000000000000002)" in out
 
 
+def test_negative_angle_in_exponent_form_after_equals(capsys):
+    # some argparse versions read "-1e-3" after a space as an option, not
+    # a value; after "=" every version reads it as the value
+    tail = ["--b", "2", "--lambda", "0.7"]
+    equals = run(capsys, ["trial", "--protocol", "plain", "--a=-1e-3", *tail])
+    spaced = run(capsys, ["trial", "--protocol", "plain", "--a", "-0.001", *tail])
+    assert equals[0] == 0
+    assert equals == spaced
+
+
 def test_golden_trial_per_row(capsys):
     assert list(GOLDEN_TRIAL) == [kind.value for kind in ProtocolKind]
     for name, (shares, golden) in GOLDEN_TRIAL.items():

@@ -7,15 +7,25 @@ statement through a reference that shares no code with numpy, so a
 change in numpy's Philox or in its conversion to doubles, which would
 move every golden byte, is named here.
 
+The last test holds every protocol row's sampled products to its
+scalar trial on shares taken from the reference, scaled as the row
+says.  The reference side shares no code with the sampler's
+re-keying, buffers, chunking or kernels, so all of them are checked
+together, from the stream down.
+
 The block function is from Salmon, Moraes, Dror & Shaw, "Parallel random
 numbers: as easy as 1, 2, 3" (SC'11, 2011), with its published
 multipliers and Weyl constants; its known-answer vectors are Random123's.
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 
-from bellcomm.montecarlo import child_seed, uniforms
+from bellcomm.montecarlo import child_seed, sample_products, uniforms
+from bellcomm.protocols import CHUNK, PROTOCOLS, ProtocolSpec
 
 MASK = (1 << 64) - 1
 # the round multipliers and the Weyl constants that bump the key
@@ -86,3 +96,28 @@ def test_child_seeds_pinned():
     assert child_seed(0, 0) == 15793235383387715774
     assert child_seed(7, 3) == 5061563556724077661
     assert child_seed(2**64 - 1, 60) == 4287627114477583238
+
+
+# one spec per row, with the row's parameter if it has one
+PARAMS = {None: {}, "delta": {"delta": math.pi / 5}, "k_bits": {"k_bits": 3}}
+SPECS = [ProtocolSpec(kind, **PARAMS[row.param]) for kind, row in PROTOCOLS.items()]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind.value)
+@pytest.mark.parametrize("a, b, seed", [(0.3, 1.9, 1), (5.1, 2.2, 2**64 - 1)])
+def test_sampled_products_equal_scalar_trials_on_reference_shares(spec, a, b, seed):
+    # three chunks, the last one short; indices at each chunk edge and a
+    # few hundred spread over all three
+    n = 2 * CHUNK + 1000
+    edges = [0, CHUNK - 1, CHUNK, 2 * CHUNK, n - 1]
+    indices = edges + random.Random(seed).sample(range(n), 300)
+    row = PROTOCOLS[spec.kind]
+    got = sample_products(spec, a, b, n, seed)
+    for i in indices:
+        shares = []
+        for plane, scale in enumerate(row.planes):
+            u = reference_uniforms(seed, plane, i - i % 4, i % 4 + 1)[-1]
+            shares.append(u if scale is None else u * scale)
+        # adaptive draws no plane; its product does not read the share
+        shares += [0.0] * (len(row.trial_flags) - len(shares))
+        assert got[i] == row.trial(spec, a, b, *shares).product, i

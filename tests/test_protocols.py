@@ -34,6 +34,7 @@ from bellcomm.protocols import (
     run_trial_random_shift,
     run_trial_twoshare,
     fixed_products,
+    random_shift_products,
     sector_index,
     thread_buffer,
     two_share_products,
@@ -562,11 +563,12 @@ def _around(points, scale):
 
 
 class TestArcCompareKernel:
-    """fixed_products takes every sign, and two_share_products Alice's
-    two, from compares of the shares against arc ends, and redoes the
-    trials near an end with the scalar formulas.  Shares at the ends, at
-    settings far from zero, must still give the scalar trials' products,
-    and raise where they raise."""
+    """fixed_products takes every product from its table of bins between
+    arc ends, and two_share_products each sign from compares of the
+    shares against arc ends; both redo the trials near an end with the
+    scalar formulas.  Shares at the ends, at settings far from zero,
+    must still give the scalar trials' products, and raise where they
+    raise."""
 
     SETTINGS = [0.0, 1.75 * math.pi, -4.0, 1e6]
     SHIFTS = [0.0, 1e-13, 1e-11, 1e-9, 1e-3]
@@ -649,13 +651,13 @@ class TestArcCompareKernel:
         a, b, n, k = 0.0, 0.4, 1 << 12, 77
         rng = np.random.default_rng(5)
         lam, dd = TWO_PI * rng.random(n), HALF_PI * rng.random(n)
-        fixed_products(a, b, lam, dd)
+        random_shift_products(a, b, lam, dd)
         dd[k] = 1e-13
         lam[k] = HALF_PI - 0.5e-13
         with pytest.raises(DegenerateResultantError):
             run_trial_random_shift(a, b, lam[k], dd[k])
         with pytest.raises(DegenerateResultantError):
-            fixed_products(a, b, lam, dd)
+            random_shift_products(a, b, lam, dd)
 
     @staticmethod
     def _two_share(a, b, lam1, lam2):
@@ -925,9 +927,9 @@ class TestArcCompareKernel:
     )
     @pytest.mark.parametrize("stray", [-1e-300, TWO_PI])
     def test_one_stray_share_in_a_chunk(self, spec, stray, monkeypatch):
-        # one share just outside [0, 2 pi) sends the whole chunk, without
-        # a table, to two_share_products' compares: the shares stay
-        # within SPAN, so only the trials near an arc end are redone
+        # one share just outside [0, 2 pi) takes the whole chunk out of
+        # the table's domain: one _exact_plus call over the whole chunk,
+        # with no table looked up, and the scalar trials' products
         def no_table(*args):
             raise AssertionError("a table was looked up")
 
@@ -937,7 +939,7 @@ class TestArcCompareKernel:
         sizes = _exact_sizes(monkeypatch)
         got = _signs(PROTOCOLS[spec.kind].products(spec, 0.3, 1.1, CHUNK, lam))
         assert got == _scalar(spec, 0.3, 1.1, [lam])
-        assert max(sizes, default=0) < CHUNK // 8
+        assert sizes == [CHUNK]
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-4, protocols.SMALL_SHIFT])
     def test_flipped_bit_shares_at_a_small_shift_are_redone(self, delta):
@@ -974,7 +976,7 @@ class TestArcCompareKernel:
             with pytest.raises(DomainError):
                 fixed_products(a, b, lam, 0.3)
             with pytest.raises(DomainError):
-                fixed_products(a, b, lam, np.array([0.2, 0.3, 1.0]))
+                random_shift_products(a, b, lam, np.array([0.2, 0.3, 1.0]))
             # shares outside [0, 2 pi) skip the table, not the refusal
             with pytest.raises(DomainError):
                 fixed_products(a, b, lam + TWO_PI, 0.3)
@@ -988,9 +990,9 @@ class TestArcCompareKernel:
         with pytest.raises(ConfigurationError):
             fixed_products(0.0, 1.0, lam, -0.1)
         with pytest.raises(ConfigurationError):
-            fixed_products(0.0, 1.0, lam, np.array([0.2, 1.6]))
+            random_shift_products(0.0, 1.0, lam, np.array([0.2, 1.6]))
         with pytest.raises(ConfigurationError):
-            fixed_products(0.0, 1.0, lam, np.array([0.2, math.nan]))
+            random_shift_products(0.0, 1.0, lam, np.array([0.2, math.nan]))
         bad = np.array([0.1, math.nan])
         with pytest.raises(DomainError):
             fixed_products(0.0, 1.0, bad, 0.3)
