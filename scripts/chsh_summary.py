@@ -12,13 +12,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import (
-    _seed_type,
-    _trials_type,
-    _workers_type,
-    parse_args,
-    run_guarded,
-)
+from bellcomm.cli import _seed_type, _trials_type, _workers_type, run
 from bellcomm.montecarlo import child_seed
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.verify import SHIFT_GRID
@@ -63,7 +57,7 @@ def main(argv=None) -> int:
                         help="trials per setting pair")
     parser.add_argument("--seed", type=_seed_type, default=0)
     parser.add_argument("--workers", type=_workers_type, default=8)
-    return run_guarded(lambda: print_table(parse_args(parser, argv)))
+    return run(parser, print_table, argv)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ from bellcomm.cli import (
     _trials_type,
     _workers_type,
     curve_series,
-    parse_args,
-    run_guarded,
+    run,
     write_curve_csv,
 )
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
@@ -60,32 +59,31 @@ def emit(spec, stem, title, seed, args):
     print(f"wrote {csv_path} and {svg_path}  ({gap})")
 
 
+def write_all(args) -> int:
+    """Sweep every standard curve and write its pair of files."""
+    jobs = []
+    for i, delta in enumerate(SHIFT_GRID):
+        spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
+        stem = f"fixed_shift_{i}_delta_{delta:.3f}".replace(".", "p")
+        title = f"fixed shift, delta = {delta:.4f}"
+        jobs.append((spec, stem, title, child_seed(args.seed, i)))
+    for j, kind in enumerate(
+        (ProtocolKind.TWO_SHARE, ProtocolKind.RANDOM_SHIFT,
+         ProtocolKind.PLAIN, ProtocolKind.QUANTUM)
+    ):
+        name = kind.value.replace("-", "_")
+        jobs.append(
+            (ProtocolSpec(kind), name, f"{kind.value} protocol",
+             child_seed(args.seed, 100 + j))
+        )
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for job in jobs:
+        emit(*job, args)
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-
-    def write_all() -> int:
-        args = parse_args(parser, argv)
-        jobs = []
-        for i, delta in enumerate(SHIFT_GRID):
-            spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
-            stem = f"fixed_shift_{i}_delta_{delta:.3f}".replace(".", "p")
-            title = f"fixed shift, delta = {delta:.4f}"
-            jobs.append((spec, stem, title, child_seed(args.seed, i)))
-        for j, kind in enumerate(
-            (ProtocolKind.TWO_SHARE, ProtocolKind.RANDOM_SHIFT,
-             ProtocolKind.PLAIN, ProtocolKind.QUANTUM)
-        ):
-            name = kind.value.replace("-", "_")
-            jobs.append(
-                (ProtocolSpec(kind), name, f"{kind.value} protocol",
-                 child_seed(args.seed, 100 + j))
-            )
-        args.outdir.mkdir(parents=True, exist_ok=True)
-        for job in jobs:
-            emit(*job, args)
-        return 0
-
-    return run_guarded(write_all)
+    return run(build_parser(), write_all, argv)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ the protocol does not take, and for chsh the settings.  Only curve, chsh
 and verify draw, so only they take --seed and --workers.  Angles are
 radians unless --degrees is given.  Exit codes: 0 success, 1 a failed
 check or a run the protocol cannot complete (a degenerate trial), 2
-usage error, 3 I/O error.
+usage error, 3 I/O error.  run(parser, command, argv) takes a program
+from argv to that exit code; main and both scripts are one call to it.
 """
 
 from __future__ import annotations
@@ -417,36 +418,31 @@ _COMMANDS = {
 }
 
 
-def parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
-    """parser.parse_args(argv), with what argparse prints to stdout, the
-    help, written here: argparse drops an error from its own write, so
-    the help on a full device would exit 0.  Call it inside run_guarded,
-    which then reports that error as one of I/O.
+def run(parser: argparse.ArgumentParser, command, argv: list[str] | None) -> int:
+    """Parse argv with parser, return command(args), and turn what either
+    raises into an exit code: argparse's own exit gives its code (0 after
+    --help, 2 for a bad flag); a usage error gives 2, an I/O error 3 and
+    any other package error 1, each with one stderr line.
+
+    argparse prints the help itself and drops an error from that write,
+    so what it prints is caught and written here.  stdout is flushed
+    before the code is chosen, so output that fails only when it leaves
+    the buffer, as on a full device, is an I/O error as well, the help
+    included.
     """
     printed = io.StringIO()
     try:
-        with contextlib.redirect_stdout(printed):
-            return parser.parse_args(argv)
-    finally:
-        sys.stdout.write(printed.getvalue())
-
-
-def run_guarded(body) -> int:
-    """Run body, a call with no arguments that returns an exit code, and
-    turn what it raises into one stderr line and an exit code: 2 for a
-    usage error, 3 for an I/O error, 1 for any other package error.
-
-    stdout is flushed inside, also when argparse exits from within body
-    after --help or a usage error, so output that fails only when it
-    leaves the buffer, as on a full disk, is an I/O error as well; the
-    SystemExit itself goes on to the caller.
-    """
-    try:
         try:
-            code = body()
+            with contextlib.redirect_stdout(printed):
+                args = parser.parse_args(argv)
+            return command(args)
         finally:
+            # argparse prints only when it exits, so after a parse that
+            # returned this writes nothing
+            sys.stdout.write(printed.getvalue())
             sys.stdout.flush()
-        return code
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -467,16 +463,7 @@ def run_guarded(body) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-
-    def run() -> int:
-        args = parse_args(parser, argv)
-        return _COMMANDS[args.command](args)
-
-    try:
-        return run_guarded(run)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    return run(build_parser(), lambda args: _COMMANDS[args.command](args), argv)
 
 
 if __name__ == "__main__":

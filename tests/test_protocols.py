@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bellcomm import protocols
 from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
-from bellcomm.laws import fixed_shift_law
+from bellcomm.laws import fixed_shift_law, quantum_cosine_law
 from bellcomm.montecarlo import theta_grid
 from bellcomm.protocols import (
     CHUNK,
@@ -409,6 +409,34 @@ class TestQuantumReference:
         want = [run_trial_quantum(a, b, x, y).product for x, y in zip(u, v)]
         assert _signs(got) == want
         assert want[:3] == [1, -1, 1]
+
+    def test_exact_mean_over_the_sampler_grid_is_the_cosine(self):
+        # Bob's draw is a raw plane-1 uniform, exactly k * 2**-53 for one
+        # k in [0, 2**53) (tests/test_philox.py states the conversion),
+        # and the product is +1 where it clears a threshold.  So the mean
+        # over every draw the sampler can make is exactly 1 - 2K / 2**53,
+        # K the least k whose product is +1, found by bisection on the
+        # row's own kernel
+        spec = ProtocolSpec(ProtocolKind.QUANTUM)
+        row = PROTOCOLS[spec.kind]
+        assert row.planes[1] is None
+        a, coin = 0.3, np.zeros(1)
+
+        def plus(b, k):
+            v = np.array([k * 2.0**-53])
+            return bool(row.products(spec, a, b, 1, coin, v)[0])
+
+        gaps = []
+        for theta in theta_grid(181):
+            b = a + theta
+            lo, hi = 0, 2**53
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if plus(b, mid) else (mid + 1, hi)
+            assert plus(b, lo)
+            assert lo == 0 or not plus(b, lo - 1)
+            gaps.append(abs(1 - 2 * lo / 2**53 - quantum_cosine_law(theta)))
+        assert max(gaps) <= 1e-15
 
     @given(angles, angles, units, units)
     def test_product_is_dichotomic(self, a, b, u, v):

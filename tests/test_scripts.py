@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import os
@@ -7,9 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from bellcomm import cli
+from bellcomm.errors import DegenerateResultantError
 from bellcomm.protocols import ProtocolKind
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# chsh_summary.py --n 2000 at any worker count: 12 lines
+GOLDEN_SUMMARY_SHA256 = (
+    "4b9aad15c0957d31473fc523e828c2f7279207893ca5246e3a0e42a56713d9fb"
+)
+# the 20 files of reproduce_figures.py --n 200 --grid 3, by tree_digest
+GOLDEN_FIGURES_SHA256 = (
+    "224e458354e4a4f3a13dfbf70ecb7a92588bba2ac801679d7edf2764ef97751c"
+)
 
 
 def load(name):
@@ -19,12 +31,32 @@ def load(name):
     return module
 
 
+def script_env(unbuffered=False):
+    """The environment for a script run as a subprocess: the package
+    from src, and stdout buffered unless unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def tree_digest(root):
+    """sha256 over the files in root, in name order: each name, its
+    length and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", ["chsh_summary", "reproduce_figures"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
 def test_bad_seed_is_a_usage_error(name, seed, capsys):
-    with pytest.raises(SystemExit) as exc:
-        load(name).main(["--seed", seed])
-    assert exc.value.code == 2
+    assert load(name).main(["--seed", seed]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seed" in captured.err
@@ -33,9 +65,7 @@ def test_bad_seed_is_a_usage_error(name, seed, capsys):
 @pytest.mark.parametrize("name", ["chsh_summary", "reproduce_figures"])
 @pytest.mark.parametrize("workers", ["0", "-3", "x", "65"])
 def test_bad_workers_is_a_usage_error(name, workers, capsys):
-    with pytest.raises(SystemExit) as exc:
-        load(name).main(["--workers", workers])
-    assert exc.value.code == 2
+    assert load(name).main(["--workers", workers]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--workers" in captured.err
@@ -55,9 +85,7 @@ def test_bad_workers_is_a_usage_error(name, workers, capsys):
 )
 def test_bad_count_is_a_usage_error(name, argv, capsys, tmp_path):
     outdir = ["--outdir", str(tmp_path / "figs")] if name == "reproduce_figures" else []
-    with pytest.raises(SystemExit) as exc:
-        load(name).main(argv + outdir)
-    assert exc.value.code == 2
+    assert load(name).main(argv + outdir) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[0] in captured.err
@@ -162,14 +190,12 @@ def test_chsh_summary_on_a_full_device_exits_3():
     # with stdout buffered, as it is when not a terminal, the write fails
     # only at the flush; unhandled, the interpreter's own flush at exit
     # would fail again and exit 120
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = str(SCRIPTS.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, str(SCRIPTS / "chsh_summary.py"), "--n", "100",
              "--workers", "1"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=full, stderr=subprocess.PIPE, text=True, env=script_env(),
+            timeout=120,
         )
     assert proc.returncode == 3
     assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"
@@ -190,15 +216,79 @@ def test_help_on_a_full_device_exits_3(argv, unbuffered):
     # argparse prints the help while it parses and drops an error from
     # that write: unbuffered the run would exit 0, buffered 120 at the
     # interpreter's own flush
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    src = str(SCRIPTS.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, *argv],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=script_env(unbuffered), timeout=120,
         )
     assert proc.returncode == 3
     assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"
+
+
+# each program: its module, the argv of a short run, and the name its
+# command samples through
+PROGRAMS = [
+    ("bellcomm", ["chsh", "--protocol", "plain", "--n", "10"], "chsh_sampled"),
+    ("chsh_summary", ["--n", "10", "--workers", "1"], "chsh_sampled"),
+    ("reproduce_figures", ["--n", "10", "--grid", "2", "--workers", "1"],
+     "sweep_curve"),
+]
+
+
+@pytest.mark.parametrize("name, argv, sampler", PROGRAMS)
+def test_one_runner_gives_every_program_its_codes(
+    name, argv, sampler, capsys, monkeypatch, tmp_path
+):
+    # each outcome comes back as a code from main; a SystemExit escaping
+    # main would fail the test
+    module = cli if name == "bellcomm" else load(name)
+    outdir = tmp_path / "figs"
+    if name == "reproduce_figures":
+        argv = argv + ["--outdir", str(outdir)]
+
+    assert module.main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ")
+    assert captured.err == ""
+
+    assert module.main(argv + ["--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --n: trial count must be at least 1" in captured.err
+    assert not outdir.exists()
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateResultantError("resultant vector has zero norm")
+
+    monkeypatch.setattr(module, sampler, degenerate)
+    assert module.main(argv) == 1
+    assert capsys.readouterr().err == "error: resultant vector has zero norm\n"
+    if name == "reproduce_figures":
+        assert list(outdir.iterdir()) == []
+
+
+def run_script(*argv):
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, env=script_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    return proc.stdout
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_chsh_summary_golden_bytes(workers):
+    out = run_script(str(SCRIPTS / "chsh_summary.py"), "--n", "2000",
+                     "--workers", workers)
+    assert out.count(b"\n") == 12
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_SUMMARY_SHA256
+
+
+def test_reproduce_figures_golden_bytes(tmp_path):
+    outdir = tmp_path / "figs"
+    run_script(str(SCRIPTS / "reproduce_figures.py"), "--n", "200",
+               "--grid", "3", "--workers", "1", "--outdir", str(outdir))
+    assert len(list(outdir.iterdir())) == 20
+    assert tree_digest(outdir) == GOLDEN_FIGURES_SHA256
