@@ -9,15 +9,15 @@ a second argument, which functools.partial binds where one function of
 theta is wanted.
 
 The closed forms need only the standard library, and so do the three
-quadrature oracles: each hands every kink of its integrand to an in-module
-copy of QUADPACK's 21-point Gauss-Kronrod rule, which meets the oracle's
-tolerance in one pass over the pieces between the kinks.
+quadrature oracles.  Each integrand is linear between its kinks, and each
+oracle hands every kink in, so one midpoint per piece between the kinks
+is exact up to rounding; two probes near the ends of each piece turn a
+kink left out into NumericError.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable
 
 from .angles import heaviside, sgn
@@ -32,91 +32,44 @@ HALF_PI = 0.5 * math.pi
 # the absolute error the quadrature oracles aim for on their scaled results
 QUAD_TOL = 1e-9
 
-# QUADPACK's qk21 (Piessens et al., 1983): the positive Kronrod abscissae
-# on [-1, 1], largest first; their weights, with the centre's last; and
-# the weights of the 10-point Gauss rule on every second abscissa
-_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-)
-_WGK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980053450, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_EPMACH = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
-
-
-def _kronrod21(
-    f: Callable[[float], float], breaks: list[float], epsabs: float
-) -> tuple[float, float]:
-    """Integral of f over [breaks[0], breaks[-1]] and its error estimate.
-
-    Applies qk21 to each piece between consecutive sorted breakpoints and
-    sums the pieces left to right, as the first pass of QUADPACK's qagpe
-    does, with qk21's nodes, weights, operation order and error estimate,
-    so both numbers equal qagpe's whenever that pass meets epsabs.  Where
-    it does not, qagpe would go on bisecting, and this raises NumericError
-    instead: an oracle must hand every kink of its integrand in.
-    """
-    total = 0.0
-    abserr = 0.0
-    for a, b in zip(breaks, breaks[1:]):
-        centr = 0.5 * (a + b)
-        hlgth = 0.5 * (b - a)
-        fc = f(centr)
-        resg = 0.0
-        resk = _WGK[10] * fc
-        resabs = abs(resk)
-        fv = [(0.0, 0.0)] * 10
-        # the Gauss abscissae first, then the Kronrod-only ones
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-            absc = hlgth * _XGK[j]
-            fval1 = f(centr - absc)
-            fval2 = f(centr + absc)
-            fv[j] = (fval1, fval2)
-            fsum = fval1 + fval2
-            if j % 2:
-                resg += _WG[j // 2] * fsum
-            resk += _WGK[j] * fsum
-            resabs += _WGK[j] * (abs(fval1) + abs(fval2))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * abs(fc - reskh)
-        for j, (fval1, fval2) in enumerate(fv):
-            resasc += _WGK[j] * (abs(fval1 - reskh) + abs(fval2 - reskh))
-        resabs *= hlgth
-        resasc *= hlgth
-        err = abs((resk - resg) * hlgth)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        if resabs > _UFLOW / (50.0 * _EPMACH):
-            err = max(_EPMACH * 50.0 * resabs, err)
-        total += resk * hlgth
-        abserr += err
-    if abserr > epsabs:
-        raise NumericError(
-            f"quadrature error estimate {abserr:.3e} exceeds {epsabs:.3e}"
-        )
-    return total, abserr
+# the fraction of a piece's width, in from each end, at which the piece
+# rule probes its integrand for a kink that was not handed in
+_PROBE = 2.0**-20
 
 
 def _integral(f: Callable[[float], float], hi: float, kinks, epsabs) -> float:
-    """Integral of f over [0, hi] by _kronrod21, split at each of the
-    kinks that lies strictly inside the interval."""
+    """Integral of f over [0, hi], for f linear between the kinks that lie
+    strictly inside the interval.
+
+    Each piece between sorted breakpoints adds its width w times f at its
+    middle, which is exact up to rounding on a linear piece.  Two probes,
+    p = _PROBE * w in from the ends, test that linearity.  A slope jump s
+    left out at a distance u >= p from the nearer end makes them miss
+    2 f(middle) by m = s (u - p), and moves the piece's integral by
+    s u^2 / 2, at most (w/4 + p) |m| + |s| p^2 / 2.  So w |m|, summed over
+    the pieces, bounds four times any error the probes can see, up to a
+    factor 1 + 2^-18, and past epsabs this raises NumericError: an oracle
+    must hand every kink of its integrand in.  The probes stay inside a
+    piece wider than a few ulp, so a sign integrand that jumps at a
+    breakpoint is read on the piece's own side; on a narrower piece they
+    may land on its ends, and the width weighting keeps that miss to a
+    few ulp.
+    """
     inner = sorted({x for x in kinks if 0.0 < x < hi})
-    return _kronrod21(f, [0.0, *inner, hi], epsabs)[0]
+    breaks = [0.0, *inner, hi]
+    total = 0.0
+    miss = 0.0
+    for a, b in zip(breaks, breaks[1:]):
+        w = b - a
+        middle = f(0.5 * (a + b))
+        miss += w * abs(f(a + _PROBE * w) + f(b - _PROBE * w) - 2.0 * middle)
+        total += w * middle
+    if miss > epsabs:
+        raise NumericError(
+            f"piece rule missed linearity by {miss:.3e}, past {epsabs:.3e}:"
+            " a kink was not handed in"
+        )
+    return total
 
 
 def _rescaled(x: float, name: str = "separation") -> float:

@@ -1,12 +1,12 @@
 import math
 import random
-import warnings
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bellcomm import laws
+from bellcomm.angles import sgn
 from bellcomm.errors import (
     BoundaryAmbiguityError,
     ConfigurationError,
@@ -146,17 +146,34 @@ def test_shift_averaged_law_point_symmetric(theta):
     )
 
 
+def near_kink_angles() -> list[float]:
+    """The 60 floats on each side of 0, pi/4, pi/2, 3pi/4 and pi that lie in
+    [0, pi], where the oracles' pieces shrink to a few ulp and the probes
+    reach the piece ends, then 20,000 seeded uniform angles."""
+    xs = []
+    for centre in (0.0, math.pi / 4, math.pi / 2, 3 * (math.pi / 4), math.pi):
+        for toward in (-math.inf, math.inf):
+            x = centre
+            for _ in range(60):
+                x = math.nextafter(x, toward)
+                if 0.0 <= x <= math.pi:
+                    xs.append(x)
+    rng = random.Random(31)
+    return xs + [rng.uniform(0.0, math.pi) for _ in range(20_000)]
+
+
+NEAR_KINKS = near_kink_angles()
+
+
 def test_shift_average_quadrature_matches_closed_form():
-    for j in range(25):
-        theta = (j / 24) * math.pi
+    for theta in [(j / 24) * math.pi for j in range(25)] + NEAR_KINKS:
         assert shift_average_quadrature(theta) == pytest.approx(
             shift_averaged_law(theta), abs=1e-8
         )
 
 
 def test_mean_sign_quadrature_matches_closed_form():
-    for j in range(17):
-        t = (j / 16) * math.pi
+    for t in [(j / 16) * math.pi for j in range(17)] + NEAR_KINKS:
         assert mean_sign_vs_reference_quad(t) == pytest.approx(
             mean_sign_vs_reference(t), abs=1e-6
         )
@@ -169,76 +186,70 @@ def test_mean_sign_closed_form_endpoints():
 
 
 def test_two_share_integral_matches_averaged_law():
-    for j in range(25):
-        theta = (j / 24) * math.pi
+    for theta in [(j / 24) * math.pi for j in range(25)] + NEAR_KINKS:
         assert two_share_integral(theta) == pytest.approx(
             shift_averaged_law(theta), abs=1e-8
         )
 
 
-class TestKronrod21:
-    # each oracle with the grid verify evaluates it on
-    ORACLES = [
-        (shift_average_quadrature, 181),
-        (mean_sign_vs_reference_quad, 100),
-        (two_share_integral, 100),
-    ]
-
-    @pytest.mark.parametrize("oracle, points", ORACLES)
-    def test_matches_quadpack_bit_for_bit(self, monkeypatch, oracle, points):
-        integrate = pytest.importorskip("scipy.integrate")
-        rule = laws._kronrod21
-        calls = []
-
-        def spy(f, breaks, epsabs):
-            result = rule(f, breaks, epsabs)
-            calls.append((f, breaks, epsabs, result))
-            return result
-
-        monkeypatch.setattr(laws, "_kronrod21", spy)
-        rng = random.Random(20)
-        xs = [(j / (points - 1)) * math.pi for j in range(points)]
-        xs += [rng.uniform(0.0, math.pi) for _ in range(1000)]
-        for x in xs:
-            oracle(x)
-        assert len(calls) == len(xs)
-        for f, breaks, epsabs, result in calls:
-            expected = integrate.quad(
-                f,
-                breaks[0],
-                breaks[-1],
-                points=breaks[1:-1] or None,
-                epsabs=epsabs,
-                epsrel=0.0,
-                limit=200,
-            )
-            assert result == expected, breaks
-
-    @pytest.mark.parametrize(
-        "f", [lambda x: abs(x - 0.3), lambda x: x**25, math.sqrt]
-    )
-    def test_one_piece_matches_unrefined_quadpack(self, f):
-        # limit=1 stops quad after its first qk21, whatever its estimate,
-        # which reaches the branches of the estimate a kinked oracle does not
-        integrate = pytest.importorskip("scipy.integrate")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            expected = integrate.quad(f, 0.0, 1.0, limit=1)
-        assert laws._kronrod21(f, [0.0, 1.0], math.inf) == expected
-
-    @pytest.mark.parametrize("k", range(32))
-    def test_exact_on_monomials_up_to_degree_31(self, k):
-        value, _ = laws._kronrod21(lambda x: x**k, [0.0, 1.0], math.inf)
-        assert value == pytest.approx(1.0 / (k + 1), abs=1e-15)
-
-    def test_kink_not_handed_in_raises(self):
-        def f(x):
-            return abs(x - 0.3)
-
-        value, _ = laws._kronrod21(f, [0.0, 0.3, 1.0], 1e-9)
+class TestPieceRule:
+    def test_exact_with_the_kink_handed_in(self):
+        value = laws._integral(lambda x: abs(x - 0.3), 1.0, (0.3,), 1e-9)
         assert value == pytest.approx(0.29, abs=1e-15)
+
+    # 0.1 lies in the outer quarter of [0, 1], where probes at the quarter
+    # points would see a linear function
+    @pytest.mark.parametrize("kink", [0.3, 0.1])
+    def test_kink_left_out_raises(self, kink):
         with pytest.raises(NumericError):
-            laws._kronrod21(f, [0.0, 1.0], 1e-9)
+            laws._integral(lambda x: abs(x - kink), 1.0, (), 1e-9)
+
+    def test_one_ulp_piece_across_a_jump_passes(self):
+        # the middle piece's probes fall on its ends, either side of the
+        # jump, and miss by 2; weighted by its width that is 2 ulp
+        value = laws._integral(
+            lambda x: 1.0 if x > 0.3 else -1.0,
+            1.0,
+            (0.3, math.nextafter(0.3, 1.0)),
+            1e-9,
+        )
+        assert value == pytest.approx(0.4, abs=1e-15)
+
+    def test_shift_average_integrand_without_its_2theta_kink_raises(self):
+        theta = 0.3
+        crossings = (2.0 * theta, math.pi - 2.0 * theta,
+                     2.0 * theta - math.pi, 2.0 * math.pi - 2.0 * theta)
+
+        def integral(kinks):
+            return laws._integral(
+                lambda d: fixed_shift_law(theta, d),
+                laws.HALF_PI,
+                kinks,
+                0.25 * laws.QUAD_TOL * laws.HALF_PI,
+            )
+
+        assert integral(crossings) * 2.0 / math.pi == pytest.approx(
+            shift_averaged_law(theta), abs=1e-15
+        )
+        with pytest.raises(NumericError):
+            integral(crossings[1:])
+
+    def test_folded_integrand_without_its_r_kink_raises(self):
+        r = 1.0
+
+        def integral(kinks):
+            return laws._integral(
+                lambda tau: float(sgn(math.cos(tau))) * abs(tau - r),
+                math.pi,
+                kinks,
+                0.25 * laws.QUAD_TOL * math.pi**2,
+            )
+
+        assert integral((laws.HALF_PI, r)) * 4.0 / math.pi**2 == (
+            pytest.approx(shift_averaged_law(r), abs=1e-15)
+        )
+        with pytest.raises(NumericError):
+            integral((laws.HALF_PI,))
 
 
 @given(thetas)
