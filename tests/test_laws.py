@@ -193,16 +193,75 @@ def test_two_share_integral_matches_averaged_law():
 
 
 class TestPieceRule:
+    # kinks spread over [0, 1], whose slope jumps alternate between +2 and -2
+    ZIGZAG = (0.07, 0.19, 0.33, 0.41, 0.58, 0.66, 0.83, 0.97)
+
+    @staticmethod
+    def shift_average(theta, kinks):
+        return laws._integral(
+            lambda d: fixed_shift_law(theta, d),
+            laws.HALF_PI,
+            kinks,
+            0.25 * laws.QUAD_TOL * laws.HALF_PI,
+        )
+
+    @staticmethod
+    def folded(r, kinks):
+        return laws._integral(
+            lambda tau: float(sgn(math.cos(tau))) * abs(tau - r),
+            math.pi,
+            kinks,
+            0.25 * laws.QUAD_TOL * math.pi**2,
+        )
+
+    @staticmethod
+    def sign(t, kinks):
+        ref = math.cos(t)
+        return laws._integral(
+            lambda x: float(sgn(math.cos(x) - ref)),
+            2.0 * math.pi,
+            kinks,
+            laws.QUAD_TOL,
+        )
+
     def test_exact_with_the_kink_handed_in(self):
         value = laws._integral(lambda x: abs(x - 0.3), 1.0, (0.3,), 1e-9)
         assert value == pytest.approx(0.29, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "kink", [1e-3, 0.1, 0.25, 0.3, 1 / 3, 0.5, 2 / 3, 0.75, 0.9, 0.999]
+    )
+    def test_exact_on_a_kinked_line(self, kink):
+        value = laws._integral(lambda x: abs(x - kink), 1.0, (kink,), 1e-9)
+        expected = 0.5 * (kink**2 + (1.0 - kink) ** 2)
+        assert value == pytest.approx(expected, abs=1e-15)
+
     # 0.1 lies in the outer quarter of [0, 1], where probes at the quarter
     # points would see a linear function
-    @pytest.mark.parametrize("kink", [0.3, 0.1])
+    @pytest.mark.parametrize(
+        "kink", [0.3, 0.1, 0.01, 0.05, 0.2, 0.5, 0.7, 0.9, 0.95, 0.99]
+    )
     def test_kink_left_out_raises(self, kink):
         with pytest.raises(NumericError):
             laws._integral(lambda x: abs(x - kink), 1.0, (), 1e-9)
+
+    @pytest.mark.parametrize("left_out", range(len(ZIGZAG)))
+    def test_every_kink_of_a_zigzag_is_needed(self, left_out):
+        weights = [(-1) ** i for i in range(len(self.ZIGZAG))]
+
+        def f(x):
+            return sum(w * abs(x - k) for w, k in zip(weights, self.ZIGZAG))
+
+        expected = sum(
+            w * 0.5 * (k**2 + (1.0 - k) ** 2)
+            for w, k in zip(weights, self.ZIGZAG)
+        )
+        assert laws._integral(f, 1.0, self.ZIGZAG, 1e-9) == pytest.approx(
+            expected, abs=1e-15
+        )
+        kinks = self.ZIGZAG[:left_out] + self.ZIGZAG[left_out + 1:]
+        with pytest.raises(NumericError):
+            laws._integral(f, 1.0, kinks, 1e-9)
 
     def test_one_ulp_piece_across_a_jump_passes(self):
         # the middle piece's probes fall on its ends, either side of the
@@ -215,41 +274,42 @@ class TestPieceRule:
         )
         assert value == pytest.approx(0.4, abs=1e-15)
 
-    def test_shift_average_integrand_without_its_2theta_kink_raises(self):
-        theta = 0.3
+    # two separations in each quarter of [0, pi]; each has one crossing
+    # inside (0, pi/2), a different one of the four in each quarter
+    @pytest.mark.parametrize(
+        "theta", [0.3, 0.6, 1.0, 1.3, 1.8, 2.2, 2.5, 2.9]
+    )
+    def test_shift_average_integrand_without_its_inner_crossing_raises(
+        self, theta
+    ):
         crossings = (2.0 * theta, math.pi - 2.0 * theta,
                      2.0 * theta - math.pi, 2.0 * math.pi - 2.0 * theta)
-
-        def integral(kinks):
-            return laws._integral(
-                lambda d: fixed_shift_law(theta, d),
-                laws.HALF_PI,
-                kinks,
-                0.25 * laws.QUAD_TOL * laws.HALF_PI,
-            )
-
-        assert integral(crossings) * 2.0 / math.pi == pytest.approx(
-            shift_averaged_law(theta), abs=1e-15
+        inner = [c for c in crossings if 0.0 < c < laws.HALF_PI]
+        assert len(inner) == 1
+        assert self.shift_average(theta, crossings) * 2.0 / math.pi == (
+            pytest.approx(shift_averaged_law(theta), abs=1e-15)
         )
         with pytest.raises(NumericError):
-            integral(crossings[1:])
+            self.shift_average(theta, [c for c in crossings if c not in inner])
 
-    def test_folded_integrand_without_its_r_kink_raises(self):
-        r = 1.0
-
-        def integral(kinks):
-            return laws._integral(
-                lambda tau: float(sgn(math.cos(tau))) * abs(tau - r),
-                math.pi,
-                kinks,
-                0.25 * laws.QUAD_TOL * math.pi**2,
-            )
-
-        assert integral((laws.HALF_PI, r)) * 4.0 / math.pi**2 == (
+    # r on either side of the sign change at pi/2
+    @pytest.mark.parametrize("r", [0.2, 0.6, 1.0, 1.2, 2.0, 2.5, 3.0])
+    def test_folded_integrand_without_its_r_kink_raises(self, r):
+        assert self.folded(r, (laws.HALF_PI, r)) * 4.0 / math.pi**2 == (
             pytest.approx(shift_averaged_law(r), abs=1e-15)
         )
         with pytest.raises(NumericError):
-            integral((laws.HALF_PI,))
+            self.folded(r, (laws.HALF_PI,))
+
+    @pytest.mark.parametrize("left_out", [0, 1])
+    @pytest.mark.parametrize("t", [0.5, 1.5, 2.5])
+    def test_sign_integrand_without_one_sign_change_raises(self, t, left_out):
+        changes = (t, 2.0 * math.pi - t)
+        assert self.sign(t, changes) / (2.0 * math.pi) == pytest.approx(
+            mean_sign_vs_reference(t), abs=1e-15
+        )
+        with pytest.raises(NumericError):
+            self.sign(t, [c for i, c in enumerate(changes) if i != left_out])
 
 
 @given(thetas)
