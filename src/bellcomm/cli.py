@@ -30,9 +30,18 @@ from .chsh import (
     ChshSettings,
     chsh_sampled,
 )
-from .errors import BellcommError, ConfigurationError, DomainError
+from .angles import normalize_angle
+from .errors import BellcommError, ConfigurationError
 from .laws import quantum_cosine_law
-from .montecarlo import MAX_WORKERS, CurveSweep, _check_seed, sweep_curve, theta_grid
+from .montecarlo import (
+    CurveSweep,
+    _check_seed,
+    _check_workers,
+    check_grid_points,
+    check_trial_count,
+    sweep_curve,
+    theta_grid,
+)
 from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
@@ -235,44 +244,35 @@ def cmd_trial(args) -> int:
     return EXIT_OK
 
 
-def _seed_type(text: str) -> int:
-    """An integer seed, in the range montecarlo._check_seed allows."""
-    try:
-        return _check_seed(int(text))
-    except (ValueError, DomainError):
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+def _checked(check, what: str, convert=int):
+    """An argparse type: the text as convert reads it, once check, the
+    library function that owns the rule for this input, accepts it.
+    Text convert cannot read goes to check as typed, so every bound and
+    every refusal is the library's; a refusal is a usage error naming
+    the text and check's reason, raised while parsing, before any run."""
 
-
-def _count_type(minimum: int, what: str, maximum: float = math.inf):
-    """An argparse type: an integer count in [minimum, maximum]."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
-        if value > maximum:
-            raise argparse.ArgumentTypeError(f"{what} must be at most {maximum}")
+            value = text
+        try:
+            check(value)
+        # math.isfinite, in normalize_angle, refuses text with TypeError
+        except (BellcommError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {text!r}: {exc}"
+            ) from None
         return value
 
     return parse
 
 
-_workers_type = _count_type(1, "worker count", MAX_WORKERS)
-_trials_type = _count_type(1, "trial count")
-_grid_type = _count_type(2, "grid point count")
-
-
-def _angle_type(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
-    return value
+_seed_type = _checked(_check_seed, "seed")
+_workers_type = _checked(_check_workers, "worker count")
+_trials_type = _checked(check_trial_count, "trial count")
+_grid_type = _checked(check_grid_points, "grid point count")
+_angle_type = _checked(normalize_angle, "angle", float)
 
 
 def _uniform_type(text: str) -> float:

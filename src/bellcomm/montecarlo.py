@@ -49,24 +49,26 @@ so a chunk of count trials sums to 2 * (number of +1 trials) - count:
 an exact integer count, which makes every estimate bit-identical for
 any worker count.  Only sample_products turns masks into int +-1.
 
-sample_products and estimate_correlation refuse a bad count, seed,
-worker count or setting in one place, _check_run, before any draw; a
-count, seed or worker count that is not an integer is bad, as 1e5,
-61.0 or "2" is.  A worker count must lie in 1 to MAX_WORKERS (64), as
-the CLI's --workers does, since each worker is a thread with buffers
-of its own.  sweep_curve checks its per-point count, seed and worker
-count with _check_run's own checks (_check_budget) before its first
-point, so a refused sweep starts no thread and draws nothing; child_seed
-refuses an index that is not a non-negative integer.  Every uniform
-separation grid in the package, the sweeps', verify's and the plotted
-laws', is theta_grid's.  A sweep or estimate holds only what its run
-decided; the law it is compared with is its protocol's, ProtocolSpec.law.
+Each integer input has one check, built on protocols.check_integer,
+the package's one integer rule, which refuses 1e5, 61.0 or "2": the
+seed (_check_seed, in [0, 2^64)), the worker count (_check_workers, 1
+to MAX_WORKERS, 64, since each worker is a thread with buffers of its
+own), the trial count (check_trial_count, at least 1), the grid point
+count (check_grid_points, at least 2) and child_seed's index (at least
+0).  The CLI's --seed, --workers, --n and --grid parse through these
+same checks.  sample_products and estimate_correlation run them and the
+settings' check in one place, _check_run, before any draw; sweep_curve
+runs the count, seed and worker checks (_check_budget) before its first
+point, so a refused sweep starts no thread and draws nothing.  Every
+uniform separation grid in the package, the sweeps', verify's and the
+plotted laws', is theta_grid's.  A sweep or estimate holds only what
+its run decided; the law it is compared with is its protocol's,
+ProtocolSpec.law.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -75,7 +77,7 @@ from numpy.random import Generator, Philox
 
 from .angles import separation
 from .errors import ConfigurationError, DomainError
-from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, thread_buffer
+from .protocols import CHUNK, PROTOCOLS, ProtocolSpec, check_integer, thread_buffer
 
 
 # Per thread: the re-keyed Generator of uniforms.
@@ -85,31 +87,27 @@ _local = threading.local()
 MAX_WORKERS = 64
 
 
-def _as_index(value) -> int:
-    """value as an int, or -1 if it is not an integer: a non-integral
-    seed or count (1.5, 1.0, 1e5, "3") is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return -1
-
-
 def _check_seed(seed: int) -> int:
-    """The seed as an int; a non-integral seed is refused, not
-    truncated onto an integer seed's stream."""
-    value = _as_index(seed)
-    if not 0 <= value < 2**64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return value
+    """The seed as an int in [0, 2^64); any other seed raises
+    DomainError, so 1.5 is not truncated onto seed 1's stream."""
+    return check_integer(seed, "seed", 0, 2**64 - 1, DomainError)
 
 
-def _check_workers(workers: int) -> None:
-    """Refuse a worker count that is not an integer in [1, MAX_WORKERS],
-    before any thread starts."""
-    if not 1 <= _as_index(workers) <= MAX_WORKERS:
-        raise ConfigurationError(
-            f"workers must be an integer from 1 to {MAX_WORKERS}, got {workers!r}"
-        )
+def _check_workers(workers: int) -> int:
+    """The worker count, an integer in [1, MAX_WORKERS], checked before
+    any thread starts."""
+    return check_integer(workers, "workers", 1, MAX_WORKERS)
+
+
+def check_trial_count(n: int) -> int:
+    """The trial count, an integer of at least 1."""
+    return check_integer(n, "n", 1)
+
+
+def check_grid_points(points: int) -> int:
+    """The grid point count, an integer of at least 2: a grid holds 0
+    and pi."""
+    return check_integer(points, "grid points", 2)
 
 
 def uniforms(
@@ -146,11 +144,8 @@ def child_seed(seed: int, index: int) -> int:
     """Stable 64-bit seed for sub-experiment `index` of a parent seed.
     The index must be a non-negative integer; 1.5 or "3" is refused,
     not truncated onto another index's seed."""
-    parent, child = _check_seed(seed), _as_index(index)
-    if child < 0:
-        raise ConfigurationError(
-            f"child index must be a non-negative integer, got {index!r}"
-        )
+    parent = _check_seed(seed)
+    child = check_integer(index, "child index", 0)
     ss = np.random.SeedSequence(entropy=(parent, child))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -170,8 +165,7 @@ def _chunk_mask(spec, a, b, seed, start, count):
 def _check_budget(n: int, seed: int, workers: int) -> None:
     """Refuse a trial count, seed or worker count out of range, before
     any draw or thread."""
-    if _as_index(n) < 1:
-        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
+    check_trial_count(n)
     _check_seed(seed)
     _check_workers(workers)
 
@@ -308,10 +302,7 @@ class CurveSweep:
 
 def theta_grid(points: int) -> tuple[float, ...]:
     """points separations evenly spaced from 0 to pi, both included."""
-    if _as_index(points) < 2:
-        raise ConfigurationError(
-            f"grid points must be an integer of at least 2, got {points!r}"
-        )
+    check_grid_points(points)
     return tuple((j / (points - 1)) * math.pi for j in range(points))
 
 

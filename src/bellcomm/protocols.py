@@ -130,14 +130,26 @@ class ProtocolSpec:
         return functools.partial(row.law, **{row.param: getattr(self, row.param)})
 
 
+def check_integer(
+    value, what: str, least: int, most: float = math.inf, error=ConfigurationError
+) -> int:
+    """value as an int, if it is an integer in [least, most]; else raise
+    error, naming what.  The package's one integer rule: a value that is
+    not an integer (2.5, 3.0, 1e5, "3") is refused, not truncated.  The
+    message is built only on a refusal."""
+    try:
+        index = operator.index(value)
+        if least <= index <= most:
+            return index
+    except TypeError:
+        pass
+    span = f"of at least {least}" if most == math.inf else f"from {least} to {most}"
+    raise error(f"{what} must be an integer {span}, got {value!r}")
+
+
 def check_k_bits(k: int) -> None:
     """k must be an integer in [1, MAX_K_BITS]; 3.0 fails as 2.5 does."""
-    try:
-        value = operator.index(k)
-    except TypeError:
-        value = 0
-    if not 1 <= value <= MAX_K_BITS:
-        raise ConfigurationError(f"k must lie in [1, {MAX_K_BITS}], got {k!r}")
+    check_integer(k, "k", 1, MAX_K_BITS)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from bellcomm import cli
+from bellcomm import cli, montecarlo
 from bellcomm.chsh import CANONICAL_SETTINGS, chsh_sampled
 from bellcomm.cli import build_parser, main
-from bellcomm.errors import DegenerateResultantError
+from bellcomm.errors import BellcommError, DegenerateResultantError
 from bellcomm.laws import fixed_shift_law
 from bellcomm.montecarlo import sweep_curve
 from bellcomm.protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
@@ -543,7 +543,60 @@ def test_bad_seed_names_the_seed(capsys, seed):
 def test_worker_count_is_at_most_64(capsys):
     argv = ["chsh", "--protocol", "plain", "--n", "10", "--workers"]
     assert run(capsys, argv + ["64"])[0] == 0
-    assert "worker count must be at most 64" in run(capsys, argv + ["65"])[2]
+    assert (
+        "argument --workers: invalid worker count '65': workers must be an"
+        " integer from 1 to 64, got 65"
+    ) in run(capsys, argv + ["65"])[2]
+
+
+# each integer flag, the library check that owns its rule, and the
+# values of TIED_VALUES that check accepts
+TIED_FLAGS = {
+    "--seed": (montecarlo._check_seed, {"0", "1", "2", "64", "65", str(2**64 - 1)}),
+    "--workers": (montecarlo._check_workers, {"1", "2", "64"}),
+    "--n": (montecarlo.check_trial_count,
+            {"1", "2", "64", "65", str(2**64 - 1), str(2**64)}),
+    "--grid": (montecarlo.check_grid_points,
+               {"2", "64", "65", str(2**64 - 1), str(2**64)}),
+}
+TIED_VALUES = ["-1", "0", "1", "2", "64", "65", str(2**64 - 1), str(2**64),
+               "1.5", "1e5", "x"]
+
+
+@pytest.mark.parametrize("flag", list(TIED_FLAGS))
+@pytest.mark.parametrize("text", TIED_VALUES)
+def test_integer_flags_refuse_what_the_library_refuses(capsys, flag, text):
+    # parse only: no command runs, so 2**64 trials never start
+    check, accepted = TIED_FLAGS[flag]
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        check(value)
+        reason = None
+    except BellcommError as exc:
+        reason = str(exc)
+    assert (reason is None) == (text in accepted)
+    argv = ["curve", "--protocol", "plain", flag, text]
+    if reason is None:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == value
+        return
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid " in err
+    assert reason in err
+
+
+def test_worker_bound_follows_the_library(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "MAX_WORKERS", 3)
+    argv = ["chsh", "--protocol", "plain", "--n", "10", "--workers"]
+    code, out, err = run(capsys, argv + ["4"])
+    assert (code, out) == (2, "")
+    assert "argument --workers: invalid worker count '4'" in err
+    assert run(capsys, argv + ["3"])[0] == 0
 
 
 def test_largest_seed_accepted(capsys):

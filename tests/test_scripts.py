@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bellcomm import cli
+from bellcomm import cli, montecarlo
 from bellcomm.errors import DegenerateResultantError
 from bellcomm.protocols import ProtocolKind
 
@@ -70,7 +70,21 @@ def test_bad_workers_is_a_usage_error(name, workers, capsys):
     assert captured.out == ""
     assert "--workers" in captured.err
     if workers == "65":
-        assert "worker count must be at most 64" in captured.err
+        assert (
+            "invalid worker count '65': workers must be an integer from 1"
+            " to 64, got 65"
+        ) in captured.err
+
+
+def test_script_worker_bound_follows_the_library(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "MAX_WORKERS", 3)
+    summary = load("chsh_summary")
+    assert summary.main(["--n", "100", "--workers", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --workers: invalid worker count '4'" in captured.err
+    assert summary.main(["--n", "100", "--workers", "3"]) == 0
+    assert capsys.readouterr().out.startswith("bounds: ")
 
 
 @pytest.mark.parametrize(
@@ -255,7 +269,10 @@ def test_one_runner_gives_every_program_its_codes(
     assert module.main(argv + ["--n", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument --n: trial count must be at least 1" in captured.err
+    assert (
+        "error: argument --n: invalid trial count '0': n must be an integer"
+        " of at least 1, got 0"
+    ) in captured.err
     assert not outdir.exists()
 
     def degenerate(*args, **kwargs):
