@@ -1,5 +1,6 @@
 """Command line surface: curve sweeps, CHSH runs, self-checks, single trials.
 
+Each subcommand's parser binds its cmd_* as the handler main calls.
 Each cmd_* takes the parsed arguments and builds what it runs from them:
 the protocol through _protocol_from_args, which refuses the value flags
 the protocol does not take, and for chsh the settings.  Only curve, chsh
@@ -42,7 +43,7 @@ from .montecarlo import (
     sweep_curve,
     theta_grid,
 )
-from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec
+from .protocols import MAX_K_BITS, PROTOCOLS, ProtocolKind, ProtocolSpec, check_k_bits
 from .svgplot import Series, render_plot
 from .verify import run_all_checks
 
@@ -273,6 +274,7 @@ _workers_type = _checked(_check_workers, "worker count")
 _trials_type = _checked(check_trial_count, "trial count")
 _grid_type = _checked(check_grid_points, "grid point count")
 _angle_type = _checked(normalize_angle, "angle", float)
+_k_type = _checked(check_k_bits, "bit count")
 
 
 def _uniform_type(text: str) -> float:
@@ -293,7 +295,7 @@ def _uniform_type(text: str) -> float:
 _VALUE_FLAGS = {
     "--delta": (_angle_type, "delta", None, "shift angle for fixed-shift;"
                 " drawn shift for a random-shift trial"),
-    "--k": (int, "k_bits", DEFAULT_K_BITS, "bits per trial for the adaptive"
+    "--k": (_k_type, "k_bits", DEFAULT_K_BITS, "bits per trial for the adaptive"
             f" protocol (default {DEFAULT_K_BITS}, at most {MAX_K_BITS})"),
     "--lambda": (_angle_type, None, None, None),
     "--lambda2": (_angle_type, None, None, None),
@@ -342,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=_workers_type, default=1)
 
     curve = sub.add_parser("curve", help="sweep a correlation curve")
+    curve.set_defaults(handler=cmd_curve)
     add_common(curve)
     curve.add_argument("--grid", type=_grid_type, default=61)
     curve.add_argument("--n", type=_trials_type, default=100_000)
@@ -349,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
     chsh_p = sub.add_parser("chsh", help="run a CHSH experiment")
+    chsh_p.set_defaults(handler=cmd_chsh)
     add_common(chsh_p)
     chsh_p.add_argument("--n", type=_trials_type, default=1_000_000)
     for field in fields(ChshSettings):
@@ -357,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     verify_p = sub.add_parser("verify", help="run the self-check suite")
+    verify_p.set_defaults(handler=cmd_verify)
     add_common(verify_p, with_protocol=False)
 
     trial = sub.add_parser("trial", help="run and print a single trial")
+    trial.set_defaults(handler=cmd_trial)
     add_common(trial, sampled=False)
     trial.add_argument("--a", type=_angle_type, required=True)
     trial.add_argument("--b", type=_angle_type, required=True)
@@ -410,14 +416,6 @@ def _trial_shares(args, spec: ProtocolSpec) -> tuple[float, ...]:
     return tuple(shares)
 
 
-_COMMANDS = {
-    "curve": cmd_curve,
-    "chsh": cmd_chsh,
-    "verify": cmd_verify,
-    "trial": cmd_trial,
-}
-
-
 def run(parser: argparse.ArgumentParser, command, argv: list[str] | None) -> int:
     """Parse argv with parser, return command(args), and turn what either
     raises into an exit code: argparse's own exit gives its code (0 after
@@ -463,7 +461,7 @@ def run(parser: argparse.ArgumentParser, command, argv: list[str] | None) -> int
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser(), lambda args: _COMMANDS[args.command](args), argv)
+    return run(build_parser(), lambda args: args.handler(args), argv)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ def linear_law(theta: float) -> float:
     """Straight line from -1 at theta = 0 to +1 at theta = pi.
 
     This is the correlation of the no-communication protocol and the
-    delta = 0 member of the fixed-shift family.
+    delta = 0 member of the fixed-shift family; its quadrature oracle is
+    mean_sign_vs_reference_quad.
     """
     t = _rescaled(theta)
     return 2.0 * t - 1.0
@@ -198,22 +199,15 @@ def shift_average_quadrature(theta: float) -> float:
     return value * 2.0 / math.pi
 
 
-def mean_sign_vs_reference(t: float) -> float:
-    """Mean over a uniform direction w of sgn(b.w - b.r), closed form.
-
-    Here r is a unit vector at angle t from b.  The set where the
-    projection of w on b exceeds cos(t) is the arc |w - b| < t of length
-    2t, so the mean is (2t - (2*pi - 2t)) / (2*pi) = 2t/pi - 1.
-    """
-    _rescaled(t, "reference angle")
-    return 2.0 * t / math.pi - 1.0
-
-
 def mean_sign_vs_reference_quad(t: float) -> float:
-    """Quadrature oracle for mean_sign_vs_reference.
+    """Mean over a uniform direction w of sgn(b.w - b.r), by quadrature.
 
-    Integrates sgn(cos(x) - cos(t)) / (2*pi) over the full circle, with
-    the two sign changes at x = +-t handed to the routine.
+    Here r is a unit vector at angle t from b.  Integrates
+    sgn(cos(x) - cos(t)) / (2*pi) over the full circle, with the two
+    sign changes at x = +-t handed to the routine.  The set where the
+    projection of w on b exceeds cos(t) is the arc |w - b| < t of
+    length 2t, so the mean is 2t/pi - 1: this is the independent oracle
+    for linear_law, the no-communication correlation.
     """
     _rescaled(t, "reference angle")
     ref = math.cos(t)

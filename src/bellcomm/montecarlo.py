@@ -30,12 +30,14 @@ it, and re-keys them for every draw (uniforms) by setting the state a
 fresh Philox(key, counter) would start from, so no chunk builds a bit
 generator and the streams are those of fresh ones, bit for bit.
 
-Estimates and sweeps with workers > 1 fan their chunks or grid points
-out (_fan_out): the calling thread runs a share of the items itself,
-alongside up to workers - 1 helper threads started for that fan-out
-and joined before it returns.  A helper's buffers and generator are
-made on its first chunk and freed when it ends; the calling thread's
-last for the process.
+Estimates and sweeps fan their chunks or grid points out through one
+loop (_fan_out): at every worker count the calling thread runs a share
+of the items itself, alongside up to workers - 1 helper threads (none
+at one worker) started for that fan-out and joined before it returns.
+A failed item stops it as an interrupt does, so every worker count
+raises the same exception.  A helper's buffers and generator are made
+on its first chunk and freed when it ends; the calling thread's last
+for the process.
 
 A trial whose resultant norm is at most RESULTANT_EPS is not resampled:
 the run raises DegenerateResultantError, as the scalar trial does for
@@ -199,20 +201,20 @@ def _fan_out(func, items: range, workers: int) -> list:
     """func over items, results in item order, on at most
     size = min(workers, len(items)) threads at once.
 
-    The calling thread runs items itself, alongside size - 1 helper
-    threads started for this call and joined before it returns; each
-    takes the next unclaimed item until none is left.  The exception of
-    the first failed item in item order is raised once every item has
-    run.  An interrupt, any BaseException that is not an Exception
-    (KeyboardInterrupt, SystemExit), stops the fan-out instead: no
-    thread claims another item, and it is raised once the helpers have
-    joined.  Nothing is shared between calls, so fan-outs may run at
-    once on several threads, or inside an item of another.  size <= 1
-    runs inline.
+    The calling thread runs a share of the items itself, at every worker
+    count, alongside size - 1 helper threads (none at one worker)
+    started for this call and joined before it returns; each takes the
+    next unclaimed item until none is left.  A failed item, like an
+    interrupt (any BaseException that is not an Exception, such as
+    KeyboardInterrupt or SystemExit), stops the fan-out: no thread
+    claims another item, and once the helpers have joined the interrupt
+    is raised, else the exception of the first failed item in item
+    order.  Items are claimed in item order, so no unclaimed item comes
+    before a failed one, and every worker count raises what one worker
+    raises.  Nothing is shared between calls, so fan-outs may run at
+    once on several threads, or inside an item of another.
     """
     size = min(workers, len(items))
-    if size <= 1:
-        return [func(item) for item in items]
     results = [None] * len(items)
     failures = {}  # index -> exception of each failed item
     interrupts = []
@@ -221,7 +223,7 @@ def _fan_out(func, items: range, workers: int) -> list:
 
     def run_share() -> None:
         try:
-            while not interrupts:
+            while not (interrupts or failures):
                 with claim:
                     i = next(unclaimed, None)
                 if i is None:

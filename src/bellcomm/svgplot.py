@@ -44,6 +44,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str) -> str:
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def _polyline(series: Series) -> str:
     points = " ".join(
         f"{_x_pix(t):.2f},{_y_pix(v):.2f}"
@@ -68,29 +75,20 @@ def render_plot(series: list[Series], title: str) -> str:
         f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
         # frame and zero line
-        f'<line x1="{x0:.2f}" y1="{y_lo:.2f}" x2="{x1:.2f}" y2="{y_lo:.2f}" '
-        f'stroke="#333" stroke-width="1"/>',
-        f'<line x1="{x0:.2f}" y1="{y_lo:.2f}" x2="{x0:.2f}" y2="{y_hi:.2f}" '
-        f'stroke="#333" stroke-width="1"/>',
-        f'<line x1="{x0:.2f}" y1="{_y_pix(0.0):.2f}" x2="{x1:.2f}" '
-        f'y2="{_y_pix(0.0):.2f}" stroke="#bbb" stroke-width="0.5"/>',
+        _line(x0, y_lo, x1, y_lo, "#333", "1"),
+        _line(x0, y_lo, x0, y_hi, "#333", "1"),
+        _line(x0, _y_pix(0.0), x1, _y_pix(0.0), "#bbb", "0.5"),
     ]
     for tick, label in ((0.0, "0"), (math.pi / 2, "pi/2"), (math.pi, "pi")):
         x = _x_pix(tick)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{y_lo:.2f}" x2="{x:.2f}" '
-            f'y2="{y_lo + 5:.2f}" stroke="#333" stroke-width="1"/>'
-        )
+        parts.append(_line(x, y_lo, x, y_lo + 5, "#333", "1"))
         parts.append(
             f'<text x="{x:.2f}" y="{y_lo + 20:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
     for tick in (-1.0, 0.0, 1.0):
         y = _y_pix(tick)
-        parts.append(
-            f'<line x1="{x0 - 5:.2f}" y1="{y:.2f}" x2="{x0:.2f}" y2="{y:.2f}" '
-            f'stroke="#333" stroke-width="1"/>'
-        )
+        parts.append(_line(x0 - 5, y, x0, y, "#333", "1"))
         parts.append(
             f'<text x="{x0 - 10:.2f}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12">{tick:+.0f}</text>'
@@ -98,10 +96,7 @@ def render_plot(series: list[Series], title: str) -> str:
     for i, s in enumerate(series):
         parts.append(_polyline(s))
         y = MARGIN_TOP + 14 * (i + 1)
-        parts.append(
-            f'<line x1="{x1 - 150:.2f}" y1="{y - 4:.2f}" x2="{x1 - 130:.2f}" '
-            f'y2="{y - 4:.2f}" stroke="{s.color}" stroke-width="1.5"/>'
-        )
+        parts.append(_line(x1 - 150, y - 4, x1 - 130, y - 4, s.color, "1.5"))
         parts.append(
             f'<text x="{x1 - 125:.2f}" y="{y:.2f}" font-family="sans-serif" '
             f'font-size="12">{_escape(s.label)}</text>'

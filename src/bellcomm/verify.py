@@ -45,7 +45,6 @@ from .laws import (
     HALF_PI,
     fixed_shift_law,
     linear_law,
-    mean_sign_vs_reference,
     mean_sign_vs_reference_quad,
     orthogonal_step_law,
     quantum_cosine_law,
@@ -246,7 +245,7 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
             for t in montecarlo.theta_grid(181)
         ))),
         ("sign-mean-oracle", 1e-6, lambda tol: _largest_gap(tol, (
-            abs(mean_sign_vs_reference_quad(t) - mean_sign_vs_reference(t))
+            abs(mean_sign_vs_reference_quad(t) - linear_law(t))
             for t in montecarlo.theta_grid(100)
         ))),
         ("folded-integral-oracle", 1e-8, lambda tol: _largest_gap(tol, (

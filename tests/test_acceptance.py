@@ -20,7 +20,6 @@ from bellcomm.cli import main
 from bellcomm.laws import (
     fixed_shift_law,
     linear_law,
-    mean_sign_vs_reference,
     mean_sign_vs_reference_quad,
     orthogonal_step_law,
     quantum_cosine_law,
@@ -183,7 +182,7 @@ def test_criterion_08_integral_oracles():
     inner = max(
         abs(
             mean_sign_vs_reference_quad((j / 99) * math.pi)
-            - mean_sign_vs_reference((j / 99) * math.pi)
+            - linear_law((j / 99) * math.pi)
         )
         for j in range(100)
     )

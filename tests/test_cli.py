@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bellcomm import cli, montecarlo
+from bellcomm import cli, montecarlo, protocols
 from bellcomm.chsh import CANONICAL_SETTINGS, chsh_sampled
 from bellcomm.cli import build_parser, main
 from bellcomm.errors import BellcommError, DegenerateResultantError
@@ -558,6 +558,7 @@ TIED_FLAGS = {
             {"1", "2", "64", "65", str(2**64 - 1), str(2**64)}),
     "--grid": (montecarlo.check_grid_points,
                {"2", "64", "65", str(2**64 - 1), str(2**64)}),
+    "--k": (protocols.check_k_bits, {"1", "2"}),
 }
 TIED_VALUES = ["-1", "0", "1", "2", "64", "65", str(2**64 - 1), str(2**64),
                "1.5", "1e5", "x"]

@@ -16,7 +16,6 @@ from bellcomm.errors import (
 from bellcomm.laws import (
     fixed_shift_law,
     linear_law,
-    mean_sign_vs_reference,
     mean_sign_vs_reference_quad,
     orthogonal_step_law,
     quantum_cosine_law,
@@ -175,14 +174,8 @@ def test_shift_average_quadrature_matches_closed_form():
 def test_mean_sign_quadrature_matches_closed_form():
     for t in [(j / 16) * math.pi for j in range(17)] + NEAR_KINKS:
         assert mean_sign_vs_reference_quad(t) == pytest.approx(
-            mean_sign_vs_reference(t), abs=1e-6
+            linear_law(t), abs=1e-6
         )
-
-
-def test_mean_sign_closed_form_endpoints():
-    assert mean_sign_vs_reference(0.0) == -1.0
-    assert mean_sign_vs_reference(math.pi) == 1.0
-    assert mean_sign_vs_reference(math.pi / 2) == 0.0
 
 
 def test_two_share_integral_matches_averaged_law():
@@ -306,7 +299,7 @@ class TestPieceRule:
     def test_sign_integrand_without_one_sign_change_raises(self, t, left_out):
         changes = (t, 2.0 * math.pi - t)
         assert self.sign(t, changes) / (2.0 * math.pi) == pytest.approx(
-            mean_sign_vs_reference(t), abs=1e-15
+            linear_law(t), abs=1e-15
         )
         with pytest.raises(NumericError):
             self.sign(t, [c for i, c in enumerate(changes) if i != left_out])

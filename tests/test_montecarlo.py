@@ -607,6 +607,28 @@ def test_an_interrupt_stops_the_fan_out(workers):
     assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failure_stops_the_fan_out(workers):
+    # a failed item stops further claims as an interrupt does, so every
+    # worker count runs what one worker runs, up to the items other
+    # threads already hold, and raises the same exception
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i == 2:
+            raise ValueError(2)
+        time.sleep(0.02)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        montecarlo._fan_out(item, range(40), workers)
+    assert info.value.args == (2,)
+    assert threading.active_count() == threads
+    assert sorted(ran) == list(range(len(ran))) and 3 <= len(ran) <= 2 + workers
+    assert montecarlo._fan_out(lambda i: i, range(8), workers) == list(range(8))
+
+
 def test_every_item_runs_once_under_contention():
     # more threads than cores, switching as often as the interpreter
     # allows: a lost update of the next index would run an item twice

@@ -179,7 +179,6 @@ def test_wrong_definition_fails_exactly_its_checks(defect, monkeypatch):
 # chsh_analytic raise DomainError, which its check reports as a FAIL
 FAILS_ON_NAN = {
     "orthogonal_step_law": {"step-law-matches-five-branch"},
-    "mean_sign_vs_reference": {"sign-mean-oracle"},
     "mean_sign_vs_reference_quad": {"sign-mean-oracle"},
     "shift_average_quadrature": {"shift-average-identity"},
     "two_share_integral": {"folded-integral-oracle"},
@@ -209,6 +208,7 @@ FAILS_ON_NAN = {
         "chsh-analytic-values",
     },
     "linear_law": {
+        "sign-mean-oracle",
         "law-endpoints-and-bounds",
         "chsh-analytic-values",
         "mc-plain-curve",
