@@ -1,4 +1,4 @@
-"""Planar angle arithmetic, sign and step conventions, vector resultants.
+"""Planar angle arithmetic, the sign convention, vector resultants.
 
 Angles are plain floats in radians.  A polar angle x stands for the unit
 vector (cos x, sin x); a separation is the folded difference of two polar
@@ -17,10 +17,9 @@ TWO_PI = 2.0 * math.pi
 # Norm below which a resultant vector is treated as zero.
 RESULTANT_EPS = 1e-12
 
-# Tie conventions: sgn(0) = +1 and heaviside(0) = 0.  Ties sit on
-# measure-zero sets under continuous sampling, so no expectation can
-# depend on the choice, but a fixed convention keeps trials reproducible
-# bit for bit.
+# Tie convention: sgn(0) = +1.  Ties sit on measure-zero sets under
+# continuous sampling, so no expectation can depend on the choice, but a
+# fixed convention keeps trials reproducible bit for bit.
 
 
 def sgn(x: float) -> int:
@@ -28,13 +27,6 @@ def sgn(x: float) -> int:
     if not math.isfinite(x):
         raise DomainError(f"sgn requires a finite argument, got {x!r}")
     return 1 if x >= 0.0 else -1
-
-
-def heaviside(x: float) -> int:
-    """Unit step of x, with heaviside(0) = 0."""
-    if not math.isfinite(x):
-        raise DomainError(f"heaviside requires a finite argument, got {x!r}")
-    return 1 if x > 0.0 else 0
 
 
 def normalize_angle(x: float) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .angles import heaviside, sgn
+from .angles import sgn
 from .errors import (
     BoundaryAmbiguityError,
     ConfigurationError,
@@ -133,14 +133,13 @@ def fixed_shift_law(theta: float, delta: float) -> float:
 def orthogonal_step_law(theta: float) -> float:
     """Step form of the fixed-shift law at the orthogonal shift delta = pi/2.
 
-    In t = theta/pi units:
+    In t = theta/pi units, with each step written as a comparison:
 
-        H(t - 3/4) - H(1/4 - t) - 2 (1 - 2t) H(t - 1/4) H(3/4 - t)
+        [t > 3/4] - [t < 1/4] - 2 (1 - 2t) [1/4 < t < 3/4]
 
-    with H the unit step.  The expression is ambiguous exactly at
-    t in {1/4, 3/4}, where the step terms collide; those two separations
-    are owned by fixed_shift_law, which this function defers to by
-    raising BoundaryAmbiguityError.
+    The step terms collide exactly at t in {1/4, 3/4}; those two
+    separations are owned by fixed_shift_law, which this function defers
+    to by raising BoundaryAmbiguityError there.
     """
     t = _rescaled(theta)
     if t == 0.25 or t == 0.75:
@@ -148,11 +147,7 @@ def orthogonal_step_law(theta: float) -> float:
             "step law undefined at theta in {pi/4, 3*pi/4}; "
             "use fixed_shift_law(theta, pi/2)"
         )
-    return (
-        heaviside(t - 0.75)
-        - heaviside(0.25 - t)
-        - 2.0 * (1.0 - 2.0 * t) * heaviside(t - 0.25) * heaviside(0.75 - t)
-    )
+    return (t > 0.75) - (t < 0.25) - 2.0 * (1.0 - 2.0 * t) * (0.25 < t < 0.75)
 
 
 def shift_averaged_law(theta: float) -> float:
@@ -160,7 +155,7 @@ def shift_averaged_law(theta: float) -> float:
 
     In t = theta/pi units:
 
-        4 (t^2 - 1/4) - 8 H(t - 1/2) (t - 1/2)^2
+        4 (t^2 - 1/4) - 8 [t > 1/2] (t - 1/2)^2
 
     Two parabolic arcs of constant curvature +-8/pi^2 (in theta) that
     meet at t = 1/2 with matching value and slope.  The same curve is the

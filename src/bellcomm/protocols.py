@@ -602,10 +602,12 @@ def run_trial_quantum(a: float, b: float, u: float, v: float) -> TrialRecord:
     u and v are uniform draws on [0, 1).  Alice's outcome is a fair coin
     on u; Bob anticorrelates when v falls below cos(theta/2)**2, so the
     mean of the product is sin(theta/2)**2 - cos(theta/2)**2 = -cos(theta).
-    No shares, no communication.
+    No shares, no communication.  Bob's rule is quantum_products'
+    compare, so a NaN v, which the sampler never draws, anticorrelates:
+    its product is -1.
     """
     alpha = 1 if u < 0.5 else -1
-    beta = -alpha if v < _anticorrelation_threshold(a, b) else alpha
+    beta = alpha if v >= _anticorrelation_threshold(a, b) else -alpha
     return TrialRecord(shares=(), comm_bits=(), alpha=alpha, beta=beta)
 
 
@@ -615,7 +617,9 @@ def quantum_products(a: float, b: float, v) -> np.ndarray:
     run_trial_quantum's product for any coin u: the product is
     alpha * (-alpha) = -1 where v falls below cos(theta/2)**2 and
     alpha * alpha = +1 elsewhere, so Alice's coin cancels and one
-    compare of v against the same threshold decides it."""
+    compare of v against the same threshold decides it.  A NaN v fails
+    the compare, so its product is -1, as in the scalar trial; a NaN u
+    changes nothing.  The sampler draws neither."""
     return v >= _anticorrelation_threshold(a, b)
 
 

@@ -107,6 +107,12 @@ def _largest_gap(tol, gaps, detail="", where=None):
     return deviation <= tol, deviation, detail if where is None else where[at]
 
 
+def _law_gap(f, g, points, tol):
+    """The gap rule over an evenly spaced grid of points separations:
+    the largest |f(theta) - g(theta)|, for a law and its oracle."""
+    return _largest_gap(tol, (abs(f(t) - g(t)) for t in montecarlo.theta_grid(points)))
+
+
 # fixed_shift_law's five branches at (t, d), stated a second time:
 # deriving the law from one statement would slow every law call by half
 # or more, so tests/test_verify.py ties the two statements bit for bit
@@ -240,18 +246,13 @@ def run_all_checks(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         ))),
         ("law-endpoints-and-bounds", 1e-12,
          lambda tol: _largest_gap(tol, _endpoint_and_bound_gaps())),
-        ("shift-average-identity", 1e-8, lambda tol: _largest_gap(tol, (
-            abs(shift_average_quadrature(t) - shift_averaged_law(t))
-            for t in montecarlo.theta_grid(181)
-        ))),
-        ("sign-mean-oracle", 1e-6, lambda tol: _largest_gap(tol, (
-            abs(mean_sign_vs_reference_quad(t) - linear_law(t))
-            for t in montecarlo.theta_grid(100)
-        ))),
-        ("folded-integral-oracle", 1e-8, lambda tol: _largest_gap(tol, (
-            abs(two_share_integral(t) - shift_averaged_law(t))
-            for t in montecarlo.theta_grid(100)
-        ))),
+        ("shift-average-identity", 1e-8, partial(
+            _law_gap, shift_average_quadrature, shift_averaged_law, 181
+        )),
+        ("sign-mean-oracle", 1e-6,
+         partial(_law_gap, mean_sign_vs_reference_quad, linear_law, 100)),
+        ("folded-integral-oracle", 1e-8,
+         partial(_law_gap, two_share_integral, shift_averaged_law, 100)),
         ("superquantum-crossing", 1e-9, _check_superquantum_crossing),
         ("averaged-law-curvature", 1e-6, _check_averaged_law_curvature),
         ("mc-fixed-shift-curves", MC_TOL, partial(curves, [

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bellcomm.angles import (
     TWO_PI,
-    heaviside,
     normalize_angle,
     resultant_sign,
     separation,
@@ -25,19 +24,10 @@ def test_sgn_ties_break_positive():
     assert sgn(-1e-300) == -1
 
 
-def test_heaviside_ties_break_zero():
-    assert heaviside(0.0) == 0
-    assert heaviside(-0.0) == 0
-    assert heaviside(1e-300) == 1
-    assert heaviside(-1e-300) == 0
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sign_functions_reject_non_finite(bad):
     with pytest.raises(DomainError):
         sgn(bad)
-    with pytest.raises(DomainError):
-        heaviside(bad)
     with pytest.raises(DomainError):
         normalize_angle(bad)
 
@@ -46,7 +36,6 @@ def test_sign_functions_reject_non_finite(bad):
 def test_sign_functions_partition_the_line(x):
     assume(x != 0.0)
     assert sgn(x) * sgn(-x) == -1
-    assert heaviside(x) + heaviside(-x) == 1
 
 
 def test_normalize_angle_examples():

@@ -120,6 +120,36 @@ def test_orthogonal_step_law_ambiguous_at_quarter_points():
         orthogonal_step_law(3 * (math.pi / 4))
 
 
+def test_orthogonal_step_law_is_its_unit_step_form():
+    # the comparisons give the same value and type as the step form with
+    # the unit step H(0) = 0, everywhere but the two ties, where the law
+    # raises before either form is read
+    def step(x):
+        return 1 if x > 0.0 else 0
+
+    rng = random.Random(35)
+    quarters = (math.pi / 4, 3 * (math.pi / 4))
+    grid = [rng.uniform(0.0, math.pi) for _ in range(100_000)]
+    grid += [(k / 4096) * math.pi for k in range(4097)]
+    grid += [math.nextafter(q, toward) for q in quarters for toward in (0.0, 4.0)]
+    ties = 0
+    for theta in grid:
+        t = theta / math.pi
+        if t in (0.25, 0.75):
+            ties += 1
+            with pytest.raises(BoundaryAmbiguityError):
+                orthogonal_step_law(theta)
+            continue
+        want = (
+            step(t - 0.75)
+            - step(0.25 - t)
+            - 2.0 * (1.0 - 2.0 * t) * step(t - 0.25) * step(0.75 - t)
+        )
+        got = orthogonal_step_law(theta)
+        assert (type(got), got.hex()) == (type(want), want.hex()), theta
+    assert ties == 2
+
+
 @given(thetas)
 def test_orthogonal_step_equals_max_shift_branch(theta):
     t = theta / math.pi

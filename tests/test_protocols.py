@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bellcomm import protocols
+from bellcomm import laws, protocols
 from bellcomm.angles import TWO_PI, separation, sgn
 from bellcomm.errors import ConfigurationError, DegenerateResultantError, DomainError
 from bellcomm.laws import fixed_shift_law, quantum_cosine_law
@@ -39,6 +39,7 @@ from bellcomm.protocols import (
     thread_buffer,
     two_share_products,
 )
+from bellcomm.verify import SHIFT_GRID
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 shifts = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
@@ -399,16 +400,21 @@ class TestQuantumReference:
     )
     def test_vector_products_at_the_threshold(self, a, b):
         # v at cos(theta/2)**2 and one ulp either side, for either coin;
-        # theta = 0 puts the threshold at 1.0 and theta = pi at ~4e-33
+        # theta = 0 puts the threshold at 1.0 and theta = pi at ~4e-33.
+        # A NaN v, or a NaN coin, which the sampler never draws, must
+        # still give the kernel's product; a NaN v anticorrelates
         spec = ProtocolSpec(ProtocolKind.QUANTUM)
         t = math.cos(0.5 * separation(a, b)) ** 2
-        v = np.array([t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 0.0, 0.5])
-        v = np.tile(v, 2)
-        u = np.repeat([0.2, 0.7], v.size // 2)
+        v = np.array(
+            [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 0.0, 0.5, math.nan]
+        )
+        v = np.tile(v, 3)
+        u = np.repeat([0.2, 0.7, math.nan], v.size // 3)
         got = PROTOCOLS[spec.kind].products(spec, a, b, v.size, u, v)
         want = [run_trial_quantum(a, b, x, y).product for x, y in zip(u, v)]
         assert _signs(got) == want
         assert want[:3] == [1, -1, 1]
+        assert want[5::6] == [-1, -1, -1]
 
     def test_exact_mean_over_the_sampler_grid_is_the_cosine(self):
         # Bob's draw is a raw plane-1 uniform, exactly k * 2**-53 for one
@@ -1073,3 +1079,117 @@ class TestShiftIsASecondShare:
         got = PROTOCOLS[spec.kind].products(spec, a, b, lam.size, lam, dd)
         assert np.array_equal(got, two_share_products(a, b, lam, lam + dd))
         assert _signs(got) == [want[0] for want in wants if want != "raises"]
+
+
+# how far a law may sit from its trial's exact mean, and how far the
+# piece rule's probes may miss linearity, summed over the pieces
+EXACT_TOL = 1e-12
+
+
+def _run_mean(trial, a, b, delta):
+    """The mean of trial(lam).product over lam uniform on the circle, for
+    a shared-direction trial with one shift delta for every share.
+
+    Each of the four signs flips only at the arc ends centre + pi/2 + k pi
+    of its centre, a for Alice's sign, a - delta for her shifted one, and
+    b - delta/2 and b - delta/2 + pi/2 for Bob's at either bit; so the
+    product is constant between the eight ends, and each run between two
+    of them adds its length times the product at its middle share.  Only
+    the middle is read: at a shift near 0, where Bob's flipped-bit sign
+    is a difference of nearly equal cosines, the trial's rounding moves
+    his arc ends by far more than an ulp.
+    """
+    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
+    ends = sorted(
+        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
+    )
+    total = 0.0
+    for lo, hi in zip(ends, ends[1:] + [ends[0] + TWO_PI]):
+        if hi > lo:
+            total += (hi - lo) * trial(0.5 * (lo + hi)).product
+    return total / TWO_PI
+
+
+def _both_sides(a_values, points):
+    """(a, b) with b = a + theta and b = a - theta, for each a and each
+    theta of the grid."""
+    return [
+        (a, a + side * theta)
+        for a in a_values
+        for theta in theta_grid(points)
+        for side in (1.0, -1.0)
+    ]
+
+
+class TestLawFromTrial:
+    """Each shared-direction law, derived from its row's scalar trial
+    alone and met to 1e-12: the exact mean over the share (_run_mean),
+    averaged over the drawn shift or the second share by the piece rule,
+    whose integrand is linear between the kinks handed in.  Monte Carlo
+    ties the same laws only to a few hundredths, so a trial with Bob at
+    b + 0.03 passes every sampled check; here it misses by 0.033 or
+    more, and the averages raise NumericError.  The test reads the row's
+    trial, never its kernel."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProtocolSpec(ProtocolKind.PLAIN)]
+        + [ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=d) for d in SHIFT_GRID],
+        ids=lambda spec: f"{spec.kind.value}-{spec.delta}",
+    )
+    def test_one_shift_for_every_share(self, spec):
+        trial = PROTOCOLS[spec.kind].trial
+        delta = spec.delta or 0.0
+        gaps = [
+            abs(
+                _run_mean(lambda lam: trial(spec, a, b, lam), a, b, delta)
+                - spec.law(separation(a, b))
+            )
+            for a, b in _both_sides((0.0, 0.3, 2.0, 5.5), 61)
+        ]
+        assert max(gaps) <= EXACT_TOL
+
+    def test_random_shift_averages_over_the_drawn_shift(self):
+        spec = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)
+        trial = PROTOCOLS[spec.kind].trial
+        gaps = []
+        for a, b in _both_sides((0.3,), 13):
+            theta = separation(a, b)
+            # shift_average_quadrature's kinks: the shifts at which a
+            # branch boundary of the fixed-shift law sweeps past theta
+            kinks = (2 * theta, math.pi - 2 * theta, 2 * theta - math.pi,
+                     TWO_PI - 2 * theta)
+            total = laws._integral(
+                lambda dd: _run_mean(
+                    lambda lam: trial(spec, a, b, lam, dd), a, b, dd
+                ),
+                HALF_PI,
+                kinks,
+                EXACT_TOL,
+            )
+            gaps.append(abs(total / HALF_PI - spec.law(theta)))
+        assert max(gaps) <= EXACT_TOL
+
+    def test_two_share_averages_over_the_second_share(self):
+        # the second share is lam + D, with D uniform on the circle and
+        # independent of lam; the mean at one D is _run_mean's at shift D
+        spec = ProtocolSpec(ProtocolKind.TWO_SHARE)
+        trial = PROTOCOLS[spec.kind].trial
+        gaps = []
+        for a, b in _both_sides((0.3,), 13):
+            theta = separation(a, b)
+            kinks = [
+                k * HALF_PI + side * 2 * theta
+                for k in range(-4, 9)
+                for side in (-1, 0, 1)
+            ]
+            total = laws._integral(
+                lambda d: _run_mean(
+                    lambda lam: trial(spec, a, b, lam, lam + d), a, b, d
+                ),
+                TWO_PI,
+                kinks,
+                EXACT_TOL,
+            )
+            gaps.append(abs(total / TWO_PI - spec.law(theta)))
+        assert max(gaps) <= EXACT_TOL

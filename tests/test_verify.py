@@ -69,17 +69,6 @@ def test_sign_flip_in_sampler_is_caught(monkeypatch):
     assert results["chsh-analytic-values"].passed
 
 
-def test_step_convention_does_not_leak_into_interior(monkeypatch):
-    # the step-law comparison samples branch interiors only, so flipping
-    # the heaviside tie convention must not move it
-    monkeypatch.setattr(
-        bellcomm.laws, "heaviside", lambda x: 1 if x >= 0.0 else 0
-    )
-    name = "step-law-matches-five-branch"
-    results = {r.name: r for r in small_run()}
-    assert results[name].passed
-
-
 # the checks that negating one row's products must fail, and no others
 FAILS_ON_FLIP = {
     ProtocolKind.PLAIN: {"mc-plain-curve", "chsh-plain-local"},
