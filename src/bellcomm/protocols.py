@@ -355,6 +355,18 @@ def fixed_products(a: float, b: float, lam, delta: float) -> np.ndarray:
     return mask
 
 
+def arc_ends(a: float, b: float, delta: float) -> list[float]:
+    """The eight ends in [0, 2 pi), sorted, at which the product of a
+    trial with shares lam and lam + delta can change sign as lam goes
+    round the circle: centre + pi/2 + k pi for k in (0, 1) and the
+    centres a of Alice's sign, a - delta of her shifted one, and
+    b - delta/2 and b - delta/2 + pi/2 of Bob's at either bit."""
+    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
+    return sorted(
+        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
+    )
+
+
 # fixed_products' table for one shared shift: bins of [0, 2 pi), each
 # about 1.5e-3 wide, so a chunk of 2**16 shares has a few hundred in the
 # bins about the eight arc ends; _PLUS, _MINUS or _REDO per bin
@@ -371,28 +383,23 @@ def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
     read-only and has _BINS + 1 entries; the last, _REDO, is for shares
     just below 2 pi whose bin index rounds up to _BINS.
 
-    The four signs of fixed_products flip only at the ends
-    centre + pi/2 + k pi of their arcs, for the centres a, a - delta,
-    b - delta/2 and b - delta/2 + pi/2: eight ends in [0, 2 pi).  Every
-    bin within twice ARC_SLACK of an end is _REDO.  With a and b within
-    SPAN of 0 a bin index and an end round by far less than the slack,
-    so a share whose bin is not _REDO lies further than the slack from
-    every end, where each sign is the one the reference formulas give.
-    No sign flips within a run of bins between two ends, so one scalar
-    trial at the run's middle share gives the product of every share in
-    it.  Alice's bit is flipped only between her arc end about a and the
-    same end about a - delta, at most delta wide, and a run holds a
-    whole bin only when it is wider than 2 pi / _BINS plus four slacks,
-    about 1.53e-3.  So at a shift of at most SMALL_SHIFT, where a
-    flipped-bit projection may be too small to sign, no run has a
+    The four signs of fixed_products flip only at the eight arc_ends.
+    Every bin within twice ARC_SLACK of an end is _REDO.  With a and b
+    within SPAN of 0 a bin index and an end round by far less than the
+    slack, so a share whose bin is not _REDO lies further than the slack
+    from every end, where each sign is the one the reference formulas
+    give.  No sign flips within a run of bins between two ends, so one
+    scalar trial at the run's middle share gives the product of every
+    share in it.  Alice's bit is flipped only between her arc end about
+    a and the same end about a - delta, at most delta wide, and a run
+    holds a whole bin only when it is wider than 2 pi / _BINS plus four
+    slacks, about 1.53e-3.  So at a shift of at most SMALL_SHIFT, where
+    a flipped-bit projection may be too small to sign, no run has a
     flipped bit and every such share is in a _REDO bin.  The build costs
     O(ends), not O(bins).
     """
     table = np.full(_BINS + 1, _REDO, dtype=np.int8)
-    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
-    ends = sorted(
-        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
-    )
+    ends = arc_ends(a, b, delta)
     first = [math.floor((e - 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
     last = [math.floor((e + 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
     # run i holds the bins after end i's redo bins and before end i + 1's;

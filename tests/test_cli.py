@@ -264,15 +264,31 @@ def test_curve_csv_round_trips_bitwise(tmp_path, capsys):
         assert row["protocol"] == "fixed-shift"
 
 
-@pytest.mark.parametrize("workers", ["2", "8"])
-def test_csv_identical_across_worker_counts(tmp_path, capsys, workers):
-    base = tmp_path / "w1.csv"
-    other = tmp_path / "wn.csv"
-    args = ["curve", "--protocol", "two-share", "--grid", "5", "--n",
-            "3000", "--seed", "2"]
-    assert run(capsys, args + ["--out", str(base), "--workers", "1"])[0] == 0
-    assert run(capsys, args + ["--out", str(other), "--workers", workers])[0] == 0
-    assert base.read_bytes() == other.read_bytes()
+# each run and a worker count at which it must print what it prints at
+# one worker; with more workers than cores the helpers and the calling
+# thread share the items
+TWO_SHARE_CURVE = ["curve", "--protocol", "two-share", "--grid", "5", "--n",
+                   "3000", "--seed", "2"]
+WORKER_RUNS = [
+    (TWO_SHARE_CURVE, "2"),
+    (TWO_SHARE_CURVE, "8"),
+    # two chunks per point: verify samples random-shift at one
+    (["curve", "--protocol", "random-shift", "--grid", "5", "--n", "70000"], "2"),
+    # five chunks for each of the four correlations
+    (["chsh", "--protocol", "quantum", "--n", "300000"], "3"),
+    (["chsh", "--protocol", "two-share", "--n", "300000"], "16"),
+    (["verify", "--seed", "5"], "3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, workers", WORKER_RUNS,
+    ids=[" ".join(argv + ["--workers", workers]) for argv, workers in WORKER_RUNS],
+)
+def test_output_identical_across_worker_counts(capsys, argv, workers):
+    one = run(capsys, argv + ["--workers", "1"])
+    assert one[0] == 0
+    assert run(capsys, argv + ["--workers", workers]) == one
 
 
 def test_adaptive_csv_has_empty_analytic_column(tmp_path, capsys):
@@ -867,19 +883,13 @@ def test_degrees_flag_matches_radians(capsys, protocol):
     assert deg[0] == 0
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+# at 16 workers each of verify's 13-point sweeps starts and joins 12
+# helpers
+@pytest.mark.parametrize("workers", ["1", "2", "4", "16"])
 def test_verify_golden_bytes(capsys, workers):
     code, out, _ = run(capsys, ["verify", "--workers", workers])
     assert code == 0
     assert out == GOLDEN_VERIFY
-
-
-def test_verify_command_passes(capsys):
-    code, out, _ = run(capsys, ["verify", "--workers", "4"])
-    assert code == 0
-    assert "all 20 checks passed" in out
-    assert out.count("PASS") == 20
-    assert "FAIL" not in out
 
 
 def test_verify_command_fails_on_sabotage(capsys, monkeypatch):

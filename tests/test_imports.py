@@ -28,13 +28,21 @@ from test_cli import GOLDEN_VERIFY
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str) -> str:
-    """Run code in a new interpreter that imports bellcomm from src."""
+def fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports bellcomm from
+    src, where a RuntimeWarning is an error, as pytest makes it in
+    process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return env
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports bellcomm from src."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=fresh_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -96,11 +104,9 @@ def test_montecarlo_import_loads_no_command_modules():
 
 def run_module(args: list[str]) -> subprocess.CompletedProcess:
     """Run python -m bellcomm with args in a new interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
     return subprocess.run(
         [sys.executable, "-m", "bellcomm", *args],
-        env=env,
+        env=fresh_env(),
         capture_output=True,
         timeout=120,
     )

@@ -22,6 +22,7 @@ from bellcomm.protocols import (
     ProtocolKind,
     ProtocolSpec,
     alice_output,
+    arc_ends,
     bob_output_adaptive,
     bob_output_twoshare,
     comm_bit_twoshare,
@@ -1086,25 +1087,26 @@ class TestShiftIsASecondShare:
 EXACT_TOL = 1e-12
 
 
+def _runs(a, b, delta):
+    """The runs (lo, hi) between consecutive arc_ends, the last one
+    wrapping past 2 pi round to the first end."""
+    ends = arc_ends(a, b, delta)
+    return list(zip(ends, ends[1:] + [ends[0] + TWO_PI]))
+
+
 def _run_mean(trial, a, b, delta):
     """The mean of trial(lam).product over lam uniform on the circle, for
     a shared-direction trial with one shift delta for every share.
 
-    Each of the four signs flips only at the arc ends centre + pi/2 + k pi
-    of its centre, a for Alice's sign, a - delta for her shifted one, and
-    b - delta/2 and b - delta/2 + pi/2 for Bob's at either bit; so the
-    product is constant between the eight ends, and each run between two
-    of them adds its length times the product at its middle share.  Only
-    the middle is read: at a shift near 0, where Bob's flipped-bit sign
-    is a difference of nearly equal cosines, the trial's rounding moves
-    his arc ends by far more than an ulp.
+    Each of the four signs flips only at the arc_ends, so the product is
+    constant between them, and each run between two of them adds its
+    length times the product at its middle share.  Only the middle is
+    read: at a shift near 0, where Bob's flipped-bit sign is a difference
+    of nearly equal cosines, the trial's rounding moves his arc ends by
+    far more than an ulp.
     """
-    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
-    ends = sorted(
-        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
-    )
     total = 0.0
-    for lo, hi in zip(ends, ends[1:] + [ends[0] + TWO_PI]):
+    for lo, hi in _runs(a, b, delta):
         if hi > lo:
             total += (hi - lo) * trial(0.5 * (lo + hi)).product
     return total / TWO_PI
@@ -1131,6 +1133,10 @@ class TestLawFromTrial:
     more, and the averages raise NumericError.  The test reads the row's
     trial, never its kernel."""
 
+    # how far in from each end of a run test_one_shift_for_every_share
+    # reads the product
+    PROBE = 1e-9
+
     @pytest.mark.parametrize(
         "spec",
         [ProtocolSpec(ProtocolKind.PLAIN)]
@@ -1140,14 +1146,25 @@ class TestLawFromTrial:
     def test_one_shift_for_every_share(self, spec):
         trial = PROTOCOLS[spec.kind].trial
         delta = spec.delta or 0.0
-        gaps = [
-            abs(
-                _run_mean(lambda lam: trial(spec, a, b, lam), a, b, delta)
-                - spec.law(separation(a, b))
-            )
-            for a, b in _both_sides((0.0, 0.3, 2.0, 5.5), 61)
-        ]
+        gaps, moved = [], []
+        for a, b in _both_sides((0.0, 0.3, 2.0, 5.5), 61):
+            def at(lam):
+                return trial(spec, a, b, lam)
+
+            gaps.append(abs(
+                _run_mean(at, a, b, delta) - spec.law(separation(a, b))
+            ))
+            # an arc end that the trial moves by less than half a run
+            # leaves the middle share's product, and so the mean, as it
+            # was; 1e-9 in from each end it shows, since at these shifts
+            # the trial rounds its ends by a few ulp
+            for lo, hi in _runs(a, b, delta):
+                if hi - lo > 2 * self.PROBE:
+                    probes = (lo + self.PROBE, 0.5 * (lo + hi), hi - self.PROBE)
+                    if len({at(lam).product for lam in probes}) > 1:
+                        moved.append((a, b, lo, hi))
         assert max(gaps) <= EXACT_TOL
+        assert moved == []
 
     def test_random_shift_averages_over_the_drawn_shift(self):
         spec = ProtocolSpec(ProtocolKind.RANDOM_SHIFT)

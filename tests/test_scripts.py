@@ -18,7 +18,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN_SUMMARY_SHA256 = (
     "4b9aad15c0957d31473fc523e828c2f7279207893ca5246e3a0e42a56713d9fb"
 )
-# the 20 files of reproduce_figures.py --n 200 --grid 3, by tree_digest
+# the 20 files of reproduce_figures.py --n 200 --grid 3 at any worker
+# count, by tree_digest
 GOLDEN_FIGURES_SHA256 = (
     "224e458354e4a4f3a13dfbf70ecb7a92588bba2ac801679d7edf2764ef97751c"
 )
@@ -33,8 +34,10 @@ def load(name):
 
 def script_env(unbuffered=False):
     """The environment for a script run as a subprocess: the package
-    from src, and stdout buffered unless unbuffered."""
+    from src, stdout buffered unless unbuffered, and a RuntimeWarning an
+    error, as pytest makes it in process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(SCRIPTS.parent / "src")
@@ -224,12 +227,13 @@ def test_chsh_summary_on_a_full_device_exits_3():
         (["-m", "bellcomm", "chsh", "--help"], True),
         ([str(SCRIPTS / "chsh_summary.py"), "--help"], False),
         ([str(SCRIPTS / "reproduce_figures.py"), "--help"], True),
+        (["-m", "bellcomm", "chsh", "--protocol", "plain", "--n", "1000"], False),
     ],
 )
 def test_help_on_a_full_device_exits_3(argv, unbuffered):
     # argparse prints the help while it parses and drops an error from
     # that write: unbuffered the run would exit 0, buffered 120 at the
-    # interpreter's own flush
+    # interpreter's own flush; a run's output fails at that flush too
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, *argv],
@@ -303,9 +307,10 @@ def test_chsh_summary_golden_bytes(workers):
     assert hashlib.sha256(out).hexdigest() == GOLDEN_SUMMARY_SHA256
 
 
-def test_reproduce_figures_golden_bytes(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_reproduce_figures_golden_bytes(tmp_path, workers):
     outdir = tmp_path / "figs"
     run_script(str(SCRIPTS / "reproduce_figures.py"), "--n", "200",
-               "--grid", "3", "--workers", "1", "--outdir", str(outdir))
+               "--grid", "3", "--workers", workers, "--outdir", str(outdir))
     assert len(list(outdir.iterdir())) == 20
     assert tree_digest(outdir) == GOLDEN_FIGURES_SHA256
