@@ -17,7 +17,7 @@ from bellcomm.errors import (
     NumericError,
 )
 from bellcomm.laws import HALF_PI
-from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec
+from bellcomm.protocols import PROTOCOLS, ProtocolKind, ProtocolSpec, adaptive_products
 from bellcomm.verify import CHSH_TOL, MC_TOL, CheckResult, run_all_checks
 from test_cli import GOLDEN_VERIFY
 
@@ -48,57 +48,9 @@ def test_line_rendering():
     assert bad.line().endswith("[worst at x]")
 
 
-def test_sign_flip_in_sampler_is_caught(monkeypatch):
-    # a deliberately broken kernel must trip the curve comparison; this
-    # pins that the checks exercise the samplers, not just the laws
-    row = PROTOCOLS[ProtocolKind.FIXED_SHIFT]
-
-    def flipped(*args):
-        return ~row.products(*args)
-
-    monkeypatch.setitem(
-        PROTOCOLS, ProtocolKind.FIXED_SHIFT, replace(row, products=flipped)
-    )
-    results = {r.name: r for r in small_run()}
-    broken = results["mc-fixed-shift-curves"]
-    assert not broken.passed
-    # at theta = 0 the law is -1 and the flipped sampler says +1
-    assert broken.deviation > 1.9
-    # laws and analytic CHSH are untouched
-    assert results["shift-average-identity"].passed
-    assert results["chsh-analytic-values"].passed
-
-
-# the checks that negating one row's products must fail, and no others
-FAILS_ON_FLIP = {
-    ProtocolKind.PLAIN: {"mc-plain-curve", "chsh-plain-local"},
-    ProtocolKind.FIXED_SHIFT: {
-        "mc-fixed-shift-curves",
-        "chsh-fixed-shift-orthogonal",
-    },
-    ProtocolKind.RANDOM_SHIFT: {"mc-random-shift-curve"},
-    ProtocolKind.TWO_SHARE: {"mc-two-share-curve"},
-    ProtocolKind.ADAPTIVE: {"chsh-adaptive-exact"},
-    ProtocolKind.QUANTUM: {"mc-quantum-curve", "chsh-quantum-reference"},
-}
-
-
-@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
-def test_sign_flip_fails_exactly_that_rows_checks(kind, monkeypatch):
-    # at the canonical settings every law's S is negative, so a row whose
-    # products all flip sign gives a positive S; |S| alone would miss it
-    row = PROTOCOLS[kind]
-
-    def flipped(*args):
-        return ~row.products(*args)
-
-    monkeypatch.setitem(PROTOCOLS, kind, replace(row, products=flipped))
-    failed = {r.name for r in small_run() if not r.passed}
-    assert failed == FAILS_ON_FLIP[kind]
-
-
 FIXED = PROTOCOLS[ProtocolKind.FIXED_SHIFT].products
 RANDOM = PROTOCOLS[ProtocolKind.RANDOM_SHIFT].products
+ORTHOGONAL = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI)
 
 
 def bob_ignores_the_bit(spec, a, b, n, lam1, lam2):
@@ -109,10 +61,21 @@ def bob_ignores_the_bit(spec, a, b, n, lam1, lam2):
     return alice != (math.cos(b) * x + math.sin(b) * y >= 0.0)
 
 
+def negated(products):
+    return lambda *args: ~products(*args)
+
+
 # wrong definitions of one row's products, each with the checks it must
 # fail and no others.  Wrong definitions that pass all twenty checks at
-# seed 0 are listed in ROADMAP item 1 instead.
+# seed 0 are listed in ROADMAP item 1 instead.  At the canonical settings
+# every law's S is negative, so a row whose products are all negated gives
+# a positive S, which |S| alone would miss.
 FAILS_ON_DEFECT = {
+    "plain-runs-fixed-shift-at-half-pi": (
+        ProtocolKind.PLAIN,
+        lambda spec, a, b, n, lam: FIXED(ORTHOGONAL, a, b, n, lam),
+        {"mc-plain-curve", "chsh-plain-local"},
+    ),
     "fixed-shift-alice-off-0.01": (
         ProtocolKind.FIXED_SHIFT,
         lambda spec, a, b, n, lam: FIXED(spec, a + 0.01, b, n, lam),
@@ -140,6 +103,11 @@ FAILS_ON_DEFECT = {
         bob_ignores_the_bit,
         {"mc-two-share-curve"},
     ),
+    "adaptive-one-bit-short": (
+        ProtocolKind.ADAPTIVE,
+        lambda spec, a, b, n: adaptive_products(a, b, spec.k_bits - 1, n),
+        {"chsh-adaptive-exact"},
+    ),
     "quantum-threshold-cos-squared-theta": (
         ProtocolKind.QUANTUM,
         lambda spec, a, b, n, u, v: v >= math.cos(separation(a, b)) ** 2,
@@ -150,6 +118,18 @@ FAILS_ON_DEFECT = {
         lambda spec, a, b, n, u, v: v >= math.cos(0.5 * separation(a, b)),
         {"mc-quantum-curve", "chsh-quantum-reference"},
     ),
+    **{
+        f"{kind.value}-negated": (kind, negated(PROTOCOLS[kind].products), checks)
+        for kind, checks in [
+            (ProtocolKind.PLAIN, {"mc-plain-curve", "chsh-plain-local"}),
+            (ProtocolKind.FIXED_SHIFT,
+             {"mc-fixed-shift-curves", "chsh-fixed-shift-orthogonal"}),
+            (ProtocolKind.RANDOM_SHIFT, {"mc-random-shift-curve"}),
+            (ProtocolKind.TWO_SHARE, {"mc-two-share-curve"}),
+            (ProtocolKind.ADAPTIVE, {"chsh-adaptive-exact"}),
+            (ProtocolKind.QUANTUM, {"mc-quantum-curve", "chsh-quantum-reference"}),
+        ]
+    },
 }
 
 
@@ -159,8 +139,15 @@ def test_wrong_definition_fails_exactly_its_checks(defect, monkeypatch):
     monkeypatch.setitem(
         PROTOCOLS, kind, replace(PROTOCOLS[kind], products=products)
     )
-    failed = {r.name for r in small_run() if not r.passed}
-    assert failed == checks
+    failed = [r for r in small_run() if not r.passed]
+    assert {r.name for r in failed} == checks
+    if defect.endswith("-negated"):
+        # at theta = 0 every law is -1 and a negated sampler says +1, so
+        # its curve misses by nearly 2 there; the checks exercise the
+        # samplers, not just the laws
+        for r in failed:
+            if r.name.startswith("mc-"):
+                assert r.deviation > 1.9, r.name
 
 
 # the checks that a law or oracle returning nan must fail, and no others;
@@ -239,25 +226,12 @@ def test_branch_copy_is_the_fixed_shift_law(delta):
         assert law(theta, delta) == branches(end, d)[i], (i, end)
 
 
-def test_package_error_in_a_check_is_its_fail(monkeypatch):
-    # an oracle that misses its tolerance raises NumericError; that check
-    # fails with the error as its detail, and the other checks still run
-    def unresolved(*args):
-        raise NumericError("quadrature error estimate too large")
-
-    monkeypatch.setattr(bellcomm.verify, "two_share_integral", unresolved)
-    results = small_run()
-    assert [r.name for r in results] == EXPECTED_ORDER
-    failed = [r for r in results if not r.passed]
-    assert [r.name for r in failed] == ["folded-integral-oracle"]
-    assert math.isnan(failed[0].deviation)
-    assert failed[0].detail == "NumericError: quadrature error estimate too large"
-
-
 @pytest.mark.parametrize("name", list(FAILS_ON_NAN))
 def test_raising_function_fails_the_same_checks_as_nan(name, monkeypatch):
-    # a law or oracle that raises, wherever it is called from, fails the
-    # checks a nan one fails, each with the error as its detail
+    # a law or oracle that raises, wherever it is called from (an oracle
+    # that misses its tolerance raises NumericError), fails the checks a
+    # nan one fails, each with the error as its detail, and the other
+    # checks still run
     def unresolved(*args, **kwargs):
         raise NumericError("quadrature error estimate too large")
 
@@ -362,10 +336,7 @@ def test_false_alarm_bound_of_one_run(monkeypatch):
     monkeypatch.setattr(bellcomm.verify, "chsh_sampled", spy_chsh)
     run_all_checks()
 
-    deterministic = (
-        ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=HALF_PI),
-        ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3),
-    )
+    deterministic = (ORTHOGONAL, ProtocolSpec(ProtocolKind.ADAPTIVE, k_bits=3))
     points = [est.n for sweep in sweeps for est in sweep.estimates]
     noisy = []
     for spec, settings, n, result in runs:
