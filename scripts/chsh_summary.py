@@ -12,7 +12,7 @@ from bellcomm.chsh import (
     chsh_analytic,
     chsh_sampled,
 )
-from bellcomm.cli import _seed_type, _trials_type, _workers_type, run
+from bellcomm.cli import run, seed_type, trials_type, workers_type
 from bellcomm.montecarlo import child_seed
 from bellcomm.protocols import ProtocolKind, ProtocolSpec
 from bellcomm.verify import SHIFT_GRID
@@ -53,10 +53,10 @@ def print_table(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=_trials_type, default=200_000,
+    parser.add_argument("--n", type=trials_type, default=200_000,
                         help="trials per setting pair")
-    parser.add_argument("--seed", type=_seed_type, default=0)
-    parser.add_argument("--workers", type=_workers_type, default=8)
+    parser.add_argument("--seed", type=seed_type, default=0)
+    parser.add_argument("--workers", type=workers_type, default=8)
     return run(parser, print_table, argv)
 
 

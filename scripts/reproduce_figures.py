@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from bellcomm.cli import (
-    _grid_type,
-    _replacing,
-    _seed_type,
-    _trials_type,
-    _workers_type,
     curve_series,
+    grid_type,
+    replacing,
     run,
+    seed_type,
+    trials_type,
+    workers_type,
     write_curve_csv,
 )
 from bellcomm.montecarlo import child_seed, max_abs_deviation, sweep_curve
@@ -31,11 +31,11 @@ from bellcomm.verify import SHIFT_GRID
 def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
-    parser.add_argument("--n", type=_trials_type, default=100_000,
+    parser.add_argument("--n", type=trials_type, default=100_000,
                         help="trials per grid point")
-    parser.add_argument("--grid", type=_grid_type, default=61)
-    parser.add_argument("--seed", type=_seed_type, default=0)
-    parser.add_argument("--workers", type=_workers_type, default=8)
+    parser.add_argument("--grid", type=grid_type, default=61)
+    parser.add_argument("--seed", type=seed_type, default=0)
+    parser.add_argument("--workers", type=workers_type, default=8)
     return parser
 
 
@@ -48,7 +48,7 @@ def emit(spec, stem, title, seed, args):
     """
     csv_path = args.outdir / f"{stem}.csv"
     svg_path = args.outdir / f"{stem}.svg"
-    with _replacing([csv_path, svg_path]) as (csv_fh, svg_fh):
+    with replacing([csv_path, svg_path]) as (csv_fh, svg_fh):
         sweep = sweep_curve(spec, args.grid, args.n, seed, workers=args.workers)
         write_curve_csv(sweep, csv_fh)
         svg_fh.write(render_plot(curve_series(sweep), title))

@@ -127,7 +127,7 @@ def _sweep_title(sweep: CurveSweep) -> str:
 
 
 @contextlib.contextmanager
-def _replacing(paths: list[Path]):
+def replacing(paths: list[Path]):
     """Yield a temp file opened beside each path; when the block ends
     cleanly, move each onto its path, and on any error remove them all.
 
@@ -171,7 +171,7 @@ def cmd_curve(args) -> int:
         paths = [args.out.with_suffix("." + suffix) for suffix in formats]
     else:
         paths = [args.out]
-    with _replacing(paths) as files:
+    with replacing(paths) as files:
         sweep = sweep_curve(
             protocol, args.grid, args.n, args.seed, workers=args.workers
         )
@@ -269,10 +269,11 @@ def _checked(check, what: str, convert=int):
     return parse
 
 
-_seed_type = _checked(_check_seed, "seed")
-_workers_type = _checked(_check_workers, "worker count")
-_trials_type = _checked(check_trial_count, "trial count")
-_grid_type = _checked(check_grid_points, "grid point count")
+# the scripts parse their --seed, --workers, --n and --grid with these
+seed_type = _checked(_check_seed, "seed")
+workers_type = _checked(_check_workers, "worker count")
+trials_type = _checked(check_trial_count, "trial count")
+grid_type = _checked(check_grid_points, "grid point count")
 _angle_type = _checked(normalize_angle, "angle", float)
 _k_type = _checked(check_k_bits, "bit count")
 
@@ -340,21 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
                 help="interpret all angle arguments as degrees",
             )
         if sampled:
-            p.add_argument("--seed", type=_seed_type, default=0)
-            p.add_argument("--workers", type=_workers_type, default=1)
+            p.add_argument("--seed", type=seed_type, default=0)
+            p.add_argument("--workers", type=workers_type, default=1)
 
     curve = sub.add_parser("curve", help="sweep a correlation curve")
     curve.set_defaults(handler=cmd_curve)
     add_common(curve)
-    curve.add_argument("--grid", type=_grid_type, default=61)
-    curve.add_argument("--n", type=_trials_type, default=100_000)
+    curve.add_argument("--grid", type=grid_type, default=61)
+    curve.add_argument("--n", type=trials_type, default=100_000)
     curve.add_argument("--out", type=Path, default=None)
     curve.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
     chsh_p = sub.add_parser("chsh", help="run a CHSH experiment")
     chsh_p.set_defaults(handler=cmd_chsh)
     add_common(chsh_p)
-    chsh_p.add_argument("--n", type=_trials_type, default=1_000_000)
+    chsh_p.add_argument("--n", type=trials_type, default=1_000_000)
     for field in fields(ChshSettings):
         chsh_p.add_argument(
             "--" + field.name.replace("_", "-"), type=_angle_type, default=None

@@ -22,8 +22,7 @@ same per-thread buffers (protocols.thread_buffer) also hold the
 kernels' float temporaries.  So a row's mask must never alias its
 shares or that scratch: the next chunk on the same thread would
 overwrite them.  A chunk allocates no float or integer array a chunk
-long but the one-byte ones, boolean masks and the one-share rows'
-table lookups, an eighth of that.
+long, only boolean masks, an eighth of that.
 
 Each thread also keeps one Philox bit generator and one Generator over
 it, and re-keys them for every draw (uniforms) by setting the state a

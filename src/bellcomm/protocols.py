@@ -23,22 +23,22 @@ Alice's outcome, her bit and Bob's outcome are put together), with the
 shares and bits that protocol records.  Their vector products run no
 trig on the full arrays of any chunk the sampler draws.
 Every sign flips only at the ends of an arc, as the shares, or their
-midpoint and half-difference, cross them.  With one shift for every
-trial (plain, fixed-shift) the product is a function of the share
-alone, looked up in fixed_products' table of bins of [0, 2 pi) built
-once per setting pair; otherwise (random_shift_products, whose second
-share is lam + delta, and two-share) each sign is a compare against
-the arc ends in two_share_products.  The few trials near an end are
-redone by _exact_plus, the scalar two-share trial's own formulas over
-arrays, which also decide every degenerate raise.  The table and the
-compares are argued for one bounded domain, settings and shares within
-SPAN of 0 (and, for the table, shares in [0, 2 pi)), which holds every
-share the sampler draws: each kernel redoes a chunk with any setting
-or share outside its domain whole, trig and all.  The adaptive and
-quantum products come from their trials: adaptive's product does not
-depend on the share, so one scalar trial fills the mask, and
-quantum_products is one compare of Bob's draw against the threshold
-the scalar trial reads.
+midpoint and half-difference, cross them, so each sign is a compare
+against the arc ends (_on_arc).  With one shift for every trial
+(plain, fixed-shift) the compares read the share alone, about the
+centres arc_ends names (fixed_products); otherwise
+(random_shift_products, whose second share is lam + delta, and
+two-share) they read both shares and their midpoint and half-difference
+(two_share_products).  Both decide their mask from the signs, and
+redo the few trials near an end, by one rule (_decide); the redo is
+_exact_plus, the scalar two-share trial's own formulas over arrays,
+which also decide every degenerate raise.  The compares are argued for one bounded
+domain, settings and shares within SPAN of 0, which holds every share
+the sampler draws: each kernel redoes a chunk with any setting or share
+outside it whole, trig and all.  The adaptive and quantum products come
+from their trials: adaptive's product does not depend on the share, so
+one scalar trial fills the mask, and quantum_products is one compare of
+Bob's draw against the threshold the scalar trial reads.
 
 The kernels keep their temporaries, a chunk long, in buffers that
 belong to the thread and are reused from call to call (thread_buffer),
@@ -178,24 +178,23 @@ class TrialRecord:
 _buffers = threading.local()
 
 
-def thread_buffer(key: int | str, count: int, dtype=np.float64) -> np.ndarray:
-    """count items of this thread's buffer key, to be overwritten.
+def thread_buffer(key: int | str, count: int) -> np.ndarray:
+    """count doubles of this thread's buffer key, to be overwritten.
 
     The sampler keys its share planes by plane number and the kernels
-    key their temporaries by name, so the two never meet; a key always
-    names the same dtype, float64 unless the caller says otherwise.
-    The contents last until the thread next asks for the same key, so
-    nothing that outlives a call may be a view of it.  Above CHUNK
-    items the array is a fresh one.
+    key their temporaries by name, so the two never meet.  The contents
+    last until the thread next asks for the same key, so nothing that
+    outlives a call may be a view of it.  Above CHUNK items the array is
+    a fresh one.
     """
     if count > CHUNK:
-        return np.empty(count, dtype)
+        return np.empty(count)
     held = getattr(_buffers, "held", None)
     if held is None:
         held = _buffers.held = {}
     buffer = held.get(key)
     if buffer is None:
-        buffer = held[key] = np.empty(CHUNK, dtype)
+        buffer = held[key] = np.empty(CHUNK)
     return buffer[:count]
 
 
@@ -221,10 +220,8 @@ ARC_SLACK = 1e-10 + 64.0 * np.finfo(float).eps * 3.0 * SPAN
 # Bob's projection is 2 cos h cos(m - b) for bit +1 and 2 sin h sin(m - b)
 # for bit -1, with h the half-difference of the two shares (delta/2 for
 # a shifted share).  Near a zero of its factor of h the projection may
-# be near zero for every m, so two_share_products redoes the trials with
-# h within SMALL_SHIFT of such a zero; SMALL_SHIFT is less than one bin
-# of _bin_table, which puts every flipped-bit share at such a shift in a
-# redo bin (see _bin_table).  For the rest, a trial further than
+# be near zero for every m, so the kernels redo the trials with h within
+# SMALL_SHIFT of such a zero.  For the rest, a trial further than
 # ARC_SLACK from every arc end of m has a projection of at least
 # (4 / pi**2) * SMALL_SHIFT * 1e-10, about 4e-14, ten times what the
 # four-trig reference can round away.
@@ -232,21 +229,23 @@ SMALL_SHIFT = 1e-3
 
 
 def _window(x) -> tuple[float, float]:
-    """The least and the greatest share; shares must be finite."""
-    lo, hi = float(x.min()), float(x.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("shares must be finite")
-    return lo, hi
+    """The least and the greatest item of x, NaN if x holds one, and
+    (0, 0) for an empty x, which has no item outside any window."""
+    if not x.size:
+        return 0.0, 0.0
+    return float(x.min()), float(x.max())
 
 
-def _in_span(a: float, b: float, window: tuple[float, float]) -> bool:
-    """Whether settings a, b and the shares within window all lie within
-    SPAN of 0, where the arc compares may decide.  Settings must be
-    finite."""
+def _in_span(a: float, b: float, *windows: tuple[float, float]) -> bool:
+    """Whether settings a, b and the shares within each window all lie
+    within SPAN of 0, where the arc compares may decide.  Settings and
+    shares must be finite."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"settings must be finite, got a={a!r}, b={b!r}")
-    lo, hi = window
-    return abs(a) <= SPAN and abs(b) <= SPAN and -SPAN <= lo and hi <= SPAN
+    bounds = [x for window in windows for x in window]
+    if not all(map(math.isfinite, bounds)):
+        raise DomainError("shares must be finite")
+    return max(abs(a), abs(b), *map(abs, bounds)) <= SPAN
 
 
 def _on_arc(x, window, centre: float, tol: float):
@@ -313,6 +312,30 @@ def _exact_plus(a: float, b: float, lam1, lam2) -> np.ndarray:
     return _plus(s1, math.cos(b) * wx + math.sin(b) * wy >= 0.0)
 
 
+def _decide(a: float, b: float, alice1, alice2, bob_plus, bob_minus, shares):
+    """The mask of products from the arc compares of two_share_products
+    or fixed_products, each a (sign, near) pair from _on_arc: Alice's
+    signs at the first and the second share, and Bob's projection >= 0
+    at bit +1 and at bit -1.  Alice's two signs give the bit, which
+    picks Bob's compare.  The trials near an end of either of Alice's
+    compares, whatever bit they gave, or of the Bob compare the bit
+    picked, are redone by _exact_plus on shares(redo), the two share
+    arrays at those trials, which also raises DegenerateResultantError
+    for exactly the trials the scalar trial raises for.  alice1's near
+    array is overwritten.
+    """
+    s1, near = alice1
+    s2, near2 = alice2
+    near |= near2
+    c_pos = s1 == s2
+    near |= _pick(c_pos, bob_plus[1], bob_minus[1])
+    mask = _plus(s1, _pick(c_pos, bob_plus[0], bob_minus[0]))
+    redo = np.flatnonzero(near)
+    if redo.size:
+        mask[redo] = _exact_plus(a, b, *shares(redo))
+    return mask
+
+
 def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord:
     """One trial of the fixed-shift protocol: the two-share trial at the
     second share lam + delta, which both sides derive from the one share
@@ -325,100 +348,61 @@ def run_trial_fixed(a: float, b: float, lam: float, delta: float) -> TrialRecord
     return TrialRecord(shares=(lam,), comm_bits=(c,), alpha=alpha, beta=beta)
 
 
+def _centres(a: float, b: float, delta: float) -> tuple[float, ...]:
+    """The centres about which the four signs of a trial with shares lam
+    and lam + delta turn, as lam goes round the circle: a of Alice's
+    sign, a - delta of her shifted one, and b - delta/2 and
+    b - delta/2 + pi/2 of Bob's at either bit.  Each sign flips at
+    centre + pi/2 + k pi."""
+    bob = b - 0.5 * delta
+    return a, a - delta, bob, bob + HALF_PI
+
+
 def fixed_products(a: float, b: float, lam, delta: float) -> np.ndarray:
     """Products of fixed-shift trials over a share array at one shift
     delta, as the mask of the trials whose product is +1.  Gives
     run_trial_fixed's product for each share.
 
-    One shift for every trial (plain and fixed-shift) makes the product
-    a function of lam alone: each share looks its product up in the
-    table of its bin of [0, 2 pi) that _bin_table builds once per
-    (a, b, delta), and the shares in redo bins take the exact formulas
-    (_exact_plus), which also raise DegenerateResultantError for exactly
-    the trials run_trial_fixed raises for.  A chunk the table cannot
-    serve, with a setting outside SPAN or a share outside [0, 2 pi),
-    which the sampler never draws, is redone whole by _exact_plus.
+    two_share_products at the second share lam + delta, with one shift
+    for every trial (plain and fixed-shift): the half-difference h of
+    the shares is delta/2 throughout, so each of the four signs is an
+    arc compare of lam alone, about its centre in _centres.  h lies in
+    [0, pi/4], where cos h > 0 and sin h >= 0, so Bob's projection
+    2 cos h cos(m - b) or 2 sin h sin(m - b), m = lam + delta/2, has
+    the sign of cos(lam - (b - delta/2)) at bit +1 and of
+    cos(lam - (b - delta/2 + pi/2)) at bit -1.  The scalar trial reads
+    the rounded lam + delta, and its midpoint lies a rounding off
+    lam + delta/2; each moves an arc end of lam by a few ulp of an
+    angle within 2 SPAN of 0, which is inside ARC_SLACK's rounding
+    term, so a trial further than ARC_SLACK from every end has the
+    signs the reference gives.  The redo rule is two-share's (_decide):
+    the trials within ARC_SLACK of an end, and, with h within
+    SMALL_SHIFT of the zero of sin h, every flipped-bit trial.  A chunk
+    with a setting or share outside SPAN is redone whole.
     """
     check_delta(delta)
-    lo, hi = _window(lam)
-    if not (_in_span(a, b, (lo, hi)) and 0.0 <= lo and hi < TWO_PI):
+    window = _window(lam)
+    if not _in_span(a, b, window):
         return _exact_plus(a, b, lam, lam + delta)
-    idx = thread_buffer("idx", len(lam), np.intp)
-    # truncation is the floor for shares >= 0
-    np.multiply(lam, _BIN_SCALE, out=idx, casting="unsafe")
-    bins = np.take(_bin_table(float(a), float(b), float(delta)), idx)
-    mask = bins == _PLUS
-    redo = np.flatnonzero(bins == _REDO)
-    if redo.size:
-        x = lam[redo]
-        mask[redo] = _exact_plus(a, b, x, x + delta)
-    return mask
+    alice1, alice2, plus, minus = (
+        _on_arc(lam, window, centre, ARC_SLACK) for centre in _centres(a, b, delta)
+    )
+    if 0.5 * delta <= SMALL_SHIFT:
+        # h near the zero of sin h: every flipped-bit trial is near
+        minus[1][:] = True
+    return _decide(a, b, alice1, alice2, plus, minus, lambda i: (lam[i], lam[i] + delta))
 
 
 def arc_ends(a: float, b: float, delta: float) -> list[float]:
     """The eight ends in [0, 2 pi), sorted, at which the product of a
     trial with shares lam and lam + delta can change sign as lam goes
-    round the circle: centre + pi/2 + k pi for k in (0, 1) and the
-    centres a of Alice's sign, a - delta of her shifted one, and
-    b - delta/2 and b - delta/2 + pi/2 of Bob's at either bit."""
-    centres = (a, a - delta, b - 0.5 * delta, b - 0.5 * delta + HALF_PI)
+    round the circle: centre + pi/2 + k pi for k in (0, 1) and each of
+    the four _centres."""
     return sorted(
-        (c + HALF_PI + k * math.pi) % TWO_PI for c in centres for k in (0, 1)
+        (c + HALF_PI + k * math.pi) % TWO_PI
+        for c in _centres(a, b, delta)
+        for k in (0, 1)
     )
-
-
-# fixed_products' table for one shared shift: bins of [0, 2 pi), each
-# about 1.5e-3 wide, so a chunk of 2**16 shares has a few hundred in the
-# bins about the eight arc ends; _PLUS, _MINUS or _REDO per bin
-_BINS = 4096
-_BIN_SCALE = _BINS / TWO_PI
-_MINUS, _PLUS, _REDO = 0, 1, 2
-
-
-@functools.lru_cache(maxsize=16)
-def _bin_table(a: float, b: float, delta: float) -> np.ndarray:
-    """The product of fixed-shift trials with shares in each bin of
-    [0, 2 pi): _PLUS or _MINUS where every share of the bin has it,
-    _REDO where its trials must take the exact formulas.  The array is
-    read-only and has _BINS + 1 entries; the last, _REDO, is for shares
-    just below 2 pi whose bin index rounds up to _BINS.
-
-    The four signs of fixed_products flip only at the eight arc_ends.
-    Every bin within twice ARC_SLACK of an end is _REDO.  With a and b
-    within SPAN of 0 a bin index and an end round by far less than the
-    slack, so a share whose bin is not _REDO lies further than the slack
-    from every end, where each sign is the one the reference formulas
-    give.  No sign flips within a run of bins between two ends, so one
-    scalar trial at the run's middle share gives the product of every
-    share in it.  Alice's bit is flipped only between her arc end about
-    a and the same end about a - delta, at most delta wide, and a run
-    holds a whole bin only when it is wider than 2 pi / _BINS plus four
-    slacks, about 1.53e-3.  So at a shift of at most SMALL_SHIFT, where
-    a flipped-bit projection may be too small to sign, no run has a
-    flipped bit and every such share is in a _REDO bin.  The build costs
-    O(ends), not O(bins).
-    """
-    table = np.full(_BINS + 1, _REDO, dtype=np.int8)
-    ends = arc_ends(a, b, delta)
-    first = [math.floor((e - 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
-    last = [math.floor((e + 2.0 * ARC_SLACK) * _BIN_SCALE) for e in ends]
-    # run i holds the bins after end i's redo bins and before end i + 1's;
-    # the last run wraps past 2 pi round to the first end
-    for start, stop in zip(last, first[1:] + [first[0] + _BINS]):
-        start += 1
-        if start >= stop:
-            continue
-        x = (0.5 * (start + stop) / _BIN_SCALE) % TWO_PI
-        alpha, _, beta = _twoshare_outcome(a, b, x, x + delta)
-        value = _PLUS if alpha * beta > 0 else _MINUS
-        # the last entry stays _REDO; a run past it wraps to bin 0
-        lo = start % _BINS
-        hi = lo + (stop - start)
-        table[lo:min(hi, _BINS)] = value
-        if hi > _BINS:
-            table[: hi - _BINS] = value
-    table.flags.writeable = False
-    return table
 
 
 def run_trial_plain(a: float, b: float, lam: float) -> TrialRecord:
@@ -450,8 +434,8 @@ def random_shift_products(a: float, b: float, lam, dd) -> np.ndarray:
     products at the second share lam + dd.  Gives
     run_trial_random_shift's product for each pair, and refuses the
     shifts it refuses."""
-    check_delta(float(dd.min()))
-    check_delta(float(dd.max()))
+    for drawn in _window(dd):
+        check_delta(drawn)
     v = np.add(lam, dd, out=thread_buffer("v", len(lam)))
     return two_share_products(a, b, lam, v)
 
@@ -477,7 +461,7 @@ def _twoshare_outcome(
 ) -> tuple[int, int, int]:
     """(alpha, c, beta) of the two-share trial at shares lam1, lam2: the
     one place Alice's outcome, her bit and Bob's outcome are put
-    together, for every shared-direction trial and for _bin_table.
+    together, for every shared-direction trial.
 
     Degenerate resultants propagate as DegenerateResultantError.
     """
@@ -507,7 +491,7 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     of h about 0, or of m about b + pi/2 with h about pi/2.  Trials
     within ARC_SLACK of an arc end of a share or of m, and trials with h
     within SMALL_SHIFT of a zero of its factor, are redone whole by
-    _exact_plus, which also raises DegenerateResultantError for exactly
+    _exact_plus (_decide), which also raises DegenerateResultantError for exactly
     the trials run_trial_twoshare raises for; a trial near one of
     Alice's ends is redone whatever bit the compares gave it.  A
     slack-sized window about h's zeros is not enough: two factors just
@@ -516,18 +500,17 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     any difference of shares is formed, so nothing overflows.
     """
     w1, w2 = _window(lam1), _window(lam2)
-    # both shares' window, which holds m too, as rounding is monotone
-    window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
-    if not _in_span(a, b, window):
+    if not _in_span(a, b, w1, w2):
         return _exact_plus(a, b, lam1, lam2)
-    s1, near = _on_arc(lam1, w1, a, ARC_SLACK)
-    s2, near2 = _on_arc(lam2, w2, a, ARC_SLACK)
-    near |= near2
-    c_pos = s1 == s2
+    # both shares' window, which holds m too, and h's, from the share
+    # windows, as rounding is monotone
+    window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
+    h_window = (0.5 * (w2[0] - w1[1]), 0.5 * (w2[1] - w1[0]))
+    alice1 = _on_arc(lam1, w1, a, ARC_SLACK)
+    alice2 = _on_arc(lam2, w2, a, ARC_SLACK)
     # m reuses h's buffer
     h = np.subtract(lam2, lam1, out=thread_buffer("m", len(lam1)))
     h *= 0.5
-    h_window = _window(h)
     cos_h, near_cos = _on_arc(h, h_window, 0.0, SMALL_SHIFT)
     sin_h, near_sin = _on_arc(h, h_window, HALF_PI, SMALL_SHIFT)
     m = np.add(lam1, h, out=h)
@@ -537,12 +520,8 @@ def two_share_products(a: float, b: float, lam1, lam2) -> np.ndarray:
     np.equal(minus, sin_h, out=minus)
     near_plus |= near_cos
     near_minus |= near_sin
-    near |= _pick(c_pos, near_plus, near_minus)
-    mask = _plus(s1, _pick(c_pos, plus, minus))
-    redo = np.flatnonzero(near)
-    if redo.size:
-        mask[redo] = _exact_plus(a, b, lam1[redo], lam2[redo])
-    return mask
+    return _decide(a, b, alice1, alice2, (plus, near_plus), (minus, near_minus),
+                   lambda i: (lam1[i], lam2[i]))
 
 
 def quantized_direction(index: int, k: int) -> float:

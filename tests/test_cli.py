@@ -553,7 +553,7 @@ def test_bad_seed_names_the_seed(capsys, seed):
     code, out, err = run(capsys, ["curve", "--protocol", "plain", "--seed", seed])
     assert (code, out) == (2, "")
     assert f"argument --seed: invalid seed '{seed}'" in err
-    assert "_seed_type" not in err
+    assert "seed_type" not in err
 
 
 def test_worker_count_is_at_most_64(capsys):

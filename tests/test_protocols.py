@@ -171,9 +171,8 @@ def _agree(spec, a, b, *shares):
         with pytest.raises(DegenerateResultantError):
             row.products(spec, a, b, len(want), *shares)
         shares = [x[keep] for x in shares]
-    if keep:
-        got = row.products(spec, a, b, len(keep), *shares)
-        assert _signs(got) == [want[i] for i in keep]
+    got = row.products(spec, a, b, len(keep), *shares)
+    assert _signs(got) == [want[i] for i in keep]
     return want
 
 
@@ -215,6 +214,16 @@ def test_products_never_alias_shares():
         assert mask.dtype == bool and mask.shape == (256,), kind
         assert not any(np.shares_memory(mask, x) for x in shares), kind
         assert not any(np.shares_memory(mask, x) for x in _held_buffers()), kind
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("a, b", [(0.4, 1.3), (1e6, 0.3)])
+def test_products_of_no_trials(kind, a, b):
+    # an empty chunk gives an empty mask, in the arc compares' domain
+    # and out of it
+    row = PROTOCOLS[kind]
+    mask = row.products(_spec(kind), a, b, 0, *(np.empty(0) for _ in row.planes))
+    assert mask.dtype == bool and mask.shape == (0,)
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
@@ -578,10 +587,10 @@ def _around(points, scale):
 
 
 class TestArcCompareKernel:
-    """fixed_products takes every product from its table of bins between
-    arc ends, and two_share_products each sign from compares of the
-    shares against arc ends; both redo the trials near an end with the
-    scalar formulas.  Shares at the ends, at settings far from zero,
+    """fixed_products and two_share_products take each sign from
+    compares of a share, or of the shares' midpoint and half-difference,
+    against arc ends, and redo the trials near an end with the scalar
+    formulas.  Shares at the ends, at settings far from zero,
     must still give the scalar trials' products, and raise where they
     raise."""
 
@@ -881,76 +890,75 @@ class TestArcCompareKernel:
         [(0.0, 0.0), (1.5 * math.pi, 0.3), (1e6, -4.0),
          (10 * TWO_PI - HALF_PI, 0.3), (6000 * TWO_PI - HALF_PI, 0.3)],
     )
-    def test_shares_at_bin_edges(self, spec, a, b):
-        # every edge of the one-share table's bins, and 3 ulp either
-        # side, where a share's bin index rounds; 0 and 2 pi - 1 ulp,
-        # whose index rounds up to the last, redo, entry.  a = 3 pi/2
-        # puts the arc end a + pi/2 at 2 pi, which folds onto 0: the
-        # end's redo bins must wrap round.  The last two settings put
-        # that end within 1e-12 of 0 and of 2 pi from outside SPAN, so
-        # the exact formulas decide them without a table
-        edges = np.arange(protocols._BINS + 1) * (TWO_PI / protocols._BINS)
-        lam = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
+    def test_shares_at_4096ths_of_the_circle(self, spec, a, b):
+        # every 4096th of the circle, and 3 ulp either side; 0 and
+        # 2 pi - 1 ulp.  a = 3 pi/2 puts the arc end a + pi/2 at 2 pi,
+        # which folds onto 0.  The last two settings put that end within
+        # 1e-12 of 0 and of 2 pi from outside SPAN, so the exact formulas
+        # decide them
+        grid = np.arange(4097) * (TWO_PI / 4096)
+        lam = (grid[:, None] + np.arange(-3, 4) * np.spacing(grid)[:, None]).ravel()
         lam = np.concatenate([[0.0, np.nextafter(TWO_PI, 0.0)], lam])
-        # all in [0, 2 pi), so the table decides
         lam = lam[(lam >= 0.0) & (lam < TWO_PI)]
         _agree(spec, a, b, lam)
 
     @pytest.mark.parametrize(
         "spec", ONE_SHARE, ids=lambda spec: f"{spec.kind.value}-{spec.delta}"
     )
-    @pytest.mark.parametrize("stray", [-1e-300, TWO_PI])
+    @pytest.mark.parametrize(
+        "stray", [-1e-300, TWO_PI, np.nextafter(protocols.SPAN, math.inf)]
+    )
     def test_one_stray_share_in_a_chunk(self, spec, stray, monkeypatch):
-        # one share just outside [0, 2 pi) takes the whole chunk out of
-        # the table's domain: one _exact_plus call over the whole chunk,
-        # with no table looked up, and the scalar trials' products
-        def no_table(*args):
-            raise AssertionError("a table was looked up")
-
+        # a share just outside [0, 2 pi) stays in the arc compares'
+        # domain, so no trial is redone for it but those near an arc
+        # end; one a ulp past SPAN takes the whole chunk to a single
+        # _exact_plus call.  Either way the scalar trials' products
         [lam] = _draw(spec, CHUNK, 23)
         lam[4321] = stray
-        monkeypatch.setattr(protocols, "_bin_table", no_table)
         sizes = _exact_sizes(monkeypatch)
         _agree(spec, 0.3, 1.1, lam)
-        assert sizes == [CHUNK]
+        if stray > protocols.SPAN:
+            assert sizes == [CHUNK]
+        else:
+            assert max(sizes, default=0) < CHUNK // 8
 
-    @pytest.mark.parametrize("delta", [1e-9, 1e-4, protocols.SMALL_SHIFT])
-    def test_flipped_bit_shares_at_a_small_shift_are_redone(self, delta):
-        # a run of bins takes one trial's product, whatever its bit; at a
-        # shift of at most SMALL_SHIFT a flipped-bit projection may be
-        # too small to sign, so every bin that Alice's flipped-bit arc
-        # [end - delta, end] touches must be _REDO.  The arc is narrower
-        # than one bin, and a run holds whole bins only
-        assert protocols.SMALL_SHIFT < TWO_PI / protocols._BINS
+    @pytest.mark.parametrize("above", [False, True])
+    def test_flipped_bit_shares_at_a_small_shift_are_redone(self, above, monkeypatch):
+        # with h = delta/2 within SMALL_SHIFT of the zero of sin h a
+        # flipped-bit projection may be too small to sign, so every
+        # flipped-bit share is redone, however far from an arc end; just
+        # above, only the shares at Alice's four ends, which every bit
+        # reads, are.  The flipped-bit shares lie across her arcs
+        # [end - delta, end], each further than 1e-9 from every arc end
+        delta = 2.0 * protocols.SMALL_SHIFT
+        if above:
+            delta = np.nextafter(delta, math.inf)
+        spec = ProtocolSpec(ProtocolKind.FIXED_SHIFT, delta=delta)
+        sizes = _exact_sizes(monkeypatch)
         for a, b in itertools.product(np.linspace(-7, 7, 15), np.linspace(-4, 4, 7)):
-            table = protocols._bin_table(a, b, delta)
-            for end in (a + HALF_PI, a - HALF_PI):
-                mid = (end - 0.5 * delta) % TWO_PI
-                assert comm_bit_twoshare(a, mid, mid + delta) == -1
-                lo = (end - delta) % TWO_PI * protocols._BIN_SCALE
-                bins = np.arange(int(lo), int(lo + delta * protocols._BIN_SCALE) + 1)
-                assert (table[bins % protocols._BINS] == protocols._REDO).all()
-
-    def test_bin_table_is_cached_and_read_only(self):
-        table = protocols._bin_table(0.3, 1.1, math.pi / 5)
-        assert table is protocols._bin_table(0.3, 1.1, math.pi / 5)
-        assert table.dtype == np.int8 and table.shape == (protocols._BINS + 1,)
-        assert table[-1] == protocols._REDO
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = protocols._PLUS
+            alice = np.array([a + HALF_PI, a - HALF_PI])
+            at_ends = np.concatenate([alice, alice - delta]) % TWO_PI
+            flipped = (alice[:, None] - delta * np.linspace(0.05, 0.95, 19)).ravel()
+            flipped %= TWO_PI
+            gap = np.abs(flipped[:, None] - np.array(arc_ends(a, b, delta)))
+            flipped = flipped[(np.minimum(gap, TWO_PI - gap) > 1e-9).all(axis=1)]
+            assert flipped.size
+            assert all(comm_bit_twoshare(a, x, x + delta) == -1 for x in flipped)
+            sizes.clear()
+            _agree(spec, a, b, np.concatenate([flipped, at_ends]))
+            assert sizes == [at_ends.size + (0 if above else flipped.size)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_setting_is_refused(self, bad):
         # inf would give silent products from nan cosines, and NaN
-        # would reach the arc walk's floor or the table cache
+        # would reach the arc walk's floor
         lam = np.array([0.1, 2.0, 4.0])
         for a, b in [(bad, 1.0), (0.3, bad)]:
             with pytest.raises(DomainError):
                 fixed_products(a, b, lam, 0.3)
             with pytest.raises(DomainError):
                 random_shift_products(a, b, lam, np.array([0.2, 0.3, 1.0]))
-            # shares outside [0, 2 pi) skip the table, not the refusal
+            # shares outside [0, 2 pi) meet the refusal too
             with pytest.raises(DomainError):
                 fixed_products(a, b, lam + TWO_PI, 0.3)
             with pytest.raises(DomainError):
