@@ -322,7 +322,8 @@ def _decide(a: float, b: float, alice1, alice2, bob_plus, bob_minus, shares):
     picked, are redone by _exact_plus on shares(redo), the two share
     arrays at those trials, which also raises DegenerateResultantError
     for exactly the trials the scalar trial raises for.  alice1's near
-    array is overwritten.
+    array is overwritten.  The arguments may alias: alice2 may be alice1
+    and bob_minus bob_plus, as in plain, where both shares are one.
     """
     s1, near = alice1
     s2, near2 = alice2
@@ -378,18 +379,29 @@ def fixed_products(a: float, b: float, lam, delta: float) -> np.ndarray:
     signs the reference gives.  The redo rule is two-share's (_decide):
     the trials within ARC_SLACK of an end, and, with h within
     SMALL_SHIFT of the zero of sin h, every flipped-bit trial.  A chunk
-    with a setting or share outside SPAN is redone whole.
+    with a setting or share outside SPAN is redone whole.  Plain
+    (delta = 0) makes two compares, not four: Alice's second centre is
+    her first, and her two equal signs give bit +1 on every trial, so
+    Bob's flipped-bit compare, and the SMALL_SHIFT rule with it, is
+    never picked.
     """
     check_delta(delta)
     window = _window(lam)
     if not _in_span(a, b, window):
         return _exact_plus(a, b, lam, lam + delta)
-    alice1, alice2, plus, minus = (
-        _on_arc(lam, window, centre, ARC_SLACK) for centre in _centres(a, b, delta)
-    )
-    if 0.5 * delta <= SMALL_SHIFT:
-        # h near the zero of sin h: every flipped-bit trial is near
-        minus[1][:] = True
+    centre1, centre2, bob_plus, bob_minus = _centres(a, b, delta)
+    alice1 = _on_arc(lam, window, centre1, ARC_SLACK)
+    plus = _on_arc(lam, window, bob_plus, ARC_SLACK)
+    if delta == 0.0:
+        # plain: the second share is lam, so Alice's second sign is her
+        # first and the bit is +1; the flipped-bit compare is never picked
+        alice2, minus = alice1, plus
+    else:
+        alice2 = _on_arc(lam, window, centre2, ARC_SLACK)
+        minus = _on_arc(lam, window, bob_minus, ARC_SLACK)
+        if 0.5 * delta <= SMALL_SHIFT:
+            # h near the zero of sin h: every flipped-bit trial is near
+            minus[1][:] = True
     return _decide(a, b, alice1, alice2, plus, minus, lambda i: (lam[i], lam[i] + delta))
 
 

@@ -1,5 +1,9 @@
 import csv
+import gc
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -904,3 +908,62 @@ def test_verify_command_fails_on_sabotage(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--workers", "4"])
     assert code == 1
     assert "FAIL mc-quantum-curve" in out
+
+
+class TestFreezeAtExit:
+    """run registers gc.freeze as an atexit hook, so the shutdown
+    collections skip what is alive at exit, and freezes nothing while
+    the process runs."""
+
+    TRIAL = ["trial", "--protocol", "plain", "--a", "0.3", "--b", "2.0",
+             "--lambda", "1.0"]
+    USAGE_ERROR = ["curve", "--protocol", "nonesuch"]
+    CURVE = ["curve", "--protocol", "fixed-shift", "--delta", "0.6",
+             "--grid", "5", "--n", "256", "--format", "both"]
+
+    @staticmethod
+    def run_fresh(argv):
+        """main(argv) in a new interpreter whose own atexit handler,
+        registered first and so run last, prints the freeze count."""
+        code = (
+            "import atexit, gc, os, sys\n"
+            "import bellcomm.cli\n"
+            "atexit.register(lambda: os.write(2, b'frozen %d\\n' % gc.get_freeze_count()))\n"
+            f"sys.exit(bellcomm.cli.main({argv!r}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [(TRIAL, 0), (["--help"], 0), (USAGE_ERROR, 2)],
+        ids=["trial", "help", "usage-error"],
+    )
+    def test_heap_is_frozen_when_the_process_exits(self, argv, exit_code):
+        proc = self.run_fresh(argv)
+        assert proc.returncode == exit_code, proc.stderr
+        frozen = int(proc.stderr.splitlines()[-1].removeprefix("frozen "))
+        assert frozen > 0
+
+    def test_files_written_before_exit_match_an_in_process_run(self, tmp_path, capsys):
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        proc = self.run_fresh(self.CURVE + ["--out", str(fresh / "c.csv")])
+        assert proc.returncode == 0, proc.stderr
+        assert run(capsys, self.CURVE + ["--out", str(here / "c.csv")])[0] == 0
+        names = ["c.csv", "c.svg"]
+        assert sorted(path.name for path in fresh.iterdir()) == names
+        assert sorted(path.name for path in here.iterdir()) == names
+        for name in names:
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+    def test_nothing_is_frozen_while_the_process_runs(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, self.TRIAL)[0] == 0
+        assert run(capsys, self.USAGE_ERROR)[0] == 2
+        assert gc.get_freeze_count() == before
